@@ -23,18 +23,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError, SizeError
 from .model import ModelConfig, Priors
-from .rng import (
-    RngStream,
-    log_normal_density,
-    sample_beta,
-    sample_gamma,
-    sample_inverse_gamma,
-    sample_normal,
-)
+from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 
 __all__ = [
     "mu_posterior",
@@ -105,7 +97,7 @@ def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
 
 def sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
     shape, rates = mixture_posterior(y, mu, jumps, precision, cfg)
-    return np.atleast_1d(np.asarray(sample_gamma(shape, rates, rng), dtype=float))
+    return rng.generator.standard_gamma(shape, rates.shape) / rates
 
 
 def jump_mean_posterior(jump_sizes_observed, jump_var: float, priors: Priors) -> tuple[float, float]:
@@ -115,13 +107,13 @@ def jump_mean_posterior(jump_sizes_observed, jump_var: float, priors: Priors) ->
     recover the prior exactly.
     """
     xi = np.asarray(jump_sizes_observed, dtype=float)
-    if not (np.isfinite(jump_var) and jump_var > 0):
+    if not (math.isfinite(jump_var) and jump_var > 0):
         raise ParameterError(f"jump_var must be finite and > 0, got {jump_var}")
     n = xi.size
     if n == 0:
         return priors.jump_mean_mean, priors.jump_mean_var
     m, v = priors.jump_mean_mean, priors.jump_mean_var
-    xbar = float(np.mean(xi))
+    xbar = float(np.sum(xi)) / n
     denom = jump_var + n * v
     return (m * jump_var + v * n * xbar) / denom, v * jump_var / denom
 
@@ -134,7 +126,7 @@ def sample_jump_mean(jump_sizes_observed, jump_var, priors: Priors, rng: RngStre
 def jump_var_posterior(jump_sizes_observed, jump_mean: float, priors: Priors) -> tuple[float, float]:
     """Inverse-gamma posterior (shape, scale) for the jump-size variance."""
     xi = np.asarray(jump_sizes_observed, dtype=float)
-    if not np.isfinite(jump_mean):
+    if not math.isfinite(jump_mean):
         raise ParameterError(f"jump_mean must be finite, got {jump_mean}")
     n = xi.size
     if n == 0:
@@ -158,7 +150,7 @@ def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump
     prec_arr, mix_arr = _aligned("precision", precision, "mixture", mixture)
     if prec_arr.shape != y_arr.shape:
         raise SizeError(f"precision shape {prec_arr.shape} != y shape {y_arr.shape}")
-    if not (np.isfinite(jump_var) and jump_var >= 0):
+    if not (math.isfinite(jump_var) and jump_var >= 0):
         raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
     obs_var = 1.0 / (mix_arr * prec_arr)
     denom = jump_var + obs_var
@@ -169,38 +161,47 @@ def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump
 
 def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
     means, variances = jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var)
-    return np.atleast_1d(np.asarray(sample_normal(means, variances, rng), dtype=float))
+    return means + np.sqrt(variances) * rng.generator.standard_normal(means.shape)
 
 
 def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
     """Posterior probability that each observation is a jump.
 
     p_t = rho * phi(y_t; mu + xi_t, s_t) / (rho * phi(y_t; mu + xi_t, s_t)
-          + (1 - rho) * phi(y_t; mu, s_t)) with s_t = 1/(mixture_t * precision_t),
-    computed on the log scale.  rho <= 0 and rho >= 1 short-circuit to hard
-    zeros/ones.
+          + (1 - rho) * phi(y_t; mu, s_t)) with s_t = 1/(mixture_t * precision_t).
+    The log-odds are log(rho/(1-rho)) - ((y-mu-xi)^2 - (y-mu)^2)/(2 s); the
+    log s terms of the two densities cancel.  rho <= 0 and rho >= 1
+    short-circuit to hard zeros/ones.
     """
     y_arr = np.asarray(y, dtype=float)
     prec_arr, mix_arr = _aligned("precision", precision, "mixture", mixture)
     xi_arr = np.asarray(jump_sizes, dtype=float)
     if prec_arr.shape != y_arr.shape or xi_arr.shape != y_arr.shape:
         raise SizeError("y, precision, mixture and jump_sizes must share one shape")
-    if not np.isfinite(jump_prob):
+    if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
     if jump_prob <= 0.0:
         return np.zeros_like(y_arr)
     if jump_prob >= 1.0:
         return np.ones_like(y_arr)
-    s = 1.0 / (mix_arr * prec_arr)
-    log_with = math.log(jump_prob) + log_normal_density(y_arr, mu + xi_arr, s)
-    log_without = math.log1p(-jump_prob) + log_normal_density(y_arr, mu, s)
-    return expit(log_with - log_without)
+    centered = y_arr - mu
+    # (c - xi)^2 - c^2 = xi (xi - 2c), without the cancellation.
+    log_odds = (0.5 * mix_arr * prec_arr) * (xi_arr * (2.0 * centered - xi_arr))
+    log_odds += math.log(jump_prob) - math.log1p(-jump_prob)
+    return _logistic(log_odds)
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) through exp(-|z|), which cannot overflow."""
+    e = np.exp(-np.abs(z))
+    r = 1.0 / (1.0 + e)
+    return np.where(z >= 0.0, r, e * r)
 
 
 def apply_jump_threshold(probs, threshold: float) -> np.ndarray:
     """Declare jumps where the posterior probability strictly exceeds the cutoff."""
     probs_arr = np.asarray(probs, dtype=float)
-    if not np.isfinite(threshold):
+    if not math.isfinite(threshold):
         raise ParameterError(f"threshold must be finite, got {threshold}")
     return (probs_arr > threshold).astype(np.int64)
 
@@ -208,9 +209,10 @@ def apply_jump_threshold(probs, threshold: float) -> np.ndarray:
 def jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
     """Beta posterior (a, b) for the jump probability."""
     ind = np.asarray(jump_ind)
-    if ind.size and not np.all((ind == 0) | (ind == 1)):
+    ones = int(np.count_nonzero(ind == 1))
+    if ones + np.count_nonzero(ind == 0) != ind.size:
         raise ParameterError("jump_ind entries must be 0 or 1")
-    total = float(np.sum(ind))
+    total = float(ones)
     return priors.jump_prob_a + total, priors.jump_prob_b + ind.size - total
 
 

@@ -117,11 +117,10 @@ def _series_array(y) -> np.ndarray:
     return arr
 
 
-def default_init(y, cfg: ModelConfig, rng: Optional[RngStream] = None):
+def default_init(y, cfg: ModelConfig):
     """Data-driven starting point: mean return, pooled precision, no jumps.
 
-    A zero-variance series falls back to unit precision.  The rng argument
-    is accepted for interface symmetry but unused; the default start is
+    A zero-variance series falls back to unit precision.  The start is
     deterministic.
     """
     y_arr = _series_array(y)

@@ -96,6 +96,17 @@ def to_json17(obj, indent: int = 0) -> str:
     raise ParameterError(f"cannot serialize object of type {type(obj).__name__} to JSON")
 
 
+def _csv_rows(path):
+    """Rows of a UTF-8 CSV file; a file that cannot be read or decoded is a data error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
+    return csv.reader(text.splitlines())
+
+
 def ingest_csv(path, mode: str) -> ReturnsSeries:
     """Read a returns or price CSV into a ReturnsSeries.
 
@@ -107,14 +118,7 @@ def ingest_csv(path, mode: str) -> ReturnsSeries:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     value_col = _VALUE_COLUMNS[mode]
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
-
-    rows = list(csv.reader(text.splitlines()))
+    rows = list(_csv_rows(path))
     if not rows:
         raise DataFormatError(f"{path}: file is empty")
     header = [h.strip().lower() for h in rows[0]]
@@ -219,20 +223,19 @@ def write_draws_csv(path, chains: Sequence[ChainOutput]) -> None:
 def read_draws_csv(path) -> dict:
     """Read a draws file back into arrays keyed by column name."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        data: dict[str, list] = {name: [] for name in header}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            for name, cell in zip(header, row):
-                data[name].append(cell)
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    data: dict[str, list] = {name: [] for name in header}
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
+            )
+        for name, cell in zip(header, row):
+            data[name].append(cell)
     if "mu" not in data or "log_lik" not in data:
         raise DataFormatError(f"{path}: missing required draw columns 'mu'/'log_lik'")
     out: dict[str, np.ndarray] = {}
@@ -260,27 +263,26 @@ def write_latent_csv(path, latent: LatentSummary) -> None:
 
 def read_latent_csv(path) -> LatentSummary:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        if header != LATENT_COLUMNS:
-            raise DataFormatError(f"{path}: unexpected latent summary header {header}")
-        columns: list[list[float]] = [[] for _ in header]
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    if header != LATENT_COLUMNS:
+        raise DataFormatError(f"{path}: unexpected latent summary header {header}")
+    columns: list[list[float]] = [[] for _ in header]
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
+            )
+        for i, cell in enumerate(row):
+            try:
+                columns[i].append(float(cell))
+            except ValueError:
                 raise DataFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            for i, cell in enumerate(row):
-                try:
-                    columns[i].append(float(cell))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {line_no}: non-numeric value {cell!r}"
-                    ) from None
+                    f"{path}: line {line_no}: non-numeric value {cell!r}"
+                ) from None
     arrays = {name: np.array(col) for name, col in zip(header, columns)}
     return LatentSummary(
         var_mean=arrays["var_mean"],
@@ -339,27 +341,26 @@ def write_sim_params(path, sc: SimConfig) -> None:
 def read_sim_csv(path) -> dict:
     """Read a simulation CSV back into arrays keyed by column name."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        if header != SIM_COLUMNS:
-            raise DataFormatError(f"{path}: unexpected simulation header {header}")
-        columns: list[list[float]] = [[] for _ in header]
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    if header != SIM_COLUMNS:
+        raise DataFormatError(f"{path}: unexpected simulation header {header}")
+    columns: list[list[float]] = [[] for _ in header]
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
+            )
+        for i, cell in enumerate(row):
+            try:
+                columns[i].append(float(cell))
+            except ValueError:
                 raise DataFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            for i, cell in enumerate(row):
-                try:
-                    columns[i].append(float(cell))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {line_no}: non-numeric value {cell!r}"
-                    ) from None
+                    f"{path}: line {line_no}: non-numeric value {cell!r}"
+                ) from None
     return {name: np.array(col) for name, col in zip(header, columns)}
 
 
@@ -446,6 +447,8 @@ def read_report_json(path) -> dict:
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -66,19 +66,33 @@ class RngStream:
         self.generator = np.random.default_rng(root)
 
 
-def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False):
+    """Validate a distribution parameter.
+
+    Python scalars (and numpy float64, a float subclass) are checked with
+    plain float arithmetic and returned as floats: the scalar draws of every
+    sweep would otherwise spend most of their time in 0-d array checks.
+    Anything else comes back as a float array.
+    """
+    if isinstance(value, (float, int)):
+        checked = float(value)
+        finite = math.isfinite(checked)
+        bad_sign = (positive and not checked > 0.0) or (nonnegative and not checked >= 0.0)
+    else:
+        checked = np.asarray(value, dtype=float)
+        finite = np.all(np.isfinite(checked))
+        bad_sign = (positive and not np.all(checked > 0.0)) or (
+            nonnegative and not np.all(checked >= 0.0)
+        )
+    if not finite:
         raise ParameterError(f"{name} must be finite")
-    if positive and not np.all(arr > 0.0):
-        raise ParameterError(f"{name} must be > 0")
-    if nonnegative and not np.all(arr >= 0.0):
-        raise ParameterError(f"{name} must be >= 0")
-    return arr
+    if bad_sign:
+        raise ParameterError(f"{name} must be {'> 0' if positive else '>= 0'}")
+    return checked
 
 
-def _scalar(shape_like: np.ndarray, *rest: np.ndarray, size) -> bool:
-    return size is None and shape_like.ndim == 0 and all(r.ndim == 0 for r in rest)
+def _scalar(*params, size) -> bool:
+    return size is None and all(isinstance(p, float) or p.ndim == 0 for p in params)
 
 
 def sample_gamma(shape, rate, rng: RngStream, size=None):

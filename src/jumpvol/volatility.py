@@ -12,50 +12,158 @@ lambda_n ~ Gamma(a_n, b_n), then for t = n-1 .. 1
 
     lambda_t = omega * lambda_{t+1} + eta_t,   eta_t ~ Gamma((1-omega) a_t, b_t).
 
-Both first-order recursions run through scipy.signal.lfilter so that chains
-over long series stay cheap.
+Everything that does not depend on the data is computed once per
+(omega, a0, n) and cached in a :class:`DiscountPlan`:
+
+* the shapes in closed form, a_t = a* + omega^t (a0 - a*) with
+  a* = 1/(2(1-omega)), and a0 + t/2 when omega = 1;
+* the innovation shapes (1-omega) a_t = 1/2 + omega^t ((1-omega) a0 - 1/2),
+  which equal 1/2 exactly in floating point from an index ``head`` on.
+  Past it the innovations are drawn as Z^2/(2 b_t), which is exactly
+  Gamma(1/2, rate b_t) and much cheaper than a general gamma draw;
+* the weights of a blocked first-order scan (:func:`discount_scan`), which
+  runs both the rate recursion and the backward recursion with cumulative
+  sums.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterError, SizeError
 from .model import ModelConfig, ReturnsSeries
 from .rng import RngStream, sample_gamma
 
-__all__ = ["FilterState", "forward_filter", "backward_sample"]
+__all__ = [
+    "DiscountPlan",
+    "discount_plan",
+    "discount_scan",
+    "FilterState",
+    "forward_filter",
+    "backward_sample",
+]
 
 # Rate floor: keeps Gamma rates positive when residuals vanish for long
 # stretches and omega**t * b0 underflows.
 _B_FLOOR = 1e-300
 
+# Largest weight omega**-L inside one scan block.  Increments are scaled by
+# it, so it bounds both the headroom lost to overflow and the dynamic range
+# within a block.
+_MAX_BLOCK_WEIGHT = 1e50
+
+
+@dataclass(frozen=True, eq=False)
+class DiscountPlan:
+    """The data-free part of the precision filter for one (omega, a0, n).
+
+    a       shapes a_0..a_n of the filtered gammas
+    shapes  innovation shapes (1-omega) a_t for t = 1..n-1
+    head    number of leading innovation shapes that are not exactly 1/2;
+            shapes[head:] are all 1/2
+    pos     scan weights omega**(j+1) for j < L, the block length
+    neg     scan weights omega**-(j+1), tiled over ceil(n/L) blocks
+
+    All arrays are read-only: one plan is shared by every sweep of a fit.
+    """
+
+    omega: float
+    n: int
+    a: np.ndarray
+    shapes: np.ndarray
+    head: int
+    pos: np.ndarray
+    neg: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def discount_plan(omega: float, a0: float, n: int) -> DiscountPlan:
+    """Build (or fetch from a small cache) the plan for a series of length n."""
+    if n < 1:
+        raise SizeError("filter state needs the initial entry plus at least one step")
+    k = np.arange(n + 1, dtype=float)
+    pw = np.power(omega, k)
+    if omega == 1.0:
+        a = a0 + 0.5 * k
+        block = n
+    else:
+        # 1 - omega**t through expm1 keeps full precision when omega is near 1.
+        a = pw * a0 + (0.5 / (1.0 - omega)) * -np.expm1(k * math.log(omega))
+        block = int(min(n, max(1.0, math.log(_MAX_BLOCK_WEIGHT) / -math.log(omega))))
+    # One rounding of 1/2 plus a vanishing term: exactly 1/2 from the point
+    # where that term drops below half an ulp of 1/2.
+    shapes = 0.5 + pw[1:n] * ((1.0 - omega) * a0 - 0.5)
+    off_half = np.flatnonzero(shapes != 0.5)
+    head = int(off_half[-1]) + 1 if off_half.size else 0
+    j = np.arange(1, block + 1, dtype=float)
+    pos = np.power(omega, j)
+    neg = np.tile(np.power(omega, -j), -(-n // block))
+    for arr in (a, shapes, pos, neg):
+        arr.flags.writeable = False
+    return DiscountPlan(omega=omega, n=n, a=a, shapes=shapes, head=head, pos=pos, neg=neg)
+
+
+def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0) -> np.ndarray:
+    """x_t = omega * x_{t-1} + increments_t with x_0 = start; returns x_1..x_m.
+
+    m, the length of increments, may be at most plan.n.  Within a block of
+    length L starting after x_s,
+    x_{s+j} = omega**(j+1) * (x_s + sum_{i<=j} omega**-(i+1) u_{s+i}), so each
+    block is one cumulative sum and only the block ends are carried in a
+    Python loop.  Every term is non-negative for non-negative increments and
+    start, and the result is then accurate to a few ulp; mixed signs could
+    cancel, so callers pass only non-negative increments.
+    """
+    m = len(increments)
+    block = plan.pos.size
+    buf = np.zeros(-(-m // block) * block)
+    np.multiply(increments, plan.neg[:m], out=buf[:m])
+    rows = buf.reshape(-1, block)
+    np.cumsum(rows, axis=1, out=rows)
+    carries = []
+    carry = float(start)
+    last = float(plan.pos[-1])
+    for row_sum in rows[:, -1].tolist():
+        carries.append(carry)
+        carry = last * (carry + row_sum)
+    rows += np.array(carries)[:, None]
+    rows *= plan.pos
+    return buf[:m]
+
 
 @dataclass
 class FilterState:
-    """Filtering parameters; index 0 holds the initial (a0, b0)."""
+    """Filtering parameters; index 0 of ``a`` and ``b`` holds the initial (a0, b0).
 
-    a: np.ndarray
+    The shapes come from the plan; the rates are the data-dependent part and
+    are checked here, once per sweep.
+    """
+
+    plan: DiscountPlan
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=float)
+        if not isinstance(self.plan, DiscountPlan):
+            raise ParameterError("plan must be a DiscountPlan")
         self.b = np.asarray(self.b, dtype=float)
-        if self.a.ndim != 1 or self.b.ndim != 1 or self.a.size != self.b.size:
-            raise SizeError("a and b must be one-dimensional and equally long")
-        if self.a.size < 2:
-            raise SizeError("filter state needs the initial entry plus at least one step")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+        if self.b.shape != (self.plan.n + 1,):
+            raise SizeError(f"b must have shape ({self.plan.n + 1},), got {self.b.shape}")
+        if not np.all(np.isfinite(self.b)):
             raise ParameterError("filter parameters must be finite")
-        if not (np.all(self.a > 0) and np.all(self.b > 0)):
+        if not np.all(self.b > 0):
             raise ParameterError("filter parameters must be > 0")
 
     @property
+    def a(self) -> np.ndarray:
+        return self.plan.a
+
+    @property
     def n(self) -> int:
-        return int(self.a.size - 1)
+        return self.plan.n
 
 
 def _series_values(y) -> np.ndarray:
@@ -65,12 +173,6 @@ def _series_values(y) -> np.ndarray:
     if arr.ndim != 1:
         raise SizeError(f"returns must be one-dimensional, got shape {arr.shape}")
     return arr
-
-
-def _discount_recursion(increments: np.ndarray, omega: float, start: float) -> np.ndarray:
-    """x_t = omega * x_{t-1} + increments_t with x_0 = start; returns x_1..x_n."""
-    out, _ = lfilter([1.0], [1.0, -omega], increments, zi=np.array([omega * start]))
-    return out
 
 
 def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterState:
@@ -86,21 +188,18 @@ def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterStat
         raise SizeError(
             f"jumps {jumps_arr.shape} and mixture {mix_arr.shape} must both have shape ({n},)"
         )
-    if not np.isfinite(mu):
+    if not math.isfinite(mu):
         raise ParameterError(f"mu must be finite, got {mu}")
     if not np.all(mix_arr > 0):
         raise ParameterError("mixture entries must be > 0")
 
+    plan = discount_plan(cfg.omega, cfg.a0, n)
     resid = y_arr - mu - jumps_arr
-    omega = cfg.omega
-    a = np.empty(n + 1, dtype=float)
     b = np.empty(n + 1, dtype=float)
-    a[0] = cfg.a0
     b[0] = cfg.b0
-    a[1:] = _discount_recursion(np.full(n, 0.5), omega, cfg.a0)
-    b[1:] = _discount_recursion(0.5 * mix_arr * resid * resid, omega, cfg.b0)
+    b[1:] = discount_scan(0.5 * mix_arr * resid * resid, plan, cfg.b0)
     np.maximum(b, _B_FLOOR, out=b)
-    return FilterState(a=a, b=b)
+    return FilterState(plan=plan, b=b)
 
 
 def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
@@ -108,25 +207,32 @@ def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nda
 
     The terminal point comes from Gamma(a_n, b_n); earlier points add
     independent Gamma((1-omega) a_t, b_t) innovations to the discounted
-    successor.  With omega = 1 the innovation shapes are zero and the path
-    is constant, which :func:`jumpvol.rng.sample_gamma` handles exactly.
+    successor.  With omega = 1 the innovation shapes are zero, the draws
+    are exactly zero and the path is constant.
     """
-    omega = cfg.omega
-    n = fs.n
-    lam_n = sample_gamma(fs.a[n], fs.b[n], rng)
+    plan = fs.plan
+    if cfg.omega != plan.omega:
+        raise ParameterError(
+            f"filter state was built with omega={plan.omega}, cfg has omega={cfg.omega}"
+        )
+    n = plan.n
+    b = fs.b
+    lam_n = sample_gamma(plan.a[n], b[n], rng)
     if lam_n <= 0.0:
         # Underflow guard for extreme shapes; keeps the path positive.
         lam_n = _B_FLOOR
     if n == 1:
         return np.array([lam_n], dtype=float)
 
-    shapes = (1.0 - omega) * fs.a[1:n]
-    etas = sample_gamma(shapes, fs.b[1:n], rng)
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal.
-    rev = _discount_recursion(etas[::-1], omega, lam_n)
+    head = plan.head
+    gen = rng.generator
+    eta = np.empty(n - 1, dtype=float)  # eta[t-1] = eta_t
+    eta[:head] = gen.standard_gamma(plan.shapes[:head]) / b[1 : head + 1]
+    z = gen.standard_normal(n - 1 - head)
+    eta[head:] = z * z / (2.0 * b[head + 1 : n])
     lam = np.empty(n, dtype=float)
-    lam[: n - 1] = rev[::-1]
+    # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal.
+    lam[: n - 1] = discount_scan(eta[::-1], plan, lam_n)[::-1]
     lam[n - 1] = lam_n
     np.maximum(lam, _B_FLOOR, out=lam)
     return lam

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,7 +336,29 @@ class TestCliDiagnose:
         assert diag["pd_method"] == "plug_in_mean"
 
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "cannot read"), (b"chain,iteration,mu,log_lik\n0,1,\xff,1\n", "not valid UTF-8")],
+    )
+    def test_unreadable_draws_file_exits_3(self, tmp_path, capsys, content, message):
+        draws = tmp_path / "nope" / "draws.csv"
+        if content is not None:
+            draws.parent.mkdir()
+            draws.write_bytes(content)
+        code = main(["diagnose", "--draws", str(draws), "--output", str(tmp_path / "d.json")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+
 class TestCliSummarize:
+    def test_missing_truth_file_exits_3(self, tmp_path, capsys):
+        code = main([
+            "summarize", "--truth", str(tmp_path / "nope.csv"), "--fit-dir", str(tmp_path),
+            "--output", str(tmp_path / "summary.csv"),
+        ])
+        assert code == 3
+        assert "cannot read" in capsys.readouterr().err
+
     def test_perfect_fit_has_zero_rmse(self, tmp_path):
         sim_path = tmp_path / "sim.csv"
         main(["simulate", "--n", "30", "--seed", "2", "--output", str(sim_path)])
@@ -378,3 +403,12 @@ class TestCliSummarize:
         assert float(parsed["volatility_path"][3]) == 0.0
         assert float(parsed["jump_path"][3]) == 0.0
         assert float(parsed["volatility_coverage_95"][1]) == 1.0
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, jumpvol, jumpvol.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import jumpvol as jv
 from jumpvol.errors import ParameterError, SizeError
+from jumpvol.volatility import discount_plan, discount_scan
 
 
 def test_single_step_update():
@@ -149,3 +152,72 @@ class TestJointConsistencyTwoPoints:
         cfg, fs, draws = setup
         resid = draws[:, 0] - cfg.omega * draws[:, 1]
         assert np.all(resid >= 0.0)
+
+
+def _loop_scan(increments, omega, start):
+    out, x = [], start
+    for u in increments:
+        x = omega * x + u
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("omega", [0.05, 0.5, 0.9, 0.999, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 5000, 50_000])
+def test_discount_scan_matches_loop(omega, n):
+    gen = np.random.default_rng(n)
+    u = gen.uniform(0.0, 2.0, n)
+    for first in range(0, n, max(n // 5, 1)):
+        u[first : first + min(100, n // 10)] = 0.0
+    plan = discount_plan(omega, 0.1, n)
+    for m in {n, n - 1}:
+        np.testing.assert_allclose(
+            discount_scan(u[:m], plan, 0.7), _loop_scan(u[:m], omega, 0.7), rtol=1e-12
+        )
+
+
+@pytest.mark.parametrize("omega", [0.05, 0.5, 0.9, 0.999, 1.0])
+@pytest.mark.parametrize("a0", [0.1, 4.0])
+def test_plan_shapes_and_head(omega, a0):
+    n = 3000
+    plan = discount_plan(omega, a0, n)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w, a, ref_a, ref_shapes = Decimal(omega), Decimal(a0), [a0], []
+        for t in range(1, n + 1):
+            a = w * a + Decimal("0.5")
+            ref_a.append(float(a))
+            if t < n:
+                ref_shapes.append(float((1 - w) * a))
+    ref_shapes = np.array(ref_shapes)
+    np.testing.assert_allclose(plan.a, ref_a, rtol=1e-13)
+    # 1/2 + omega^t ((1-omega) a0 - 1/2) is rounded once near 1/2: absolute accuracy.
+    np.testing.assert_allclose(plan.shapes, ref_shapes, rtol=0, atol=2e-16)
+    off_half = np.flatnonzero(ref_shapes != 0.5)
+    head = off_half[-1] + 1 if off_half.size else 0
+    # head is the first (0-based, t = head + 1) innovation from which (1-omega) a_t == 1/2.
+    assert plan.head == head
+    assert np.all(plan.shapes[plan.head :] == 0.5)
+    if omega < 0.999:
+        assert plan.head < n // 5
+    with pytest.raises(ValueError):
+        plan.shapes[0] = 1.0
+
+
+def test_backward_innovations_past_head_are_half_shape_gammas():
+    cfg = jv.ModelConfig(omega=0.5, a0=0.1, b0=0.1)
+    n = 300
+    y = np.sin(np.linspace(0.0, 12.0, n))
+    fs = jv.forward_filter(y, 0.0, np.zeros(n), np.ones(n), cfg)
+    head = fs.plan.head
+    assert 0 < head < n - 100
+    rng = jv.RngStream(2024)
+    t = np.arange(head + 1, n)  # 1-based times of the Z^2/(2b) innovations
+    scaled = []
+    for _ in range(150):
+        lam = jv.backward_sample(fs, cfg, rng)
+        eta = lam[t - 1] - cfg.omega * lam[t]
+        scaled.append(2.0 * fs.b[t] * eta)
+    # 2 b eta ~ Gamma(1/2, rate 1/2) = chi-square with one degree of freedom.
+    result = stats.kstest(np.concatenate(scaled), stats.chi2(1).cdf)
+    assert result.pvalue > 0.001
