@@ -12,9 +12,9 @@ Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,7 @@ from .diagnostics import (
     compute_dic,
     conditional_log_lik,
     coverage,
-    ess,
-    psrf,
+    summarize_param,
 )
 from .errors import DataFormatError, JumpvolError, NumericalError, ParameterError, SizeError
 from .gibbs import RunSpec, run_multi
@@ -300,19 +299,7 @@ def cmd_diagnose(args) -> int:
     with_jumps = all("jump_prob" in c for c in chains)
     names = ["mu", "jump_prob", "jump_mean", "jump_var"] if with_jumps else ["mu"]
 
-    params = []
-    for name in names:
-        pooled = np.concatenate([c[name] for c in chains])
-        sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 0.0
-        total_ess = float(sum(ess(c[name]) for c in chains))
-        params.append({
-            "name": name,
-            "mean": float(np.mean(pooled)),
-            "sd": sd,
-            "mcse": sd / math.sqrt(total_ess) if total_ess > 0 else 0.0,
-            "ess": total_ess,
-            "psrf": psrf([c[name] for c in chains]),
-        })
+    params = [asdict(summarize_param(name, [c[name] for c in chains])) for name in names]
 
     log_lik = np.concatenate([c["log_lik"] for c in chains])
     deviance = -2.0 * log_lik

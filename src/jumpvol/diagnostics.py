@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, SizeError
 from .model import ChainOutput, LatentSummary, ReturnsSeries
-from .rng import log_normal_density
+from .rng import _as_param, _log_normal_density
 
 __all__ = [
     "conditional_log_lik",
@@ -37,6 +37,7 @@ __all__ = [
     "ess",
     "psrf",
     "ParamSummary",
+    "summarize_param",
     "DiagnosticsReport",
     "merge_latent",
     "build_report",
@@ -60,7 +61,13 @@ def conditional_log_lik(y, mu: float, jumps, precision, mixture) -> float:
     weights = mix_arr * prec_arr
     if not np.all(weights > 0):
         raise ParameterError("mixture * precision must be > 0 everywhere")
-    return float(np.sum(log_normal_density(y_arr, mu + jumps_arr, 1.0 / weights)))
+    _as_param("variance", 1.0 / weights, positive=True)
+    return _conditional_log_lik(y_arr, mu, jumps_arr, prec_arr, mix_arr)
+
+
+def _conditional_log_lik(y, mu, jumps, precision, mixture) -> float:
+    """Unchecked kernel of :func:`conditional_log_lik` for aligned float arrays."""
+    return float(np.sum(_log_normal_density(y, mu + jumps, 1.0 / (mixture * precision))))
 
 
 def compute_bic(log_lik_hat: float, k: int, n: int) -> float:
@@ -168,6 +175,24 @@ class ParamSummary:
     psrf: float
 
 
+def summarize_param(name: str, traces: Sequence) -> ParamSummary:
+    """Pooled mean/sd, summed per-chain ESS, MCSE and PSRF of one parameter.
+
+    traces holds one draw array per chain.
+    """
+    pooled = np.concatenate(traces)
+    sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 0.0
+    total_ess = float(sum(ess(t) for t in traces))
+    return ParamSummary(
+        name=name,
+        mean=float(np.mean(pooled)),
+        sd=sd,
+        mcse=sd / math.sqrt(total_ess) if total_ess > 0 else 0.0,
+        ess=total_ess,
+        psrf=psrf(traces),
+    )
+
+
 @dataclass
 class DiagnosticsReport:
     """Everything the comparison tables and per-series plots need."""
@@ -233,21 +258,10 @@ def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> D
     log_lik_max = float(np.max(log_lik))
     bic = compute_bic(log_lik_max, k, meta.n_obs)
 
-    params = []
-    for name in chains[0].static_names:
-        pooled = np.concatenate([c.static_array(name) for c in chains])
-        sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 0.0
-        total_ess = float(sum(ess(c.static_array(name)) for c in chains))
-        params.append(
-            ParamSummary(
-                name=name,
-                mean=float(np.mean(pooled)),
-                sd=sd,
-                mcse=sd / math.sqrt(total_ess) if total_ess > 0 else 0.0,
-                ess=total_ess,
-                psrf=psrf([c.static_array(name) for c in chains]),
-            )
-        )
+    params = [
+        summarize_param(name, [c.static_array(name) for c in chains])
+        for name in chains[0].static_names
+    ]
 
     return DiagnosticsReport(
         n_obs=meta.n_obs,

@@ -22,6 +22,16 @@ the variance-scale volatility draw matrix kept in float32 for empirical
 credibility bands as long as draws x n stays under a configurable budget.
 Chains never share mutable state, so multi-chain runs are trivially
 order-deterministic by chain id.
+
+Inputs are validated once, at the boundary of a fit: run_chain checks the
+series, the configuration and the run spec, and the StaticParams and
+LatentPath constructors check the initial state.  Every state a sweep
+produces is finite and positive by construction, so the stage names this
+module calls (sample_mu, forward_filter, backward_sample, ...,
+conditional_log_lik) are bound to the unchecked kernels behind the public
+functions of the same names, with the same signatures.  The sweep keeps two
+numerical guards: the finiteness of the filtered rates and of each retained
+log-likelihood.
 """
 
 from __future__ import annotations
@@ -32,16 +42,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditionals import (
-    apply_jump_threshold,
-    jump_indicator_probs,
-    sample_jump_mean,
-    sample_jump_prob,
-    sample_jump_sizes,
-    sample_jump_var,
-    sample_mixture_path,
-    sample_mu,
+    _apply_jump_threshold as apply_jump_threshold,
+    _jump_indicator_probs as jump_indicator_probs,
+    _sample_jump_mean as sample_jump_mean,
+    _sample_jump_prob as sample_jump_prob,
+    _sample_jump_sizes as sample_jump_sizes,
+    _sample_jump_var as sample_jump_var,
+    _sample_mixture_path as sample_mixture_path,
+    _sample_mu as sample_mu,
 )
-from .diagnostics import conditional_log_lik
+from .diagnostics import _conditional_log_lik as conditional_log_lik
 from .errors import NumericalError, ParameterError, SizeError
 from .model import (
     ChainMeta,
@@ -53,7 +63,8 @@ from .model import (
     StaticParams,
 )
 from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
-from .volatility import backward_sample, forward_filter
+from .volatility import _backward_sample as backward_sample
+from .volatility import _forward_filter as forward_filter
 
 __all__ = ["RunSpec", "default_init", "run_chain", "run_multi"]
 
@@ -184,9 +195,10 @@ class _LatentAccumulator:
         self.sum_prob = np.zeros(n)
         self.sum_ind = np.zeros(n)
         self.sum_var = np.zeros(n)
-        self.sum_var_sq = np.zeros(n)
         self.sum_sd = np.zeros(n)
+        # The squared sums feed only the normal-band fallback.
         self.matrix = np.empty((n_draws, n), dtype=np.float32) if store_matrix else None
+        self.sum_var_sq = None if store_matrix else np.zeros(n)
 
     def add(self, precision, mixture, jumps, ind, probs) -> None:
         inv = 1.0 / precision
@@ -196,17 +208,19 @@ class _LatentAccumulator:
         self.sum_prob += probs
         self.sum_ind += ind
         self.sum_var += inv
-        self.sum_var_sq += inv * inv
         self.sum_sd += np.sqrt(inv)
         if self.matrix is not None:
             self.matrix[self.count] = inv
+        else:
+            self.sum_var_sq += inv * inv
         self.count += 1
 
     def summary(self) -> LatentSummary:
         m = self.count
         var_mean = self.sum_var / m
         if self.matrix is not None:
-            quantiles = np.quantile(self.matrix[:m], [0.025, 0.975], axis=0)
+            # The matrix is private and read only here: partition it in place.
+            quantiles = np.quantile(self.matrix[:m], [0.025, 0.975], axis=0, overwrite_input=True)
             var_lo = quantiles[0].astype(float)
             var_hi = quantiles[1].astype(float)
             method = "quantile"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,7 +43,12 @@ __all__ = [
 ]
 
 _MODES = ("prices", "returns")
-_VALUE_COLUMNS = {"prices": "price", "returns": "log_return_pct"}
+# (timestamp, value) column pairs accepted per mode, tried in order; the
+# second returns pair is the header of the files ``simulate`` writes.
+_INPUT_COLUMNS = {
+    "prices": (("timestamp", "price"),),
+    "returns": (("timestamp", "log_return_pct"), ("t", "return")),
+}
 
 LATENT_COLUMNS = [
     "t",
@@ -111,22 +116,26 @@ def ingest_csv(path, mode: str) -> ReturnsSeries:
     """Read a returns or price CSV into a ReturnsSeries.
 
     Expects a UTF-8 file with a header row holding ``timestamp,price``
-    (mode "prices") or ``timestamp,log_return_pct`` (mode "returns").
-    Parse failures report the offending line number.
+    (mode "prices") or ``timestamp,log_return_pct`` (mode "returns").  In
+    returns mode the ``t,return`` columns of a ``simulate`` output file are
+    accepted too.  Parse failures report the offending line number.
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
-    value_col = _VALUE_COLUMNS[mode]
     path = Path(path)
     rows = list(_csv_rows(path))
     if not rows:
         raise DataFormatError(f"{path}: file is empty")
     header = [h.strip().lower() for h in rows[0]]
-    if "timestamp" not in header:
-        raise DataFormatError(f"{path}: line 1: missing required column 'timestamp'")
+    pairs = _INPUT_COLUMNS[mode]
+    ts_col, value_col = next(
+        (pair for pair in pairs if pair[0] in header and pair[1] in header), pairs[0]
+    )
+    if ts_col not in header:
+        raise DataFormatError(f"{path}: line 1: missing required column '{ts_col}'")
     if value_col not in header:
         raise DataFormatError(f"{path}: line 1: missing required column '{value_col}'")
-    ts_idx = header.index("timestamp")
+    ts_idx = header.index(ts_col)
     val_idx = header.index(value_col)
 
     timestamps: list[str] = []
@@ -402,17 +411,7 @@ def report_payload(
             "bic": report.bic,
             "interval_method": report.latent.interval_method,
         },
-        "params": [
-            {
-                "name": p.name,
-                "mean": p.mean,
-                "sd": p.sd,
-                "mcse": p.mcse,
-                "ess": p.ess,
-                "psrf": p.psrf,
-            }
-            for p in report.params
-        ],
+        "params": [asdict(p) for p in report.params],
     }
     if cfg is not None:
         payload["model"] = {

@@ -161,7 +161,12 @@ def log_normal_density(y, mean, variance):
     y_arr = np.asarray(y, dtype=float)
     mean_arr = np.asarray(mean, dtype=float)
     var_arr = _as_param("variance", variance, positive=True)
-    out = -0.5 * (LOG_TWO_PI + np.log(var_arr) + (y_arr - mean_arr) ** 2 / var_arr)
+    out = _log_normal_density(y_arr, mean_arr, var_arr)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _log_normal_density(y, mean, variance):
+    """Unchecked kernel of :func:`log_normal_density` for float inputs."""
+    return -0.5 * (LOG_TWO_PI + np.log(variance) + (y - mean) ** 2 / variance)

@@ -24,6 +24,11 @@ Everything that does not depend on the data is computed once per
 * the weights of a blocked first-order scan (:func:`discount_scan`), which
   runs both the rate recursion and the backward recursion with cumulative
   sums.
+
+:func:`forward_filter` and :func:`backward_sample` check their inputs and
+call the unchecked kernels ``_forward_filter`` and ``_backward_sample``,
+which the Gibbs sweep calls directly.  The kernels keep one numerical guard:
+the filtered rates must be finite.
 """
 
 from __future__ import annotations
@@ -120,6 +125,14 @@ def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0
     """
     m = len(increments)
     block = plan.pos.size
+    if m <= block:
+        # One block: the same per-element operations without the padding,
+        # the reshape and the carry loop.
+        out = increments * plan.neg[:m]
+        np.cumsum(out, out=out)
+        out += start
+        out *= plan.pos[:m]
+        return out
     buf = np.zeros(-(-m // block) * block)
     np.multiply(increments, plan.neg[:m], out=buf[:m])
     rows = buf.reshape(-1, block)
@@ -157,6 +170,14 @@ class FilterState:
         if not np.all(self.b > 0):
             raise ParameterError("filter parameters must be > 0")
 
+    @classmethod
+    def _trusted(cls, plan: DiscountPlan, b: np.ndarray) -> FilterState:
+        """Wrap rates that :func:`_forward_filter` built and checked itself."""
+        fs = object.__new__(cls)
+        fs.plan = plan
+        fs.b = b
+        return fs
+
     @property
     def a(self) -> np.ndarray:
         return self.plan.a
@@ -192,14 +213,22 @@ def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterStat
         raise ParameterError(f"mu must be finite, got {mu}")
     if not np.all(mix_arr > 0):
         raise ParameterError("mixture entries must be > 0")
+    return _forward_filter(y_arr, mu, jumps_arr, mix_arr, cfg)
 
+
+def _forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterState:
+    n = y.size
     plan = discount_plan(cfg.omega, cfg.a0, n)
-    resid = y_arr - mu - jumps_arr
+    resid = y - mu - jumps
     b = np.empty(n + 1, dtype=float)
     b[0] = cfg.b0
-    b[1:] = discount_scan(0.5 * mix_arr * resid * resid, plan, cfg.b0)
+    b[1:] = discount_scan(0.5 * mixture * resid * resid, plan, cfg.b0)
     np.maximum(b, _B_FLOOR, out=b)
-    return FilterState(plan=plan, b=b)
+    # After the floor every rate is positive unless it is inf or NaN, and
+    # the maximum is non-finite exactly when some rate is.
+    if not math.isfinite(b.max()):
+        raise ParameterError("filter parameters must be finite")
+    return FilterState._trusted(plan, b)
 
 
 def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
@@ -210,11 +239,16 @@ def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nda
     successor.  With omega = 1 the innovation shapes are zero, the draws
     are exactly zero and the path is constant.
     """
-    plan = fs.plan
-    if cfg.omega != plan.omega:
+    if cfg.omega != fs.plan.omega:
         raise ParameterError(
-            f"filter state was built with omega={plan.omega}, cfg has omega={cfg.omega}"
+            f"filter state was built with omega={fs.plan.omega}, cfg has omega={cfg.omega}"
         )
+    return _backward_sample(fs, cfg, rng)
+
+
+def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
+    """Kernel of :func:`backward_sample`; cfg is unused once omega is checked."""
+    plan = fs.plan
     n = plan.n
     b = fs.b
     lam_n = sample_gamma(plan.a[n], b[n], rng)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import jumpvol as jv
+import jumpvol.gibbs as engine
+from jumpvol import conditionals, diagnostics, volatility
 from jumpvol.errors import NumericalError, ParameterError, SizeError
 
 
@@ -263,3 +265,66 @@ class TestRunMulti:
                 + np.var(chains[j].mu, ddof=1) / jv.ess(chains[j].mu)
             )
             assert abs(means[i] - means[j]) <= 3.0 * se
+
+
+def _valid_state(n=300):
+    gen = np.random.default_rng(42)
+    cfg = jv.default_config()
+    ind = (gen.random(n) < 0.05).astype(np.int64)
+    sizes = gen.normal(-2.0, 2.0, n)
+    return {
+        "cfg": cfg,
+        "priors": cfg.priors,
+        "y": gen.normal(0.0, 1.0, n) + sizes * ind,
+        "precision": gen.gamma(4.0, 0.25, n),
+        "mixture": gen.gamma(15.0, 1.0 / 15.0, n),
+        "sizes": sizes,
+        "ind": ind,
+        "jumps": sizes * ind,
+        "observed": sizes[ind == 1],
+    }
+
+
+# Arguments of each stage as the sweep passes them, from a valid state and a stream.
+_STAGES = {
+    "sample_mu": (conditionals, lambda s, r: (
+        s["y"], s["jumps"], s["precision"], s["mixture"], s["priors"], r)),
+    "forward_filter": (volatility, lambda s, r: (
+        s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"])),
+    "backward_sample": (volatility, lambda s, r: (
+        jv.forward_filter(s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), s["cfg"], r)),
+    "sample_mixture_path": (conditionals, lambda s, r: (
+        s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r)),
+    "sample_jump_mean": (conditionals, lambda s, r: (s["observed"], 3.0, s["priors"], r)),
+    "sample_jump_var": (conditionals, lambda s, r: (s["observed"], -2.0, s["priors"], r)),
+    "sample_jump_sizes": (conditionals, lambda s, r: (
+        s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, r)),
+    "jump_indicator_probs": (conditionals, lambda s, r: (
+        s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05)),
+    "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7)),
+    "sample_jump_prob": (conditionals, lambda s, r: (s["ind"], s["priors"], r)),
+    "conditional_log_lik": (diagnostics, lambda s, r: (
+        s["y"], 0.1, s["jumps"], s["precision"], s["mixture"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGES))
+def test_sweep_kernel_matches_public_function(name):
+    """The stage the sweep calls is the unchecked kernel of the public function:
+    same arguments and seed give bit-identical results and generator state."""
+    module, args = _STAGES[name]
+    kernel, public = getattr(engine, name), getattr(module, name)
+    assert kernel is not public
+    state = _valid_state()
+    rng_kernel, rng_public = jv.RngStream(5, 1), jv.RngStream(5, 1)
+    got, want = kernel(*args(state, rng_kernel)), public(*args(state, rng_public))
+    if isinstance(want, jv.FilterState):
+        assert got.plan is want.plan
+        got, want = got.b, want.b
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want
+    assert rng_kernel.generator.random() == rng_public.generator.random()

@@ -302,6 +302,22 @@ class TestCliSimulate:
         params = jio.read_report_json(tmp_path / "s1.params.json")
         assert params["n"] == 60 and params["seed"] == 9
 
+    def test_fit_reads_simulation_file(self, tmp_path):
+        sim_path = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", "150", "--seed", "4", "--output", str(sim_path)]) == 0
+        rows = sim_path.read_text(encoding="utf-8").splitlines()
+        converted = tmp_path / "returns.csv"
+        converted.write_text(
+            "\n".join(["timestamp,log_return_pct"] + [",".join(r.split(",")[:2]) for r in rows[1:]])
+            + "\n",
+            encoding="utf-8",
+        )
+        args = ["fit", "--iterations", "30", "--burn-in", "5", "--seed", "2"]
+        assert main(args + ["--input", str(sim_path), "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(args + ["--input", str(converted), "--output-dir", str(tmp_path / "b")]) == 0
+        draws = (tmp_path / "a" / "draws.csv").read_bytes()
+        assert draws == (tmp_path / "b" / "draws.csv").read_bytes()
+
 
 class TestCliDiagnose:
     def test_constant_deviance_gives_zero_pd(self, tmp_path):

@@ -163,8 +163,12 @@ def _loop_scan(increments, omega, start):
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.5, 0.9, 0.999, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 5000, 50_000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5000, 50_000, "L-1", "L", "L+1"])
 def test_discount_scan_matches_loop(omega, n):
+    if isinstance(n, str):
+        # Around the block length L of a long series, where the scan switches
+        # between one block and several.
+        n = discount_plan(omega, 0.1, 200_000).pos.size + int(n[1:] or 0)
     gen = np.random.default_rng(n)
     u = gen.uniform(0.0, 2.0, n)
     for first in range(0, n, max(n // 5, 1)):
