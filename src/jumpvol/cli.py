@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,45 +32,31 @@ from .diagnostics import (
 )
 from .errors import DataFormatError, JumpvolError, NumericalError, ParameterError, SizeError
 from .gibbs import RunSpec, run_multi
-from .model import ModelConfig, Priors
+from .model import STATIC_NAMES, ModelConfig, Priors
 from .synthetic import SimConfig, simulate
 
 __all__ = ["main", "build_parser", "run_fit"]
 
-_FIT_DEFAULTS = {
-    "mode": "returns",
-    "nu": 30.0,
-    "omega": 0.9,
-    "threshold": 0.7,
-    "a0": 0.1,
-    "b0": 0.1,
-    "iterations": 10000,
-    "burn_in": 1000,
-    "thin": 1,
-    "chains": 1,
-    "seed": 0,
-    "no_jumps": False,
-    "bic_k": None,
-    "output_dir": "jumpvol_fit",
-    "mu_prior_mean": 0.0,
-    "mu_prior_var": 100.0,
-    "jump_mean_prior_mean": 0.0,
-    "jump_mean_prior_var": 100.0,
-    "jump_var_prior_shape": 0.1,
-    "jump_var_prior_scale": 0.1,
-    "jump_prob_prior_a": 2.0,
-    "jump_prob_prior_b": 40.0,
-}
-
-_FIT_COERCERS = {
-    "mode": str,
-    "iterations": int,
-    "burn_in": int,
-    "thin": int,
-    "chains": int,
-    "seed": int,
-    "bic_k": int,
-    "output_dir": str,
+# Fit settings that set a dataclass field: config-file key (and flag dest)
+# -> (class, field).  The field's default is the setting's default, and the
+# default's type parses the config-file value.
+_FIELD_SETTINGS = {
+    "nu": (ModelConfig, "nu"),
+    "omega": (ModelConfig, "omega"),
+    "threshold": (ModelConfig, "jump_threshold"),
+    "a0": (ModelConfig, "a0"),
+    "b0": (ModelConfig, "b0"),
+    "thin": (RunSpec, "thin_lag"),
+    "chains": (RunSpec, "n_chains"),
+    "seed": (RunSpec, "seed"),
+    "mu_prior_mean": (Priors, "mu_mean"),
+    "mu_prior_var": (Priors, "mu_var"),
+    "jump_mean_prior_mean": (Priors, "jump_mean_mean"),
+    "jump_mean_prior_var": (Priors, "jump_mean_var"),
+    "jump_var_prior_shape": (Priors, "jump_var_shape"),
+    "jump_var_prior_scale": (Priors, "jump_var_scale"),
+    "jump_prob_prior_a": (Priors, "jump_prob_a"),
+    "jump_prob_prior_b": (Priors, "jump_prob_b"),
 }
 
 
@@ -83,19 +69,34 @@ def _coerce_bool(value: str) -> bool:
     raise ParameterError(f"expected a boolean, got {value!r}")
 
 
+# The fit command's own settings: key -> (parser, default).  The iteration
+# plan defaults differ from RunSpec's on purpose.
+_COMMAND_SETTINGS = {
+    "mode": (str, "returns"),
+    "iterations": (int, 10000),
+    "burn_in": (int, 1000),
+    "no_jumps": (_coerce_bool, False),
+    "bic_k": (int, None),
+    "output_dir": (str, "jumpvol_fit"),
+}
+
+
 def _resolve(key: str, flag_value, file_cfg: dict[str, str]):
+    if key in _COMMAND_SETTINGS:
+        parse, default = _COMMAND_SETTINGS[key]
+    else:
+        cls, name = _FIELD_SETTINGS[key]
+        default = next(f.default for f in fields(cls) if f.name == name)
+        parse = type(default)
     if flag_value is not None:
         return flag_value
-    if key in file_cfg:
-        raw = file_cfg[key]
-        if key == "no_jumps":
-            return _coerce_bool(raw)
-        coerce = _FIT_COERCERS.get(key, float)
-        try:
-            return coerce(raw)
-        except ValueError:
-            raise ParameterError(f"config key {key!r}: cannot parse {raw!r}") from None
-    return _FIT_DEFAULTS[key]
+    if key not in file_cfg:
+        return default
+    raw = file_cfg[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ParameterError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
 def _display(x: float) -> str:
@@ -129,19 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="generate a synthetic realization with latent truth")
-    sim.add_argument("--n", type=int, default=5000)
-    sim.add_argument("--mu", type=float, default=0.05)
-    sim.add_argument("--jump-prob", dest="jump_prob", type=float, default=0.015)
-    sim.add_argument("--jump-mean", dest="jump_mean", type=float, default=-2.5)
-    sim.add_argument("--jump-sd", dest="jump_sd", type=float, default=4.0)
-    sim.add_argument("--nu", type=float, default=30.0)
-    sim.add_argument("--delta", type=float, default=1.0)
-    sim.add_argument("--theta", type=float, default=0.8)
-    sim.add_argument("--kappa", type=float, default=0.015)
-    sim.add_argument("--sigma-v", dest="sigma_v", type=float, default=0.1)
-    sim.add_argument("--corr", type=float, default=0.4)
-    sim.add_argument("--v0", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=0)
+    for f in fields(SimConfig):
+        sim.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=f.default,
+                         type=int if isinstance(f.default, int) else float)
     sim.add_argument("--output", required=True, help="output CSV; parameters go to <stem>.params.json")
     sim.set_defaults(func=cmd_simulate)
 
@@ -171,36 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fit(args) -> int:
     file_cfg = jio.read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - set(_FIELD_SETTINGS) - set(_COMMAND_SETTINGS))
+    if unknown:
+        raise ParameterError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
 
     def get(key: str):
         return _resolve(key, getattr(args, key, None), file_cfg)
 
-    priors = Priors(
-        mu_mean=get("mu_prior_mean"),
-        mu_var=get("mu_prior_var"),
-        jump_mean_mean=get("jump_mean_prior_mean"),
-        jump_mean_var=get("jump_mean_prior_var"),
-        jump_var_shape=get("jump_var_prior_shape"),
-        jump_var_scale=get("jump_var_prior_scale"),
-        jump_prob_a=get("jump_prob_prior_a"),
-        jump_prob_b=get("jump_prob_prior_b"),
-    )
+    kwargs: dict = {Priors: {}, ModelConfig: {}, RunSpec: {}}
+    for key, (cls, name) in _FIELD_SETTINGS.items():
+        kwargs[cls][name] = get(key)
     cfg = ModelConfig(
-        nu=get("nu"),
-        omega=get("omega"),
-        jump_threshold=get("threshold"),
-        a0=get("a0"),
-        b0=get("b0"),
-        jumps_enabled=not get("no_jumps"),
-        priors=priors,
+        **kwargs[ModelConfig], jumps_enabled=not get("no_jumps"), priors=Priors(**kwargs[Priors])
     )
-    spec = RunSpec(
-        iterations=get("iterations"),
-        burn_in=get("burn_in"),
-        thin_lag=get("thin"),
-        n_chains=get("chains"),
-        seed=get("seed"),
-    )
+    spec = RunSpec(iterations=get("iterations"), burn_in=get("burn_in"), **kwargs[RunSpec])
     bic_k = get("bic_k")
 
     series = jio.ingest_csv(args.input, get("mode"))
@@ -259,21 +234,7 @@ def run_fit(series, cfg, spec, out_dir: Path, k=None, data_stats=None) -> jio.Fi
 
 
 def cmd_simulate(args) -> int:
-    sc = SimConfig(
-        n=args.n,
-        mu=args.mu,
-        jump_prob=args.jump_prob,
-        jump_mean=args.jump_mean,
-        jump_sd=args.jump_sd,
-        nu=args.nu,
-        delta=args.delta,
-        theta=args.theta,
-        kappa=args.kappa,
-        sigma_v=args.sigma_v,
-        corr=args.corr,
-        v0=args.v0,
-        seed=args.seed,
-    )
+    sc = SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
     sim = simulate(sc)
     out = Path(args.output)
     if out.parent and not out.parent.exists():
@@ -297,7 +258,7 @@ def cmd_diagnose(args) -> int:
         raise DataFormatError("no chains found in the given draw files")
 
     with_jumps = all("jump_prob" in c for c in chains)
-    names = ["mu", "jump_prob", "jump_mean", "jump_var"] if with_jumps else ["mu"]
+    names = STATIC_NAMES if with_jumps else STATIC_NAMES[:1]
 
     params = [asdict(summarize_param(name, [c[name] for c in chains])) for name in names]
 
@@ -358,6 +319,12 @@ def cmd_summarize(args) -> int:
     fit_dir = Path(args.fit_dir)
     draws = jio.read_draws_csv(fit_dir / "draws.csv")
     latent = jio.read_latent_csv(fit_dir / "latent_summary.csv")
+    needed = ("mu", "jump_prob", "jump_mean", "jump_sd") if "jump_prob" in draws else ("mu",)
+    if not (isinstance(true_params, dict)
+            and all(isinstance(true_params.get(key), (int, float)) for key in needed)):
+        raise DataFormatError(
+            f"{params_path}: expected a JSON object with numeric {', '.join(needed)}"
+        )
 
     if len(latent) != truth["true_v"].size:
         raise SizeError(
@@ -406,9 +373,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ParameterError, SizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except JumpvolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .model import ChainOutput, LatentSummary, ReturnsSeries
+from .model import LATENT_FIELDS, ChainOutput, LatentSummary, ReturnsSeries
 from .rng import _as_param, _log_normal_density
 
 __all__ = [
@@ -216,13 +216,9 @@ def merge_latent(chains: Sequence[ChainOutput]) -> LatentSummary:
         raise SizeError("merge_latent needs at least one chain")
     if len(chains) == 1:
         return chains[0].latent
-    fields = [
-        "var_mean", "var_lo95", "var_hi95", "sd_mean", "sd_lo95", "sd_hi95",
-        "mean_jump", "prob_jump", "freq_jump", "mean_precision", "mean_mixture",
-    ]
     merged = {
         name: np.mean(np.stack([getattr(c.latent, name) for c in chains]), axis=0)
-        for name in fields
+        for name in LATENT_FIELDS
     }
     methods = {c.latent.interval_method for c in chains}
     merged["interval_method"] = methods.pop() if len(methods) == 1 else "mixed"

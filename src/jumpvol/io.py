@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from .diagnostics import DiagnosticsReport
 from .errors import DataFormatError, ParameterError, SizeError
 from .gibbs import RunSpec
-from .model import ChainOutput, LatentSummary, ModelConfig, Priors, ReturnsSeries, prices_to_returns
+from .model import LATENT_FIELDS, ChainOutput, LatentSummary, ModelConfig, ReturnsSeries, prices_to_returns
 from .synthetic import SimConfig, SimOutput
 
 __all__ = [
@@ -50,15 +50,12 @@ _INPUT_COLUMNS = {
     "returns": (("timestamp", "log_return_pct"), ("t", "return")),
 }
 
-LATENT_COLUMNS = [
-    "t",
-    "var_mean", "var_lo95", "var_hi95",
-    "sd_mean", "sd_lo95", "sd_hi95",
-    "mean_jump", "prob_jump", "freq_jump",
-    "mean_precision", "mean_mixture",
-]
+LATENT_COLUMNS = ["t", *LATENT_FIELDS]
 
 SIM_COLUMNS = ["t", "return", "true_v", "true_jump", "true_N", "true_gamma"]
+
+# The RunSpec fields a report echoes; the rest (init, budgets) are not settings.
+_RUN_ECHO = ("iterations", "burn_in", "thin_lag", "n_chains", "seed")
 
 
 def fmt17(x: float) -> str:
@@ -110,6 +107,43 @@ def _csv_rows(path):
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
     return csv.reader(text.splitlines())
+
+
+def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
+    """Columns of a header-led numeric CSV file, keyed by column name.
+
+    header, when given, is the exact header the file must have.  Columns
+    named in ints parse as int64, the rest as float.  A short row or a
+    non-numeric cell is a DataFormatError naming its line.
+    """
+    path = Path(path)
+    reader = _csv_rows(path)
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    if header is not None and names != list(header):
+        raise DataFormatError(f"{path}: line 1: unexpected header {names}, expected {list(header)}")
+    rows = list(reader)
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            raise DataFormatError(
+                f"{path}: line {line_no}: expected {len(names)} columns, got {len(row)}"
+            )
+    out: dict[str, np.ndarray] = {}
+    for name, cells in zip(names, zip(*rows) if rows else [()] * len(names)):
+        parse = int if name in ints else float
+        try:
+            out[name] = np.array(list(map(parse, cells)), dtype=np.int64 if parse is int else float)
+        except ValueError:
+            for line_no, cell in enumerate(cells, start=2):
+                try:
+                    parse(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {line_no}: non-numeric {name} value {cell!r}"
+                    ) from None
+    return out
 
 
 def ingest_csv(path, mode: str) -> ReturnsSeries:
@@ -205,58 +239,25 @@ def write_draws_csv(path, chains: Sequence[ChainOutput]) -> None:
     """
     if not chains:
         raise SizeError("write_draws_csv needs at least one chain")
-    with_jumps = chains[0].jump_prob is not None
-    header = ["chain", "iteration", "mu"]
-    if with_jumps:
-        header += ["jump_prob", "jump_mean", "jump_var"]
-    header.append("log_lik")
+    names = [*chains[0].static_names, "log_lik"]
 
     def rows():
         for chain in chains:
             meta = chain.meta
+            columns = [getattr(chain, name) for name in names]
             for i in range(chain.n_draws):
                 iteration = meta.burn_in + (i + 1) * meta.thin_lag
-                row = [str(meta.chain_id), str(iteration), fmt17(chain.mu[i])]
-                if with_jumps:
-                    row += [
-                        fmt17(chain.jump_prob[i]),
-                        fmt17(chain.jump_mean[i]),
-                        fmt17(chain.jump_var[i]),
-                    ]
-                row.append(fmt17(chain.log_lik[i]))
-                yield row
+                yield [str(meta.chain_id), str(iteration)] + [fmt17(col[i]) for col in columns]
 
-    _write_rows(path, header, rows())
+    _write_rows(path, ["chain", "iteration", *names], rows())
 
 
 def read_draws_csv(path) -> dict:
     """Read a draws file back into arrays keyed by column name."""
-    path = Path(path)
-    reader = _csv_rows(path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: file is empty") from None
-    data: dict[str, list] = {name: [] for name in header}
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
-            )
-        for name, cell in zip(header, row):
-            data[name].append(cell)
+    data = _read_columns(path, ints=("chain", "iteration"))
     if "mu" not in data or "log_lik" not in data:
-        raise DataFormatError(f"{path}: missing required draw columns 'mu'/'log_lik'")
-    out: dict[str, np.ndarray] = {}
-    for name, cells in data.items():
-        try:
-            if name in ("chain", "iteration"):
-                out[name] = np.array([int(c) for c in cells], dtype=np.int64)
-            else:
-                out[name] = np.array([float(c) for c in cells], dtype=float)
-        except ValueError:
-            raise DataFormatError(f"{path}: non-numeric value in column {name!r}") from None
-    return out
+        raise DataFormatError(f"{path}: line 1: missing required draw columns 'mu'/'log_lik'")
+    return data
 
 
 def write_latent_csv(path, latent: LatentSummary) -> None:
@@ -264,49 +265,17 @@ def write_latent_csv(path, latent: LatentSummary) -> None:
     def rows():
         for t in range(len(latent)):
             yield [str(t + 1)] + [
-                fmt17(getattr(latent, name)[t]) for name in LATENT_COLUMNS[1:]
+                fmt17(getattr(latent, name)[t]) for name in LATENT_FIELDS
             ]
 
     _write_rows(path, LATENT_COLUMNS, rows())
 
 
 def read_latent_csv(path) -> LatentSummary:
-    path = Path(path)
-    reader = _csv_rows(path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: file is empty") from None
-    if header != LATENT_COLUMNS:
-        raise DataFormatError(f"{path}: unexpected latent summary header {header}")
-    columns: list[list[float]] = [[] for _ in header]
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
-            )
-        for i, cell in enumerate(row):
-            try:
-                columns[i].append(float(cell))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {line_no}: non-numeric value {cell!r}"
-                ) from None
-    arrays = {name: np.array(col) for name, col in zip(header, columns)}
-    return LatentSummary(
-        var_mean=arrays["var_mean"],
-        var_lo95=arrays["var_lo95"],
-        var_hi95=arrays["var_hi95"],
-        sd_mean=arrays["sd_mean"],
-        sd_lo95=arrays["sd_lo95"],
-        sd_hi95=arrays["sd_hi95"],
-        mean_jump=arrays["mean_jump"],
-        prob_jump=arrays["prob_jump"],
-        freq_jump=arrays["freq_jump"],
-        mean_precision=arrays["mean_precision"],
-        mean_mixture=arrays["mean_mixture"],
-        interval_method="unknown",
-    )
+    """Read a latent summary file; the file does not record the interval method."""
+    columns = _read_columns(path, LATENT_COLUMNS)
+    del columns["t"]
+    return LatentSummary(**columns, interval_method="unknown")
 
 
 def write_sim_csv(path, sim: SimOutput) -> None:
@@ -329,61 +298,13 @@ def write_sim_csv(path, sim: SimOutput) -> None:
 
 def write_sim_params(path, sc: SimConfig) -> None:
     """Write the generating parameters next to a simulated dataset."""
-    payload = {
-        "n": sc.n,
-        "mu": sc.mu,
-        "jump_prob": sc.jump_prob,
-        "jump_mean": sc.jump_mean,
-        "jump_sd": sc.jump_sd,
-        "nu": sc.nu,
-        "delta": sc.delta,
-        "theta": sc.theta,
-        "kappa": sc.kappa,
-        "sigma_v": sc.sigma_v,
-        "corr": sc.corr,
-        "v0": sc.start_variance,
-        "seed": sc.seed,
-    }
+    payload = {**asdict(sc), "v0": sc.start_variance}
     Path(path).write_text(to_json17(payload) + "\n", encoding="utf-8")
 
 
 def read_sim_csv(path) -> dict:
     """Read a simulation CSV back into arrays keyed by column name."""
-    path = Path(path)
-    reader = _csv_rows(path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: file is empty") from None
-    if header != SIM_COLUMNS:
-        raise DataFormatError(f"{path}: unexpected simulation header {header}")
-    columns: list[list[float]] = [[] for _ in header]
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
-            )
-        for i, cell in enumerate(row):
-            try:
-                columns[i].append(float(cell))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {line_no}: non-numeric value {cell!r}"
-                ) from None
-    return {name: np.array(col) for name, col in zip(header, columns)}
-
-
-def _priors_payload(priors: Priors) -> dict:
-    return {
-        "mu_mean": priors.mu_mean,
-        "mu_var": priors.mu_var,
-        "jump_mean_mean": priors.jump_mean_mean,
-        "jump_mean_var": priors.jump_mean_var,
-        "jump_var_shape": priors.jump_var_shape,
-        "jump_var_scale": priors.jump_var_scale,
-        "jump_prob_a": priors.jump_prob_a,
-        "jump_prob_b": priors.jump_prob_b,
-    }
+    return _read_columns(path, SIM_COLUMNS)
 
 
 def report_payload(
@@ -398,39 +319,17 @@ def report_payload(
     Deliberately contains nothing non-deterministic (no timings, no
     timestamps) so repeated runs produce byte-identical files.
     """
+    diagnostics = {
+        f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("params", "latent")
+    }
     payload: dict = {
-        "diagnostics": {
-            "n_obs": report.n_obs,
-            "k": report.k,
-            "log_lik_at_mean": report.log_lik_at_mean,
-            "log_lik_max": report.log_lik_max,
-            "mean_deviance": report.mean_deviance,
-            "deviance_at_mean": report.deviance_at_mean,
-            "p_d": report.p_d,
-            "dic": report.dic,
-            "bic": report.bic,
-            "interval_method": report.latent.interval_method,
-        },
+        "diagnostics": {**diagnostics, "interval_method": report.latent.interval_method},
         "params": [asdict(p) for p in report.params],
     }
     if cfg is not None:
-        payload["model"] = {
-            "nu": cfg.nu,
-            "omega": cfg.omega,
-            "jump_threshold": cfg.jump_threshold,
-            "a0": cfg.a0,
-            "b0": cfg.b0,
-            "jumps_enabled": cfg.jumps_enabled,
-            "priors": _priors_payload(cfg.priors),
-        }
+        payload["model"] = asdict(cfg)
     if spec is not None:
-        payload["run"] = {
-            "iterations": spec.iterations,
-            "burn_in": spec.burn_in,
-            "thin_lag": spec.thin_lag,
-            "n_chains": spec.n_chains,
-            "seed": spec.seed,
-        }
+        payload["run"] = {name: getattr(spec, name) for name in _RUN_ECHO}
     if data_stats is not None:
         payload["data"] = data_stats
     if files is not None:

@@ -18,7 +18,7 @@ affect, so xi[t] * jump_ind[t] is the shock added to y[t].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,8 @@ __all__ = [
     "StaticParams",
     "LatentPath",
     "LatentSummary",
+    "LATENT_FIELDS",
+    "STATIC_NAMES",
     "ChainMeta",
     "ChainOutput",
     "prices_to_returns",
@@ -240,6 +242,13 @@ class LatentSummary:
         return int(self.var_mean.size)
 
 
+# The per-t array fields of LatentSummary, in file column order.
+LATENT_FIELDS = tuple(f.name for f in fields(LatentSummary) if f.name != "interval_method")
+
+# Static parameters of the jump model; a no-jump fit has only the first.
+STATIC_NAMES = ("mu", "jump_prob", "jump_mean", "jump_var")
+
+
 @dataclass(frozen=True)
 class ChainMeta:
     """Everything needed to reproduce one chain exactly."""
@@ -278,9 +287,7 @@ class ChainOutput:
 
     @property
     def static_names(self) -> list[str]:
-        if self.jump_prob is None:
-            return ["mu"]
-        return ["mu", "jump_prob", "jump_mean", "jump_var"]
+        return list(STATIC_NAMES if self.jump_prob is not None else STATIC_NAMES[:1])
 
     def static_array(self, name: str) -> np.ndarray:
         if name not in self.static_names:

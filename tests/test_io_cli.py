@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ class TestSerialization:
         np.testing.assert_array_equal(back["true_v"], sim.true_variance)
         np.testing.assert_array_equal(back["true_N"], sim.true_jump_times)
 
+    @pytest.mark.parametrize("reader", ["read_draws_csv", "read_latent_csv", "read_sim_csv"])
+    @pytest.mark.parametrize("defect", ["wrong_header", "short_row", "non_numeric"])
+    def test_reader_errors_name_the_line(self, tmp_path, reader, defect):
+        header = {
+            "read_draws_csv": ["chain", "iteration", "mu", "log_lik"],
+            "read_latent_csv": jio.LATENT_COLUMNS,
+            "read_sim_csv": jio.SIM_COLUMNS,
+        }[reader]
+        row = ["1"] * len(header)
+        lines = [list(header), row, row]
+        if defect == "wrong_header":
+            lines[0] = header[:2] + ["bogus"] + header[3:]
+            line_no = 1
+        elif defect == "short_row":
+            lines[2] = row[:-1]
+            line_no = 3
+        else:
+            lines[2] = row[:-1] + ["oops"]
+            line_no = 3
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line {line_no}:"):
+            getattr(jio, reader)(path)
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):
@@ -237,6 +262,37 @@ class TestCliFit:
         assert model["omega"] == 0.95   # flag overrides file
         assert jio.read_report_json(out_dir / "report.json")["run"]["iterations"] == 10
 
+    def test_unknown_config_keys_exit_2(self, tmp_path, returns_file, capsys):
+        cfg_file = tmp_path / "typo.cfg"
+        cfg_file.write_text("omgea = 0.5\nthresold = 0.2\niterations = 10\nburn_in = 0\n")
+        out_dir = tmp_path / "typo"
+        code = main([
+            "fit", "--input", str(returns_file), "--config", str(cfg_file),
+            "--output-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert "unknown config keys: omgea, thresold" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_file_prior_keys(self, tmp_path, returns_file):
+        cfg_file = tmp_path / "priors.cfg"
+        cfg_file.write_text(
+            "mu_prior_var = 50\njump_prob_prior_a = 3\nthin = 2\nno_jumps = false\n"
+            "iterations = 10\nburn_in = 0\n"
+        )
+        out_dir = tmp_path / "priors"
+        code = main([
+            "fit", "--input", str(returns_file), "--config", str(cfg_file),
+            "--output-dir", str(out_dir),
+        ])
+        assert code == 0
+        report = jio.read_report_json(out_dir / "report.json")
+        expected = jv.ModelConfig(priors=jv.Priors(mu_var=50.0, jump_prob_a=3.0))
+        assert report["model"] == asdict(expected)
+        assert report["run"] == {
+            "iterations": 10, "burn_in": 0, "thin_lag": 2, "n_chains": 1, "seed": 0,
+        }
+
     def test_byte_identical_reruns(self, tmp_path, returns_file):
         args = [
             "fit", "--input", str(returns_file), "--iterations", "40",
@@ -300,7 +356,8 @@ class TestCliSimulate:
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 61
         params = jio.read_report_json(tmp_path / "s1.params.json")
-        assert params["n"] == 60 and params["seed"] == 9
+        defaults = jv.SimConfig(n=60, seed=9)
+        assert params == {**asdict(defaults), "v0": defaults.theta}
 
     def test_fit_reads_simulation_file(self, tmp_path):
         sim_path = tmp_path / "sim.csv"
@@ -374,6 +431,24 @@ class TestCliSummarize:
         ])
         assert code == 3
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["{}", "[1, 2]"])
+    def test_bad_truth_params_exit_3(self, tmp_path, capsys, content):
+        sim_path = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", "30", "--seed", "2", "--output", str(sim_path)]) == 0
+        fit_dir = tmp_path / "fit"
+        assert main([
+            "fit", "--input", str(sim_path), "--iterations", "10", "--burn-in", "0",
+            "--output-dir", str(fit_dir),
+        ]) == 0
+        bad = tmp_path / "bad.params.json"
+        bad.write_text(content, encoding="utf-8")
+        code = main([
+            "summarize", "--truth", str(sim_path), "--truth-params", str(bad),
+            "--fit-dir", str(fit_dir), "--output", str(tmp_path / "summary.csv"),
+        ])
+        assert code == 3
+        assert "expected a JSON object with numeric mu" in capsys.readouterr().err
 
     def test_perfect_fit_has_zero_rmse(self, tmp_path):
         sim_path = tmp_path / "sim.csv"
