@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,11 @@ from . import io as jio
 from .diagnostics import (
     DEFAULT_K_JUMPS,
     DEFAULT_K_NO_JUMPS,
+    DiagnosticsReport,
     build_report,
-    compute_bic,
-    compute_dic,
     conditional_log_lik,
     coverage,
+    information_criteria,
     summarize_param,
 )
 from .errors import DataFormatError, JumpvolError, NumericalError, ParameterError, SizeError
@@ -35,7 +35,7 @@ from .gibbs import RunSpec, run_multi
 from .model import STATIC_NAMES, ModelConfig, Priors
 from .synthetic import SimConfig, simulate
 
-__all__ = ["main", "build_parser", "run_fit"]
+__all__ = ["main", "build_parser", "run_fit", "FitResult"]
 
 # Fit settings that set a dataclass field: config-file key (and flag dest)
 # -> (class, field).  The field's default is the setting's default, and the
@@ -198,7 +198,24 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def run_fit(series, cfg, spec, out_dir: Path, k=None, data_stats=None) -> jio.FitResult:
+@dataclass
+class FitResult:
+    """In-memory record of one CLI fit.
+
+    wall_seconds is reported on stderr only and never serialized, keeping
+    output files identical across repeated seeded runs.
+    """
+
+    cfg: ModelConfig
+    spec: RunSpec
+    report: DiagnosticsReport
+    draws_path: Path
+    latent_path: Path
+    report_path: Path
+    wall_seconds: float
+
+
+def run_fit(series, cfg, spec, out_dir: Path, k=None, data_stats=None) -> FitResult:
     """Run the chains and persist draws, latent summaries and the report.
 
     Returns the in-memory record of the fit; wall time lives only there and
@@ -222,7 +239,7 @@ def run_fit(series, cfg, spec, out_dir: Path, k=None, data_stats=None) -> jio.Fi
         files={"draws": draws_path.name, "latent_summary": latent_path.name},
     )
     jio.write_report_json(report_path, payload)
-    return jio.FitResult(
+    return FitResult(
         cfg=cfg,
         spec=spec,
         report=report,
@@ -263,49 +280,29 @@ def cmd_diagnose(args) -> int:
     params = [asdict(summarize_param(name, [c[name] for c in chains])) for name in names]
 
     log_lik = np.concatenate([c["log_lik"] for c in chains])
-    deviance = -2.0 * log_lik
-    mean_deviance = float(np.mean(deviance))
-    log_lik_max = float(np.max(log_lik))
-
     series = jio.ingest_csv(args.input, args.mode) if args.input else None
     n_obs = args.n if args.n is not None else (len(series) if series is not None else None)
-
-    diagnostics: dict = {
-        "mean_deviance": mean_deviance,
-        "log_lik_max": log_lik_max,
-        "n_draws": int(log_lik.size),
-    }
-    if n_obs is not None:
-        k = args.bic_k if args.bic_k is not None else (
-            DEFAULT_K_JUMPS if with_jumps else DEFAULT_K_NO_JUMPS
-        )
-        diagnostics["k"] = int(k)
-        diagnostics["n_obs"] = int(n_obs)
-        diagnostics["bic"] = compute_bic(log_lik_max, int(k), int(n_obs))
-
+    k = args.bic_k if args.bic_k is not None else (
+        DEFAULT_K_JUMPS if with_jumps else DEFAULT_K_NO_JUMPS
+    )
+    log_lik_at_mean = None
     if series is not None and args.latent_summary:
         latent = jio.read_latent_csv(args.latent_summary)
         mu_bar = float(np.mean(np.concatenate([c["mu"] for c in chains])))
         log_lik_at_mean = conditional_log_lik(
             series, mu_bar, latent.mean_jump, latent.mean_precision, latent.mean_mixture
         )
-        dic, p_d = compute_dic(deviance, -2.0 * log_lik_at_mean)
-        diagnostics.update({
-            "log_lik_at_mean": log_lik_at_mean,
-            "deviance_at_mean": -2.0 * log_lik_at_mean,
-            "p_d": p_d,
-            "dic": dic,
-            "pd_method": "plug_in_mean",
-        })
+    diagnostics = information_criteria(log_lik, n_obs, k, log_lik_at_mean)
+    diagnostics["n_draws"] = int(log_lik.size)
+    if log_lik_at_mean is not None:
+        diagnostics["pd_method"] = "plug_in_mean"
     else:
         # Draws-only fallback: half the deviance variance estimates the
         # effective parameter count.
-        p_d = float(np.var(deviance, ddof=1)) / 2.0 if deviance.size > 1 else 0.0
-        diagnostics.update({
-            "p_d": p_d,
-            "dic": mean_deviance + p_d,
-            "pd_method": "half_variance",
-        })
+        p_d = float(np.var(-2.0 * log_lik, ddof=1)) / 2.0 if log_lik.size > 1 else 0.0
+        diagnostics.update(
+            p_d=p_d, dic=diagnostics["mean_deviance"] + p_d, pd_method="half_variance"
+        )
 
     jio.write_report_json(args.output, {"diagnostics": diagnostics, "params": params})
     print(f"wrote: {args.output}")

@@ -33,6 +33,7 @@ __all__ = [
     "conditional_log_lik",
     "compute_bic",
     "compute_dic",
+    "information_criteria",
     "coverage",
     "ess",
     "psrf",
@@ -90,6 +91,28 @@ def compute_dic(deviance_draws, deviance_at_mean: float) -> tuple[float, float]:
         raise ParameterError(f"deviance_at_mean must be finite, got {deviance_at_mean}")
     p_d = float(np.mean(draws)) - deviance_at_mean
     return deviance_at_mean + 2.0 * p_d, p_d
+
+
+def information_criteria(log_lik, n_obs=None, k=None, log_lik_at_mean=None) -> dict:
+    """Deviance scores from the per-draw log-likelihoods.
+
+    Always gives mean_deviance and log_lik_max.  With n_obs it adds n_obs, k
+    and bic; with the plug-in log-likelihood at the posterior mean it adds
+    log_lik_at_mean, deviance_at_mean, p_d and dic.
+    """
+    log_lik = np.asarray(log_lik, dtype=float)
+    deviance = -2.0 * log_lik
+    log_lik_max = float(np.max(log_lik))
+    scores = {"mean_deviance": float(np.mean(deviance)), "log_lik_max": log_lik_max}
+    if n_obs is not None:
+        bic = compute_bic(log_lik_max, k, n_obs)
+        scores.update(n_obs=int(n_obs), k=int(k), bic=bic)
+    if log_lik_at_mean is not None:
+        deviance_at_mean = -2.0 * log_lik_at_mean
+        dic, p_d = compute_dic(deviance, deviance_at_mean)
+        scores.update(log_lik_at_mean=log_lik_at_mean, deviance_at_mean=deviance_at_mean,
+                      p_d=p_d, dic=dic)
+    return scores
 
 
 def coverage(true_path, lower, upper) -> float:
@@ -216,13 +239,10 @@ def merge_latent(chains: Sequence[ChainOutput]) -> LatentSummary:
         raise SizeError("merge_latent needs at least one chain")
     if len(chains) == 1:
         return chains[0].latent
-    merged = {
+    return LatentSummary(**{
         name: np.mean(np.stack([getattr(c.latent, name) for c in chains]), axis=0)
         for name in LATENT_FIELDS
-    }
-    methods = {c.latent.interval_method for c in chains}
-    merged["interval_method"] = methods.pop() if len(methods) == 1 else "mixed"
-    return LatentSummary(**merged)
+    })
 
 
 def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> DiagnosticsReport:
@@ -244,31 +264,15 @@ def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> D
         k = DEFAULT_K_JUMPS if meta.jumps_enabled else DEFAULT_K_NO_JUMPS
 
     latent = merge_latent(chains)
-    log_lik = np.concatenate([c.log_lik for c in chains])
     mu_bar = float(np.mean(np.concatenate([c.mu for c in chains])))
     log_lik_at_mean = conditional_log_lik(
         y_arr, mu_bar, latent.mean_jump, latent.mean_precision, latent.mean_mixture
     )
-    deviance_at_mean = -2.0 * log_lik_at_mean
-    dic, p_d = compute_dic(-2.0 * log_lik, deviance_at_mean)
-    log_lik_max = float(np.max(log_lik))
-    bic = compute_bic(log_lik_max, k, meta.n_obs)
-
+    scores = information_criteria(
+        np.concatenate([c.log_lik for c in chains]), meta.n_obs, k, log_lik_at_mean
+    )
     params = [
         summarize_param(name, [c.static_array(name) for c in chains])
         for name in chains[0].static_names
     ]
-
-    return DiagnosticsReport(
-        n_obs=meta.n_obs,
-        k=int(k),
-        log_lik_at_mean=log_lik_at_mean,
-        log_lik_max=log_lik_max,
-        mean_deviance=float(np.mean(-2.0 * log_lik)),
-        deviance_at_mean=deviance_at_mean,
-        p_d=p_d,
-        dic=dic,
-        bic=bic,
-        params=params,
-        latent=latent,
-    )
+    return DiagnosticsReport(**scores, params=params, latent=latent)

@@ -17,9 +17,10 @@ zero (the no-jump reduction of the model).
 
 Retained draws are every thin_lag-th iteration after burn_in.  Static
 parameters and the per-draw conditional log-likelihood are always kept in
-full; per-t latent quantities are accumulated into running summaries, with
-the variance-scale volatility draw matrix kept in float32 for empirical
-credibility bands as long as draws x n stays under a configurable budget.
+full; per-t latent quantities are accumulated into running summaries.  The
+credibility bands are empirical quantiles of a float32 matrix of
+variance-scale draws holding at most _LATENT_MATRIX_BUDGET elements (400 MB):
+every retained draw when draws x n fits, else every stride-th one.
 Chains never share mutable state, so multi-chain runs are trivially
 order-deterministic by chain id.
 
@@ -69,6 +70,8 @@ from .volatility import _forward_filter as forward_filter
 __all__ = ["RunSpec", "default_init", "run_chain", "run_multi"]
 
 _MAX_UINT64 = 2**64
+# Elements (retained draws x series length) of the float32 band matrix.
+_LATENT_MATRIX_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,7 @@ class RunSpec:
     """Iteration plan for one fit.
 
     keep_latent_draws retains every thinned LatentPath (memory heavy, meant
-    for tests and small runs).  latent_matrix_budget caps the number of
-    elements (retained draws x series length) of the float32 volatility draw
-    matrix; above it, credibility bands fall back to a normal approximation.
+    for tests and small runs).
     """
 
     iterations: int
@@ -88,7 +89,6 @@ class RunSpec:
     seed: int = 0
     init: Optional[Sequence[tuple[StaticParams, LatentPath]]] = None
     keep_latent_draws: bool = False
-    latent_matrix_budget: int = 100_000_000
 
     def __post_init__(self) -> None:
         for name in ("iterations", "burn_in", "thin_lag", "n_chains"):
@@ -183,11 +183,14 @@ def _dispersed_init(y, cfg: ModelConfig, rng: RngStream):
 
 
 class _LatentAccumulator:
-    """Running per-t summaries of the latent paths over retained draws."""
+    """Running per-t summaries of the latent paths over retained draws.
 
-    def __init__(self, n: int, n_draws: int, store_matrix: bool) -> None:
-        self.n = n
-        self.n_draws = n_draws
+    Means use every draw.  The variance-scale draws for the bands fill a
+    float32 matrix of at most max(1, _LATENT_MATRIX_BUDGET // n) rows: every
+    stride-th retained draw, with stride 1 whenever all of them fit.
+    """
+
+    def __init__(self, n: int, n_draws: int) -> None:
         self.count = 0
         self.sum_precision = np.zeros(n)
         self.sum_mixture = np.zeros(n)
@@ -196,9 +199,8 @@ class _LatentAccumulator:
         self.sum_ind = np.zeros(n)
         self.sum_var = np.zeros(n)
         self.sum_sd = np.zeros(n)
-        # The squared sums feed only the normal-band fallback.
-        self.matrix = np.empty((n_draws, n), dtype=np.float32) if store_matrix else None
-        self.sum_var_sq = None if store_matrix else np.zeros(n)
+        self.stride = -(-n_draws // max(1, _LATENT_MATRIX_BUDGET // n))
+        self.matrix = np.empty((-(-n_draws // self.stride), n), dtype=np.float32)
 
     def add(self, precision, mixture, jumps, ind, probs) -> None:
         inv = 1.0 / precision
@@ -209,29 +211,18 @@ class _LatentAccumulator:
         self.sum_ind += ind
         self.sum_var += inv
         self.sum_sd += np.sqrt(inv)
-        if self.matrix is not None:
-            self.matrix[self.count] = inv
-        else:
-            self.sum_var_sq += inv * inv
+        if self.count % self.stride == 0:
+            self.matrix[self.count // self.stride] = inv
         self.count += 1
 
     def summary(self) -> LatentSummary:
         m = self.count
-        var_mean = self.sum_var / m
-        if self.matrix is not None:
-            # The matrix is private and read only here: partition it in place.
-            quantiles = np.quantile(self.matrix[:m], [0.025, 0.975], axis=0, overwrite_input=True)
-            var_lo = quantiles[0].astype(float)
-            var_hi = quantiles[1].astype(float)
-            method = "quantile"
-        else:
-            spread = self.sum_var_sq / m - var_mean**2
-            band = 1.96 * np.sqrt(np.maximum(spread, 0.0))
-            var_lo = np.maximum(var_mean - band, 0.0)
-            var_hi = var_mean + band
-            method = "normal"
+        rows = -(-m // self.stride)
+        # The matrix is private and read only here: partition it in place.
+        quantiles = np.quantile(self.matrix[:rows], [0.025, 0.975], axis=0, overwrite_input=True)
+        var_lo, var_hi = quantiles.astype(float)
         return LatentSummary(
-            var_mean=var_mean,
+            var_mean=self.sum_var / m,
             var_lo95=var_lo,
             var_hi95=var_hi,
             sd_mean=self.sum_sd / m,
@@ -242,7 +233,6 @@ class _LatentAccumulator:
             freq_jump=self.sum_ind / m,
             mean_precision=self.sum_precision / m,
             mean_mixture=self.sum_mixture / m,
-            interval_method=method,
         )
 
 
@@ -290,8 +280,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     priors = cfg.priors
 
     n_ret = spec.n_retained
-    store_matrix = n_ret * n <= spec.latent_matrix_budget
-    acc = _LatentAccumulator(n, n_ret, store_matrix)
+    acc = _LatentAccumulator(n, n_ret)
     mu_draws = np.empty(n_ret)
     log_lik = np.empty(n_ret)
     if cfg.jumps_enabled:

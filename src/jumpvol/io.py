@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,7 +20,10 @@ import numpy as np
 from .diagnostics import DiagnosticsReport
 from .errors import DataFormatError, ParameterError, SizeError
 from .gibbs import RunSpec
-from .model import LATENT_FIELDS, ChainOutput, LatentSummary, ModelConfig, ReturnsSeries, prices_to_returns
+from .model import (
+    LATENT_FIELDS, STATIC_NAMES, ChainOutput, LatentSummary, ModelConfig, ReturnsSeries,
+    prices_to_returns,
+)
 from .synthetic import SimConfig, SimOutput
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "report_payload",
     "write_report_json",
     "read_report_json",
-    "FitResult",
 ]
 
 _MODES = ("prices", "returns")
@@ -54,7 +56,7 @@ LATENT_COLUMNS = ["t", *LATENT_FIELDS]
 
 SIM_COLUMNS = ["t", "return", "true_v", "true_jump", "true_N", "true_gamma"]
 
-# The RunSpec fields a report echoes; the rest (init, budgets) are not settings.
+# The RunSpec fields a report echoes; the rest (init, keep_latent_draws) are not settings.
 _RUN_ECHO = ("iterations", "burn_in", "thin_lag", "n_chains", "seed")
 
 
@@ -257,6 +259,9 @@ def read_draws_csv(path) -> dict:
     data = _read_columns(path, ints=("chain", "iteration"))
     if "mu" not in data or "log_lik" not in data:
         raise DataFormatError(f"{path}: line 1: missing required draw columns 'mu'/'log_lik'")
+    missing = [name for name in STATIC_NAMES[1:] if name not in data]
+    if 0 < len(missing) < len(STATIC_NAMES) - 1:
+        raise DataFormatError(f"{path}: line 1: jump draws lack the columns {', '.join(missing)}")
     return data
 
 
@@ -272,10 +277,10 @@ def write_latent_csv(path, latent: LatentSummary) -> None:
 
 
 def read_latent_csv(path) -> LatentSummary:
-    """Read a latent summary file; the file does not record the interval method."""
+    """Read a latent summary file."""
     columns = _read_columns(path, LATENT_COLUMNS)
     del columns["t"]
-    return LatentSummary(**columns, interval_method="unknown")
+    return LatentSummary(**columns)
 
 
 def write_sim_csv(path, sim: SimOutput) -> None:
@@ -323,7 +328,7 @@ def report_payload(
         f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("params", "latent")
     }
     payload: dict = {
-        "diagnostics": {**diagnostics, "interval_method": report.latent.interval_method},
+        "diagnostics": diagnostics,
         "params": [asdict(p) for p in report.params],
     }
     if cfg is not None:
@@ -376,19 +381,3 @@ def read_config_file(path) -> dict[str, str]:
         out[key] = value.strip()
     return out
 
-
-@dataclass
-class FitResult:
-    """In-memory record of one CLI fit.
-
-    wall_seconds is reported on stderr only and never serialized, keeping
-    output files identical across repeated seeded runs.
-    """
-
-    cfg: ModelConfig
-    spec: RunSpec
-    report: DiagnosticsReport
-    draws_path: Path
-    latent_path: Path
-    report_path: Path
-    wall_seconds: float

@@ -220,9 +220,9 @@ class LatentSummary:
     """Per-time-step posterior summaries accumulated over retained draws.
 
     var_* columns summarize 1/lambda (variance scale), sd_* columns
-    lambda**-0.5.  Interval columns are empirical 2.5%/97.5% quantiles when
-    interval_method == "quantile"; for runs whose draw matrix exceeded the
-    memory budget they fall back to mean +- 1.96 sd ("normal").
+    lambda**-0.5.  Interval columns are empirical 2.5%/97.5% quantiles of
+    the draws; a chain whose draws x n exceeds the band-matrix budget takes
+    them from an evenly spaced subset of its draws.
     """
 
     var_mean: np.ndarray
@@ -236,14 +236,13 @@ class LatentSummary:
     freq_jump: np.ndarray
     mean_precision: np.ndarray
     mean_mixture: np.ndarray
-    interval_method: str = "quantile"
 
     def __len__(self) -> int:
         return int(self.var_mean.size)
 
 
 # The per-t array fields of LatentSummary, in file column order.
-LATENT_FIELDS = tuple(f.name for f in fields(LatentSummary) if f.name != "interval_method")
+LATENT_FIELDS = tuple(f.name for f in fields(LatentSummary))
 
 # Static parameters of the jump model; a no-jump fit has only the first.
 STATIC_NAMES = ("mu", "jump_prob", "jump_mean", "jump_var")

@@ -139,18 +139,22 @@ class TestRunChain:
         assert isinstance(params0, jv.StaticParams)
         assert len(path0) == len(small_sim.returns)
 
-    def test_summary_fallback_when_budget_exceeded(self, small_sim):
-        spec_full = jv.RunSpec(iterations=30, burn_in=10, thin_lag=1, seed=4)
-        spec_tight = jv.RunSpec(
-            iterations=30, burn_in=10, thin_lag=1, seed=4, latent_matrix_budget=10
-        )
-        full = jv.run_chain(small_sim.returns, jv.default_config(), spec_full)
-        tight = jv.run_chain(small_sim.returns, jv.default_config(), spec_tight)
-        assert full.latent.interval_method == "quantile"
-        assert tight.latent.interval_method == "normal"
-        # means agree exactly; only the interval estimator changes
-        np.testing.assert_allclose(tight.latent.var_mean, full.latent.var_mean, rtol=1e-12)
-        assert np.all(tight.latent.var_lo95 >= 0.0)
+    def test_bands_from_every_stride_th_draw_above_budget(self, small_sim, monkeypatch):
+        cfg = jv.default_config()
+        spec = jv.RunSpec(iterations=30, burn_in=10, thin_lag=1, seed=4, keep_latent_draws=True)
+        full = jv.run_chain(small_sim.returns, cfg, spec)
+        # Room for 7 of the 20 draws: stride ceil(20 / 7) = 3 keeps draws 0, 3, ..., 18.
+        monkeypatch.setattr(engine, "_LATENT_MATRIX_BUDGET", 7 * len(small_sim.returns))
+        strided = jv.run_chain(small_sim.returns, cfg, spec)
+        kept = np.stack([1.0 / path.precision for path in strided.latent_draws[::3]])
+        lo, hi = np.quantile(kept.astype(np.float32), [0.025, 0.975], axis=0)
+        np.testing.assert_array_equal(strided.latent.var_lo95, lo)
+        np.testing.assert_array_equal(strided.latent.var_hi95, hi)
+        for name in ("var_mean", "sd_mean", "mean_jump", "prob_jump", "freq_jump",
+                     "mean_precision", "mean_mixture"):
+            np.testing.assert_array_equal(getattr(strided.latent, name), getattr(full.latent, name))
+        np.testing.assert_array_equal(strided.mu, full.mu)
+        assert not np.array_equal(strided.latent.var_lo95, full.latent.var_lo95)
 
     def test_stationarity_smoke_initialized_at_truth(self, small_sim, small_sim_config):
         sc = small_sim_config

@@ -408,6 +408,20 @@ class TestCliDiagnose:
         assert diag["bic"] == pytest.approx(fit_report["diagnostics"]["bic"], rel=1e-12)
         assert diag["pd_method"] == "plug_in_mean"
 
+    def test_n_gives_bic_without_plug_in(self, tmp_path):
+        draws = tmp_path / "draws.csv"
+        rows = ["chain,iteration,mu,jump_prob,jump_mean,jump_var,log_lik"]
+        rows += [f"0,{i},{0.05 + 0.001*i},0.02,-2.0,4.0,{-300.0 - (i * 7) % 11}" for i in range(1, 21)]
+        draws.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", "--draws", str(draws), "--n", "400", "--output", str(out)]) == 0
+        diag = jio.read_report_json(out)["diagnostics"]
+        log_lik_max = float(np.max(jio.read_draws_csv(draws)["log_lik"]))
+        assert diag["bic"] == jv.compute_bic(log_lik_max, 8, 400)
+        assert (diag["n_obs"], diag["k"]) == (400, 8)
+        assert diag["pd_method"] == "half_variance"
+        assert "log_lik_at_mean" not in diag
+
 
     @pytest.mark.parametrize(
         "content,message",
@@ -494,6 +508,28 @@ class TestCliSummarize:
         assert float(parsed["volatility_path"][3]) == 0.0
         assert float(parsed["jump_path"][3]) == 0.0
         assert float(parsed["volatility_coverage_95"][1]) == 1.0
+
+
+@pytest.mark.parametrize("command", ["diagnose", "summarize"])
+@pytest.mark.parametrize("missing", ["jump_mean", "jump_var"])
+def test_partial_jump_draws_exit_3(tmp_path, capsys, command, missing):
+    names = [name for name in ("mu", "jump_prob", "jump_mean", "jump_var", "log_lik") if name != missing]
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    draws = fit_dir / "draws.csv"
+    rows = ["chain,iteration," + ",".join(names)]
+    rows += [f"0,{i}," + ",".join(["0.5"] * len(names)) for i in range(1, 6)]
+    draws.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    if command == "diagnose":
+        args = ["diagnose", "--draws", str(draws), "--output", str(tmp_path / "d.json")]
+    else:
+        sim_path = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", "30", "--seed", "2", "--output", str(sim_path)]) == 0
+        args = ["summarize", "--truth", str(sim_path), "--fit-dir", str(fit_dir),
+                "--output", str(tmp_path / "summary.csv")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and missing in err
 
 
 def test_import_loads_no_scipy():
