@@ -23,6 +23,7 @@ from . import io as jio
 from .diagnostics import (
     DEFAULT_K_JUMPS,
     DEFAULT_K_NO_JUMPS,
+    MIN_PSRF_DRAWS,
     DiagnosticsReport,
     build_report,
     conditional_log_lik,
@@ -219,8 +220,14 @@ def run_fit(series, cfg, spec, out_dir: Path, k=None, data_stats=None) -> FitRes
     """Run the chains and persist draws, latent summaries and the report.
 
     Returns the in-memory record of the fit; wall time lives only there and
-    on stderr, never in the output files.
+    on stderr, never in the output files.  A spec that keeps too few draws
+    per chain for the report is refused before anything runs.
     """
+    if spec.n_retained < MIN_PSRF_DRAWS:
+        raise ParameterError(
+            f"the report needs at least {MIN_PSRF_DRAWS} retained draws per chain, "
+            f"got {spec.n_retained}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -270,7 +277,13 @@ def cmd_diagnose(args) -> int:
         ids = np.unique(data["chain"]) if "chain" in data else np.array([0])
         for cid in ids:
             mask = data["chain"] == cid if "chain" in data else slice(None)
-            chains.append({key: values[mask] for key, values in data.items()})
+            chain = {key: values[mask] for key, values in data.items()}
+            if chain["mu"].size < MIN_PSRF_DRAWS:
+                raise DataFormatError(
+                    f"{path}: chain {cid} has {chain['mu'].size} draws, "
+                    f"diagnostics need at least {MIN_PSRF_DRAWS}"
+                )
+            chains.append(chain)
     if not chains:
         raise DataFormatError("no chains found in the given draw files")
 

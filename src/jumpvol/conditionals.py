@@ -6,11 +6,14 @@ The parameter functions are what the brute-force conjugacy oracles check,
 and they return the prior parameters exactly when there is nothing to
 condition on.
 
-Every public function checks its inputs and then calls one private kernel
-(``_name``) that holds the math and assumes aligned float arrays and finite
-parameters.  The Gibbs sweep calls the kernels directly: its inputs are
-checked once, when the fit starts, and every state it produces is valid by
-construction.
+Each public function checks its inputs once.  Paths go through
+:func:`jumpvol.model.aligned`, which returns them as float arrays shaped
+like y, and each scalar or indicator check lives in the one ``*_posterior``
+(or :func:`apply_jump_threshold`) that owns it.  Each public ``sample_*``
+either draws from its checked ``*_posterior`` or calls its private kernel
+(``_name``) on aligned arrays.  The kernels hold the math, and the Gibbs
+sweep calls them directly: its inputs are checked once, when the fit
+starts, and every state it produces is valid by construction.
 
 Conventions:
 
@@ -30,8 +33,8 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, SizeError
-from .model import ModelConfig, Priors
+from .errors import ParameterError
+from .model import ModelConfig, Priors, aligned
 from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 
 __all__ = [
@@ -52,29 +55,13 @@ __all__ = [
 ]
 
 
-def _aligned(name_a: str, a, name_b: str, b) -> tuple[np.ndarray, np.ndarray]:
-    arr_a = np.asarray(a, dtype=float)
-    arr_b = np.asarray(b, dtype=float)
-    if arr_a.shape != arr_b.shape:
-        raise SizeError(f"{name_a} shape {arr_a.shape} != {name_b} shape {arr_b.shape}")
-    return arr_a, arr_b
-
-
-def _check_mu_inputs(y, jumps, precision, mixture):
-    y_arr, jumps_arr = _aligned("y", y, "jumps", jumps)
-    prec_arr, mix_arr = _aligned("precision", precision, "mixture", mixture)
-    if prec_arr.shape != y_arr.shape:
-        raise SizeError(f"precision shape {prec_arr.shape} != y shape {y_arr.shape}")
-    return y_arr, jumps_arr, prec_arr, mix_arr
-
-
 def mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, float]:
     """Normal posterior (mean, variance) for the equilibrium return mu.
 
     precision-weighted conjugate update; with no observations it is the
     prior exactly.
     """
-    return _mu_posterior(*_check_mu_inputs(y, jumps, precision, mixture), priors)
+    return _mu_posterior(*aligned(y, jumps=jumps, precision=precision, mixture=mixture), priors)
 
 
 def _mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, float]:
@@ -89,20 +76,11 @@ def _mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, 
 
 
 def sample_mu(y, jumps, precision, mixture, priors: Priors, rng: RngStream) -> float:
-    return _sample_mu(*_check_mu_inputs(y, jumps, precision, mixture), priors, rng)
+    return sample_normal(*mu_posterior(y, jumps, precision, mixture, priors), rng)
 
 
 def _sample_mu(y, jumps, precision, mixture, priors: Priors, rng: RngStream) -> float:
-    mean, var = _mu_posterior(y, jumps, precision, mixture, priors)
-    return sample_normal(mean, var, rng)
-
-
-def _check_mixture_inputs(y, jumps, precision):
-    y_arr, jumps_arr = _aligned("y", y, "jumps", jumps)
-    prec_arr = np.asarray(precision, dtype=float)
-    if prec_arr.shape != y_arr.shape:
-        raise SizeError(f"precision shape {prec_arr.shape} != y shape {y_arr.shape}")
-    return y_arr, jumps_arr, prec_arr
+    return sample_normal(*_mu_posterior(y, jumps, precision, mixture, priors), rng)
 
 
 def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
@@ -111,8 +89,8 @@ def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
     Shape is common to all t; the rate picks up half the precision-weighted
     squared residual.
     """
-    y_arr, jumps_arr, prec_arr = _check_mixture_inputs(y, jumps, precision)
-    return _mixture_posterior(y_arr, mu, jumps_arr, prec_arr, cfg)
+    y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
+    return _mixture_posterior(y, mu, jumps, precision, cfg)
 
 
 def _mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
@@ -123,18 +101,13 @@ def _mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
 
 
 def sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
-    y_arr, jumps_arr, prec_arr = _check_mixture_inputs(y, jumps, precision)
-    return _sample_mixture_path(y_arr, mu, jumps_arr, prec_arr, cfg, rng)
+    y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
+    return _sample_mixture_path(y, mu, jumps, precision, cfg, rng)
 
 
 def _sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
     shape, rates = _mixture_posterior(y, mu, jumps, precision, cfg)
     return rng.generator.standard_gamma(shape, rates.shape) / rates
-
-
-def _check_jump_var(jump_var) -> None:
-    if not (math.isfinite(jump_var) and jump_var > 0):
-        raise ParameterError(f"jump_var must be finite and > 0, got {jump_var}")
 
 
 def jump_mean_posterior(jump_sizes_observed, jump_var: float, priors: Priors) -> tuple[float, float]:
@@ -143,9 +116,9 @@ def jump_mean_posterior(jump_sizes_observed, jump_var: float, priors: Priors) ->
     Conditions only on sizes at declared jump times; zero observed jumps
     recover the prior exactly.
     """
-    xi = np.asarray(jump_sizes_observed, dtype=float)
-    _check_jump_var(jump_var)
-    return _jump_mean_posterior(xi, jump_var, priors)
+    if not (math.isfinite(jump_var) and jump_var > 0):
+        raise ParameterError(f"jump_var must be finite and > 0, got {jump_var}")
+    return _jump_mean_posterior(np.asarray(jump_sizes_observed, dtype=float), jump_var, priors)
 
 
 def _jump_mean_posterior(xi, jump_var: float, priors: Priors) -> tuple[float, float]:
@@ -159,26 +132,18 @@ def _jump_mean_posterior(xi, jump_var: float, priors: Priors) -> tuple[float, fl
 
 
 def sample_jump_mean(jump_sizes_observed, jump_var, priors: Priors, rng: RngStream) -> float:
-    xi = np.asarray(jump_sizes_observed, dtype=float)
-    _check_jump_var(jump_var)
-    return _sample_jump_mean(xi, jump_var, priors, rng)
+    return sample_normal(*jump_mean_posterior(jump_sizes_observed, jump_var, priors), rng)
 
 
 def _sample_jump_mean(xi, jump_var, priors: Priors, rng: RngStream) -> float:
-    mean, var = _jump_mean_posterior(xi, jump_var, priors)
-    return sample_normal(mean, var, rng)
-
-
-def _check_jump_mean(jump_mean) -> None:
-    if not math.isfinite(jump_mean):
-        raise ParameterError(f"jump_mean must be finite, got {jump_mean}")
+    return sample_normal(*_jump_mean_posterior(xi, jump_var, priors), rng)
 
 
 def jump_var_posterior(jump_sizes_observed, jump_mean: float, priors: Priors) -> tuple[float, float]:
     """Inverse-gamma posterior (shape, scale) for the jump-size variance."""
-    xi = np.asarray(jump_sizes_observed, dtype=float)
-    _check_jump_mean(jump_mean)
-    return _jump_var_posterior(xi, jump_mean, priors)
+    if not math.isfinite(jump_mean):
+        raise ParameterError(f"jump_mean must be finite, got {jump_mean}")
+    return _jump_var_posterior(np.asarray(jump_sizes_observed, dtype=float), jump_mean, priors)
 
 
 def _jump_var_posterior(xi, jump_mean: float, priors: Priors) -> tuple[float, float]:
@@ -190,24 +155,11 @@ def _jump_var_posterior(xi, jump_mean: float, priors: Priors) -> tuple[float, fl
 
 
 def sample_jump_var(jump_sizes_observed, jump_mean, priors: Priors, rng: RngStream) -> float:
-    xi = np.asarray(jump_sizes_observed, dtype=float)
-    _check_jump_mean(jump_mean)
-    return _sample_jump_var(xi, jump_mean, priors, rng)
+    return sample_inverse_gamma(*jump_var_posterior(jump_sizes_observed, jump_mean, priors), rng)
 
 
 def _sample_jump_var(xi, jump_mean, priors: Priors, rng: RngStream) -> float:
-    shape, scale = _jump_var_posterior(xi, jump_mean, priors)
-    return sample_inverse_gamma(shape, scale, rng)
-
-
-def _check_jump_size_inputs(y, precision, mixture, jump_var):
-    y_arr = np.asarray(y, dtype=float)
-    prec_arr, mix_arr = _aligned("precision", precision, "mixture", mixture)
-    if prec_arr.shape != y_arr.shape:
-        raise SizeError(f"precision shape {prec_arr.shape} != y shape {y_arr.shape}")
-    if not (math.isfinite(jump_var) and jump_var >= 0):
-        raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
-    return y_arr, prec_arr, mix_arr
+    return sample_inverse_gamma(*_jump_var_posterior(xi, jump_mean, priors), rng)
 
 
 def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump_var: float):
@@ -216,8 +168,10 @@ def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump
     Precision-weighted average of the prior jump-size mean and the centered
     observation; as jump_var -> 0 the posterior collapses onto jump_mean.
     """
-    y_arr, prec_arr, mix_arr = _check_jump_size_inputs(y, precision, mixture, jump_var)
-    return _jump_size_posterior(y_arr, mu, prec_arr, mix_arr, jump_mean, jump_var)
+    y, precision, mixture = aligned(y, precision=precision, mixture=mixture)
+    if not (math.isfinite(jump_var) and jump_var >= 0):
+        raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
+    return _jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var)
 
 
 def _jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump_var: float):
@@ -229,12 +183,14 @@ def _jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jum
 
 
 def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
-    y_arr, prec_arr, mix_arr = _check_jump_size_inputs(y, precision, mixture, jump_var)
-    return _sample_jump_sizes(y_arr, mu, prec_arr, mix_arr, jump_mean, jump_var, rng)
+    return _normal_path(*jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var), rng)
 
 
 def _sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
-    means, variances = _jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var)
+    return _normal_path(*_jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var), rng)
+
+
+def _normal_path(means, variances, rng: RngStream) -> np.ndarray:
     return means + np.sqrt(variances) * rng.generator.standard_normal(means.shape)
 
 
@@ -247,14 +203,12 @@ def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob
     log s terms of the two densities cancel.  rho <= 0 and rho >= 1
     short-circuit to hard zeros/ones.
     """
-    y_arr = np.asarray(y, dtype=float)
-    prec_arr, mix_arr = _aligned("precision", precision, "mixture", mixture)
-    xi_arr = np.asarray(jump_sizes, dtype=float)
-    if prec_arr.shape != y_arr.shape or xi_arr.shape != y_arr.shape:
-        raise SizeError("y, precision, mixture and jump_sizes must share one shape")
+    y, precision, mixture, jump_sizes = aligned(
+        y, precision=precision, mixture=mixture, jump_sizes=jump_sizes
+    )
     if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
-    return _jump_indicator_probs(y_arr, mu, prec_arr, mix_arr, xi_arr, jump_prob)
+    return _jump_indicator_probs(y, mu, precision, mixture, jump_sizes, jump_prob)
 
 
 def _jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
@@ -288,16 +242,12 @@ def _apply_jump_threshold(probs, threshold: float) -> np.ndarray:
     return (probs > threshold).astype(np.int64)
 
 
-def _check_indicators(jump_ind) -> np.ndarray:
+def jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
+    """Beta posterior (a, b) for the jump probability."""
     ind = np.asarray(jump_ind)
     if np.count_nonzero(ind == 1) + np.count_nonzero(ind == 0) != ind.size:
         raise ParameterError("jump_ind entries must be 0 or 1")
-    return ind
-
-
-def jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
-    """Beta posterior (a, b) for the jump probability."""
-    return _jump_prob_posterior(_check_indicators(jump_ind), priors)
+    return _jump_prob_posterior(ind, priors)
 
 
 def _jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
@@ -306,9 +256,8 @@ def _jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
 
 
 def sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
-    return _sample_jump_prob(_check_indicators(jump_ind), priors, rng)
+    return sample_beta(*jump_prob_posterior(jump_ind, priors), rng)
 
 
 def _sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
-    a, b = _jump_prob_posterior(jump_ind, priors)
-    return sample_beta(a, b, rng)
+    return sample_beta(*_jump_prob_posterior(jump_ind, priors), rng)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .model import LATENT_FIELDS, ChainOutput, LatentSummary, ReturnsSeries
+from .model import LATENT_FIELDS, ChainOutput, LatentSummary, aligned, returns_array
 from .rng import _as_param, _log_normal_density
 
 __all__ = [
@@ -44,21 +44,25 @@ __all__ = [
     "build_report",
     "DEFAULT_K_JUMPS",
     "DEFAULT_K_NO_JUMPS",
+    "MIN_PSRF_DRAWS",
 ]
 
 # Parameter counts charged by the information criteria, configurable per call.
 DEFAULT_K_JUMPS = 8
 DEFAULT_K_NO_JUMPS = 4
 
+# Shortest trace psrf accepts: each split half needs two draws for a variance.
+MIN_PSRF_DRAWS = 4
+
 
 def conditional_log_lik(y, mu: float, jumps, precision, mixture) -> float:
-    """Log-likelihood of the returns given mean, jumps and both latent paths."""
-    y_arr = y.returns if isinstance(y, ReturnsSeries) else np.asarray(y, dtype=float)
-    jumps_arr = np.asarray(jumps, dtype=float)
-    prec_arr = np.asarray(precision, dtype=float)
-    mix_arr = np.asarray(mixture, dtype=float)
-    if not (y_arr.shape == jumps_arr.shape == prec_arr.shape == mix_arr.shape):
-        raise SizeError("y, jumps, precision and mixture must share one shape")
+    """Log-likelihood of the returns given mean, jumps and both latent paths.
+
+    y is a ReturnsSeries or a finite 1-D array; the paths share its shape.
+    """
+    y_arr, jumps_arr, prec_arr, mix_arr = aligned(
+        returns_array(y, min_len=0), jumps=jumps, precision=precision, mixture=mixture
+    )
     weights = mix_arr * prec_arr
     if not np.all(weights > 0):
         raise ParameterError("mixture * precision must be > 0 everywhere")
@@ -170,8 +174,8 @@ def psrf(traces: Sequence) -> float:
     if len(arrays) == 0:
         raise SizeError("psrf needs at least one trace")
     shortest = min(a.size for a in arrays)
-    if shortest < 4:
-        raise SizeError("psrf needs traces of length >= 4")
+    if shortest < MIN_PSRF_DRAWS:
+        raise SizeError(f"psrf needs traces of length >= {MIN_PSRF_DRAWS}")
     half = shortest // 2
     chains = []
     for a in arrays:
@@ -257,7 +261,7 @@ def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> D
     for c in chains[1:]:
         if c.meta.n_obs != meta.n_obs or c.meta.jumps_enabled != meta.jumps_enabled:
             raise ParameterError("chains disagree on data length or model variant")
-    y_arr = y.returns if isinstance(y, ReturnsSeries) else np.asarray(y, dtype=float)
+    y_arr = returns_array(y)
     if y_arr.size != meta.n_obs:
         raise SizeError(f"series length {y_arr.size} != chain data length {meta.n_obs}")
     if k is None:

@@ -60,8 +60,8 @@ from .model import (
     LatentPath,
     LatentSummary,
     ModelConfig,
-    ReturnsSeries,
     StaticParams,
+    returns_array,
 )
 from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 from .volatility import _backward_sample as backward_sample
@@ -117,24 +117,13 @@ class RunSpec:
         return (self.iterations - self.burn_in) // self.thin_lag
 
 
-def _series_array(y) -> np.ndarray:
-    arr = y.returns if isinstance(y, ReturnsSeries) else np.asarray(y, dtype=float)
-    if arr.ndim != 1:
-        raise SizeError(f"returns must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 2:
-        raise SizeError(f"fitting needs at least 2 observations, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("returns must contain only finite values")
-    return arr
-
-
 def default_init(y, cfg: ModelConfig):
     """Data-driven starting point: mean return, pooled precision, no jumps.
 
     A zero-variance series falls back to unit precision.  The start is
     deterministic.
     """
-    y_arr = _series_array(y)
+    y_arr = returns_array(y, min_len=2)
     n = y_arr.size
     sample_var = float(np.var(y_arr, ddof=1))
     lam0 = 1.0 / sample_var if 1e-12 < sample_var < np.inf else 1.0
@@ -155,7 +144,7 @@ def default_init(y, cfg: ModelConfig):
     return params, path
 
 
-def _dispersed_init(y, cfg: ModelConfig, rng: RngStream):
+def _dispersed_init(y: np.ndarray, cfg: ModelConfig, rng: RngStream):
     """Overdispersed start for secondary chains: prior draws around the default.
 
     Jump-block starts are clipped to a moderate range: a start with a large
@@ -164,7 +153,7 @@ def _dispersed_init(y, cfg: ModelConfig, rng: RngStream):
     """
     base_params, base_path = default_init(y, cfg)
     priors = cfg.priors
-    sd_y = float(np.std(_series_array(y), ddof=1))
+    sd_y = float(np.std(y, ddof=1))
     spread = max(sd_y, 0.1)
     mu0 = base_params.mu + spread * sample_normal(0.0, 1.0, rng)
     scale = float(np.exp(rng.generator.uniform(-np.log(10.0), np.log(10.0))))
@@ -255,7 +244,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     Fixed (spec.seed, chain_id) reproduce the output bit for bit.  A sampler
     failure mid-run surfaces as NumericalError tagged with the iteration.
     """
-    y_arr = _series_array(y)
+    y_arr = returns_array(y, min_len=2)
     n = y_arr.size
     if not isinstance(cfg, ModelConfig):
         raise ParameterError("cfg must be a ModelConfig")

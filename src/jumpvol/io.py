@@ -22,7 +22,7 @@ from .errors import DataFormatError, ParameterError, SizeError
 from .gibbs import RunSpec
 from .model import (
     LATENT_FIELDS, STATIC_NAMES, ChainOutput, LatentSummary, ModelConfig, ReturnsSeries,
-    prices_to_returns,
+    prices_to_returns, returns_array,
 )
 from .synthetic import SimConfig, SimOutput
 
@@ -208,9 +208,7 @@ def describe(y) -> dict:
     Variance uses ddof=1; skewness is m3/m2^1.5 and kurtosis the plain
     (non-excess) m4/m2^2, both from central sample moments.
     """
-    arr = y.returns if isinstance(y, ReturnsSeries) else np.asarray(y, dtype=float)
-    if arr.size < 2:
-        raise SizeError("describe needs at least 2 observations")
+    arr = returns_array(y, min_len=2)
     centered = arr - np.mean(arr)
     m2 = float(np.mean(centered**2))
     m3 = float(np.mean(centered**3))
@@ -226,11 +224,25 @@ def describe(y) -> dict:
     }
 
 
-def _write_rows(path, header: Sequence[str], rows) -> None:
+def _write_columns(path, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length columns under a header of their names.
+
+    Integer columns print with %d, the rest with %.17g like :func:`fmt17`.
+    A non-finite value is refused before the file is opened.
+    """
+    formats = []
+    for name, values in columns.items():
+        if np.issubdtype(values.dtype, np.integer):
+            formats.append("%d")
+        elif np.all(np.isfinite(values)):
+            formats.append("%.17g")
+        else:
+            raise ParameterError(f"cannot serialize non-finite values in column {name!r}")
+    row = ",".join(formats) + "\n"
+    lines = [row % cells for cells in zip(*(values.tolist() for values in columns.values()))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(lines)
 
 
 def write_draws_csv(path, chains: Sequence[ChainOutput]) -> None:
@@ -242,16 +254,12 @@ def write_draws_csv(path, chains: Sequence[ChainOutput]) -> None:
     if not chains:
         raise SizeError("write_draws_csv needs at least one chain")
     names = [*chains[0].static_names, "log_lik"]
-
-    def rows():
-        for chain in chains:
-            meta = chain.meta
-            columns = [getattr(chain, name) for name in names]
-            for i in range(chain.n_draws):
-                iteration = meta.burn_in + (i + 1) * meta.thin_lag
-                yield [str(meta.chain_id), str(iteration)] + [fmt17(col[i]) for col in columns]
-
-    _write_rows(path, ["chain", "iteration", *names], rows())
+    parts = [{
+        "chain": np.full(c.n_draws, c.meta.chain_id),
+        "iteration": c.meta.burn_in + c.meta.thin_lag * np.arange(1, c.n_draws + 1),
+        **{name: getattr(c, name) for name in names},
+    } for c in chains]
+    _write_columns(path, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
 
 
 def read_draws_csv(path) -> dict:
@@ -267,13 +275,8 @@ def read_draws_csv(path) -> dict:
 
 def write_latent_csv(path, latent: LatentSummary) -> None:
     """Write the per-t latent summaries (plot-ready)."""
-    def rows():
-        for t in range(len(latent)):
-            yield [str(t + 1)] + [
-                fmt17(getattr(latent, name)[t]) for name in LATENT_FIELDS
-            ]
-
-    _write_rows(path, LATENT_COLUMNS, rows())
+    columns = {name: getattr(latent, name) for name in LATENT_FIELDS}
+    _write_columns(path, {"t": np.arange(1, len(latent) + 1), **columns})
 
 
 def read_latent_csv(path) -> LatentSummary:
@@ -285,20 +288,11 @@ def read_latent_csv(path) -> LatentSummary:
 
 def write_sim_csv(path, sim: SimOutput) -> None:
     """Write a simulated realization with its latent truth."""
-    returns = sim.returns.returns
-
-    def rows():
-        for t in range(returns.size):
-            yield [
-                str(t + 1),
-                fmt17(returns[t]),
-                fmt17(sim.true_variance[t]),
-                fmt17(sim.true_jumps[t]),
-                str(int(sim.true_jump_times[t])),
-                fmt17(sim.true_mixture[t]),
-            ]
-
-    _write_rows(path, SIM_COLUMNS, rows())
+    n = len(sim.returns)
+    _write_columns(path, dict(zip(SIM_COLUMNS, (
+        np.arange(1, n + 1), sim.returns.returns, sim.true_variance, sim.true_jumps,
+        sim.true_jump_times, sim.true_mixture,
+    ))))
 
 
 def write_sim_params(path, sc: SimConfig) -> None:

@@ -79,6 +79,27 @@ class ReturnsSeries:
         return int(self.returns.size)
 
 
+def returns_array(y, min_len: int = 1) -> np.ndarray:
+    """The returns of a ReturnsSeries, or y checked as a finite 1-D array."""
+    if not isinstance(y, ReturnsSeries):
+        return _finite_1d("returns", y, min_len)
+    if y.returns.size < min_len:
+        raise SizeError(f"returns needs at least {min_len} entries, got {y.returns.size}")
+    return y.returns
+
+
+def aligned(y, **paths) -> tuple[np.ndarray, ...]:
+    """y and each named path as float arrays; a path shaped unlike y is a SizeError."""
+    y = np.asarray(y, dtype=float)
+    arrays = [y]
+    for name, values in paths.items():
+        arr = np.asarray(values, dtype=float)
+        if arr.shape != y.shape:
+            raise SizeError(f"{name} shape {arr.shape} != y shape {y.shape}")
+        arrays.append(arr)
+    return tuple(arrays)
+
+
 @dataclass(frozen=True)
 class Priors:
     """Hyperparameters of every prior used by the samplers.
@@ -335,7 +356,7 @@ def returns_to_prices(series, initial_price: float) -> np.ndarray:
     """Invert :func:`prices_to_returns` given the first price."""
     if not (np.isfinite(initial_price) and initial_price > 0):
         raise ParameterError(f"initial_price must be finite and > 0, got {initial_price}")
-    rets = series.returns if isinstance(series, ReturnsSeries) else _finite_1d("returns", series, 1)
+    rets = returns_array(series)
     prices = np.empty(rets.size + 1, dtype=float)
     prices[0] = initial_price
     prices[1:] = initial_price * np.exp(np.cumsum(rets) / 100.0)

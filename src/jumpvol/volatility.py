@@ -25,10 +25,13 @@ Everything that does not depend on the data is computed once per
   runs both the rate recursion and the backward recursion with cumulative
   sums.
 
-:func:`forward_filter` and :func:`backward_sample` check their inputs and
-call the unchecked kernels ``_forward_filter`` and ``_backward_sample``,
-which the Gibbs sweep calls directly.  The kernels keep one numerical guard:
-the filtered rates must be finite.
+:func:`forward_filter` takes y as a ReturnsSeries or a finite 1-D array and
+aligns the other paths with it (:func:`jumpvol.model.returns_array` and
+:func:`jumpvol.model.aligned`); :func:`backward_sample` checks that the
+filter state matches cfg.  Both then call the unchecked kernels
+``_forward_filter`` and ``_backward_sample``, which the Gibbs sweep calls
+directly.  The kernels keep one numerical guard: the filtered rates must be
+finite.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .model import ModelConfig, ReturnsSeries
+from .model import ModelConfig, aligned, returns_array
 from .rng import RngStream, sample_gamma
 
 __all__ = [
@@ -187,28 +190,12 @@ class FilterState:
         return self.plan.n
 
 
-def _series_values(y) -> np.ndarray:
-    if isinstance(y, ReturnsSeries):
-        return y.returns
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1:
-        raise SizeError(f"returns must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
 def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterState:
     """Run the precision filter over the whole series.
 
     Deterministic: identical inputs give an identical FilterState.
     """
-    y_arr = _series_values(y)
-    n = y_arr.size
-    jumps_arr = np.asarray(jumps, dtype=float)
-    mix_arr = np.asarray(mixture, dtype=float)
-    if jumps_arr.shape != (n,) or mix_arr.shape != (n,):
-        raise SizeError(
-            f"jumps {jumps_arr.shape} and mixture {mix_arr.shape} must both have shape ({n},)"
-        )
+    y_arr, jumps_arr, mix_arr = aligned(returns_array(y), jumps=jumps, mixture=mixture)
     if not math.isfinite(mu):
         raise ParameterError(f"mu must be finite, got {mu}")
     if not np.all(mix_arr > 0):

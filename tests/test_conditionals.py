@@ -211,14 +211,50 @@ class TestJumpProbPosterior:
         assert jump_prob_posterior(ind, priors) == (23.0, 5074.0)
 
 
-def test_shape_mismatches_raise():
-    priors = jv.Priors()
-    with pytest.raises(SizeError):
-        mu_posterior(np.zeros(3), np.zeros(2), np.ones(3), np.ones(3), priors)
-    with pytest.raises(SizeError):
-        mixture_posterior(np.zeros(3), 0.0, np.zeros(3), np.ones(2), jv.default_config())
-    with pytest.raises(SizeError):
-        jv.jump_indicator_probs(np.zeros(3), 0.0, np.ones(3), np.ones(3), np.zeros(2), 0.5)
+# Each public function taking paths aligned with y: a call from a dict of
+# paths, and the names of the paths it checks against y.
+_PATH_CALLS = {
+    "mu_posterior": (lambda p: mu_posterior(
+        p["y"], p["jumps"], p["precision"], p["mixture"], jv.Priors()),
+        ("jumps", "precision", "mixture")),
+    "sample_mu": (lambda p: jv.sample_mu(
+        p["y"], p["jumps"], p["precision"], p["mixture"], jv.Priors(), jv.RngStream(1)),
+        ("jumps", "precision", "mixture")),
+    "mixture_posterior": (lambda p: mixture_posterior(
+        p["y"], 0.0, p["jumps"], p["precision"], jv.default_config()),
+        ("jumps", "precision")),
+    "sample_mixture_path": (lambda p: jv.sample_mixture_path(
+        p["y"], 0.0, p["jumps"], p["precision"], jv.default_config(), jv.RngStream(1)),
+        ("jumps", "precision")),
+    "jump_size_posterior": (lambda p: jump_size_posterior(
+        p["y"], 0.0, p["precision"], p["mixture"], 0.0, 1.0),
+        ("precision", "mixture")),
+    "sample_jump_sizes": (lambda p: jv.sample_jump_sizes(
+        p["y"], 0.0, p["precision"], p["mixture"], 0.0, 1.0, jv.RngStream(1)),
+        ("precision", "mixture")),
+    "jump_indicator_probs": (lambda p: jv.jump_indicator_probs(
+        p["y"], 0.0, p["precision"], p["mixture"], p["jump_sizes"], 0.5),
+        ("precision", "mixture", "jump_sizes")),
+    "forward_filter": (lambda p: jv.forward_filter(
+        p["y"], 0.0, p["jumps"], p["mixture"], jv.default_config()),
+        ("jumps", "mixture")),
+    "conditional_log_lik": (lambda p: jv.conditional_log_lik(
+        p["y"], 0.0, p["jumps"], p["precision"], p["mixture"]),
+        ("jumps", "precision", "mixture")),
+}
+
+
+@pytest.mark.parametrize(
+    "name,path", [(name, path) for name, (_, paths) in _PATH_CALLS.items() for path in paths]
+)
+def test_shape_mismatches_raise(name, path):
+    call = _PATH_CALLS[name][0]
+    paths = {"y": np.full(3, 0.5), "jumps": np.zeros(3), "precision": np.ones(3),
+             "mixture": np.ones(3), "jump_sizes": np.zeros(3)}
+    call(paths)
+    paths[path] = paths[path][:2]
+    with pytest.raises(SizeError, match=f"{path} shape"):
+        call(paths)
 
 
 @pytest.mark.parametrize("name,check", ALL_CHECKS)

@@ -61,6 +61,13 @@ class TestConditionalLogLik:
         with pytest.raises(ParameterError):
             jv.conditional_log_lik(np.zeros(2), 0.0, np.zeros(2), np.array([1.0, 0.0]), np.ones(2))
 
+    def test_rejects_non_finite_or_multidimensional_returns(self):
+        with pytest.raises(ParameterError):
+            jv.conditional_log_lik(np.array([np.nan, 1.0]), 0.0, np.zeros(2), np.ones(2), np.ones(2))
+        with pytest.raises(SizeError):
+            jv.conditional_log_lik(np.zeros((1, 2)), 0.0, np.zeros((1, 2)), np.ones((1, 2)),
+                                   np.ones((1, 2)))
+
 
 class TestBic:
     def test_zero_loglik(self):

@@ -153,6 +153,14 @@ class TestSerialization:
         np.testing.assert_array_equal(back["true_v"], sim.true_variance)
         np.testing.assert_array_equal(back["true_N"], sim.true_jump_times)
 
+    def test_non_finite_latent_value_writes_no_file(self, tmp_path):
+        latent = jv.LatentSummary(**{name: np.ones(5) for name in jv.model.LATENT_FIELDS})
+        latent.sd_hi95[3] = np.nan
+        path = tmp_path / "latent.csv"
+        with pytest.raises(ParameterError, match="sd_hi95"):
+            jio.write_latent_csv(path, latent)
+        assert not path.exists()
+
     @pytest.mark.parametrize("reader", ["read_draws_csv", "read_latent_csv", "read_sim_csv"])
     @pytest.mark.parametrize("defect", ["wrong_header", "short_row", "non_numeric"])
     def test_reader_errors_name_the_line(self, tmp_path, reader, defect):
@@ -337,6 +345,16 @@ class TestCliFit:
         report = jio.read_report_json(out_dir / "report.json")
         assert report["data"]["n"] == 120
 
+    def test_too_few_retained_draws_exit_2_before_sampling(self, tmp_path, returns_file, capsys):
+        out_dir = tmp_path / "fit"
+        code = main([
+            "fit", "--input", str(returns_file), "--iterations", "3", "--burn-in", "0",
+            "--output-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert f"at least {jv.diagnostics.MIN_PSRF_DRAWS} retained draws" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_exit_codes(self, tmp_path, returns_file):
         assert main(["fit", "--input", str(tmp_path / "missing.csv")]) == 3
         assert main([
@@ -422,6 +440,17 @@ class TestCliDiagnose:
         assert diag["pd_method"] == "half_variance"
         assert "log_lik_at_mean" not in diag
 
+
+    def test_short_chain_exits_3(self, tmp_path, capsys):
+        draws = tmp_path / "draws.csv"
+        rows = ["chain,iteration,mu,log_lik"]
+        rows += [f"0,{i},0.1,-100.0" for i in range(1, 6)]
+        rows += [f"1,{i},0.1,-100.0" for i in range(1, 3)]
+        draws.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", "--draws", str(draws), "--output", str(out)]) == 3
+        assert "chain 1 has 2 draws" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content,message",
