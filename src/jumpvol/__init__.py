@@ -38,7 +38,6 @@ from .errors import (
 )
 from .gibbs import RunSpec, default_init, run_chain, run_multi
 from .model import (
-    ChainMeta,
     ChainOutput,
     LatentPath,
     LatentSummary,

@@ -21,19 +21,18 @@ import numpy as np
 
 from . import io as jio
 from .diagnostics import (
-    DEFAULT_K_JUMPS,
-    DEFAULT_K_NO_JUMPS,
     MIN_PSRF_DRAWS,
     DiagnosticsReport,
     build_report,
     conditional_log_lik,
     coverage,
     information_criteria,
+    static_params,
     summarize_param,
 )
 from .errors import DataFormatError, JumpvolError, NumericalError, ParameterError, SizeError
 from .gibbs import RunSpec, run_multi
-from .model import STATIC_NAMES, ModelConfig, Priors
+from .model import ModelConfig, Priors
 from .synthetic import SimConfig, simulate
 
 __all__ = ["main", "build_parser", "run_fit", "FitResult"]
@@ -287,17 +286,12 @@ def cmd_diagnose(args) -> int:
     if not chains:
         raise DataFormatError("no chains found in the given draw files")
 
-    with_jumps = all("jump_prob" in c for c in chains)
-    names = STATIC_NAMES if with_jumps else STATIC_NAMES[:1]
-
+    names, k = static_params(chains, args.bic_k)
     params = [asdict(summarize_param(name, [c[name] for c in chains])) for name in names]
 
     log_lik = np.concatenate([c["log_lik"] for c in chains])
     series = jio.ingest_csv(args.input, args.mode) if args.input else None
     n_obs = args.n if args.n is not None else (len(series) if series is not None else None)
-    k = args.bic_k if args.bic_k is not None else (
-        DEFAULT_K_JUMPS if with_jumps else DEFAULT_K_NO_JUMPS
-    )
     log_lik_at_mean = None
     if series is not None and args.latent_summary:
         latent = jio.read_latent_csv(args.latent_summary)
@@ -329,11 +323,14 @@ def cmd_summarize(args) -> int:
     fit_dir = Path(args.fit_dir)
     draws = jio.read_draws_csv(fit_dir / "draws.csv")
     latent = jio.read_latent_csv(fit_dir / "latent_summary.csv")
-    needed = ("mu", "jump_prob", "jump_mean", "jump_sd") if "jump_prob" in draws else ("mu",)
+    # The truth gives the jump size's sd, so jump_var draws are scored as jump_sd.
+    scored = {name: draws[name] for name in static_params([draws])[0]}
+    if "jump_var" in scored:
+        scored["jump_sd"] = np.sqrt(scored.pop("jump_var"))
     if not (isinstance(true_params, dict)
-            and all(isinstance(true_params.get(key), (int, float)) for key in needed)):
+            and all(isinstance(true_params.get(key), (int, float)) for key in scored)):
         raise DataFormatError(
-            f"{params_path}: expected a JSON object with numeric {', '.join(needed)}"
+            f"{params_path}: expected a JSON object with numeric {', '.join(scored)}"
         )
 
     if len(latent) != truth["true_v"].size:
@@ -347,11 +344,7 @@ def cmd_summarize(args) -> int:
         rmse = float(np.sqrt(np.mean((draws_arr - true_value) ** 2)))
         return [name, jio.fmt17(mean), jio.fmt17(sd), jio.fmt17(rmse)]
 
-    rows = [param_row("mu", draws["mu"], float(true_params["mu"]))]
-    if "jump_prob" in draws:
-        rows.append(param_row("jump_prob", draws["jump_prob"], float(true_params["jump_prob"])))
-        rows.append(param_row("jump_mean", draws["jump_mean"], float(true_params["jump_mean"])))
-        rows.append(param_row("jump_sd", np.sqrt(draws["jump_var"]), float(true_params["jump_sd"])))
+    rows = [param_row(name, values, float(true_params[name])) for name, values in scored.items()]
 
     vol_rmse = float(np.sqrt(np.mean((latent.var_mean - truth["true_v"]) ** 2)))
     jump_rmse = float(np.sqrt(np.mean((latent.mean_jump - truth["true_jump"]) ** 2)))

@@ -26,7 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .model import LATENT_FIELDS, ChainOutput, LatentSummary, aligned, returns_array
+from .model import (
+    LATENT_FIELDS, STATIC_NAMES, ChainOutput, LatentSummary, aligned, returns_array,
+)
 from .rng import _as_param, _log_normal_density
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "summarize_param",
     "DiagnosticsReport",
     "merge_latent",
+    "static_params",
     "build_report",
     "DEFAULT_K_JUMPS",
     "DEFAULT_K_NO_JUMPS",
@@ -249,23 +252,42 @@ def merge_latent(chains: Sequence[ChainOutput]) -> LatentSummary:
     })
 
 
+def static_params(tables: Sequence[dict], k: Optional[int] = None) -> tuple[list[str], int]:
+    """The static-parameter names and BIC parameter count of chains' draws.
+
+    tables holds one draws table per chain (ChainOutput.draws, or a chain
+    read from draws.csv).  Its column names decide the model: every
+    STATIC_NAMES column for the jump model, mu alone for the no-jump
+    reduction.  k, when None, defaults to DEFAULT_K_JUMPS or
+    DEFAULT_K_NO_JUMPS to match.  Chains whose columns name different
+    static parameters are a ParameterError.
+    """
+    if len(tables) == 0:
+        raise SizeError("diagnostics need at least one chain")
+    names = [[name for name in STATIC_NAMES if name in table] for table in tables]
+    for other in names[1:]:
+        if other != names[0]:
+            raise ParameterError(
+                f"chains disagree on the model: static parameters {names[0]} and {other}"
+            )
+    if k is None:
+        k = DEFAULT_K_JUMPS if len(names[0]) > 1 else DEFAULT_K_NO_JUMPS
+    return names[0], k
+
+
 def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> DiagnosticsReport:
     """Assemble the full diagnostics report from one or more chains.
 
-    All chains must come from the same data and configuration.  The default
-    parameter count k follows the model variant (jumps enabled or not).
+    All chains must come from the same data and model; static_params reads
+    the parameter names and the default k from their draws.
     """
-    if len(chains) == 0:
-        raise SizeError("build_report needs at least one chain")
-    meta = chains[0].meta
-    for c in chains[1:]:
-        if c.meta.n_obs != meta.n_obs or c.meta.jumps_enabled != meta.jumps_enabled:
-            raise ParameterError("chains disagree on data length or model variant")
+    names, k = static_params([c.draws for c in chains], k)
+    n_obs = len(chains[0].latent)
+    if any(len(c.latent) != n_obs for c in chains[1:]):
+        raise ParameterError("chains disagree on data length")
     y_arr = returns_array(y)
-    if y_arr.size != meta.n_obs:
-        raise SizeError(f"series length {y_arr.size} != chain data length {meta.n_obs}")
-    if k is None:
-        k = DEFAULT_K_JUMPS if meta.jumps_enabled else DEFAULT_K_NO_JUMPS
+    if y_arr.size != n_obs:
+        raise SizeError(f"series length {y_arr.size} != chain data length {n_obs}")
 
     latent = merge_latent(chains)
     mu_bar = float(np.mean(np.concatenate([c.mu for c in chains])))
@@ -273,10 +295,7 @@ def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> D
         y_arr, mu_bar, latent.mean_jump, latent.mean_precision, latent.mean_mixture
     )
     scores = information_criteria(
-        np.concatenate([c.log_lik for c in chains]), meta.n_obs, k, log_lik_at_mean
+        np.concatenate([c.log_lik for c in chains]), n_obs, k, log_lik_at_mean
     )
-    params = [
-        summarize_param(name, [c.static_array(name) for c in chains])
-        for name in chains[0].static_names
-    ]
+    params = [summarize_param(name, [c.draws[name] for c in chains]) for name in names]
     return DiagnosticsReport(**scores, params=params, latent=latent)

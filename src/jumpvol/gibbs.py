@@ -15,14 +15,15 @@ Each iteration updates, in order:
 With jumps disabled, steps 4-8 are skipped and the jump path is identically
 zero (the no-jump reduction of the model).
 
-Retained draws are every thin_lag-th iteration after burn_in.  Static
-parameters and the per-draw conditional log-likelihood are always kept in
-full; per-t latent quantities are accumulated into running summaries.  The
-credibility bands are empirical quantiles of a float32 matrix of
-variance-scale draws holding at most _LATENT_MATRIX_BUDGET elements (400 MB):
-every retained draw when draws x n fits, else every stride-th one.
-Chains never share mutable state, so multi-chain runs are trivially
-order-deterministic by chain id.
+Retained draws are every thin_lag-th iteration after burn_in.  Each one
+fills a row of the chain's draws table by column name: the chain id, the
+sweep index, the static parameters the model has and the conditional
+log-likelihood.  Per-t latent quantities are accumulated into running
+summaries.  The credibility bands are empirical quantiles of a float32
+matrix of variance-scale draws holding at most _LATENT_MATRIX_BUDGET
+elements (400 MB): every retained draw when draws x n fits, else every
+stride-th one.  Chains never share mutable state, so multi-chain runs are
+trivially order-deterministic by chain id.
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -55,7 +56,7 @@ from .conditionals import (
 from .diagnostics import _conditional_log_lik as conditional_log_lik
 from .errors import NumericalError, ParameterError, SizeError
 from .model import (
-    ChainMeta,
+    STATIC_NAMES,
     ChainOutput,
     LatentPath,
     LatentSummary,
@@ -270,12 +271,12 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
 
     n_ret = spec.n_retained
     acc = _LatentAccumulator(n, n_ret)
-    mu_draws = np.empty(n_ret)
-    log_lik = np.empty(n_ret)
-    if cfg.jumps_enabled:
-        jump_prob_draws = np.empty(n_ret)
-        jump_mean_draws = np.empty(n_ret)
-        jump_var_draws = np.empty(n_ret)
+    static = STATIC_NAMES if cfg.jumps_enabled else STATIC_NAMES[:1]
+    draws = {
+        "chain": np.empty(n_ret, dtype=np.int64),
+        "iteration": np.empty(n_ret, dtype=np.int64),
+        **{name: np.empty(n_ret) for name in (*static, "log_lik")},
+    }
     kept_paths = [] if spec.keep_latent_draws else None
 
     probs = zeros
@@ -306,12 +307,10 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
             ll = conditional_log_lik(y_arr, mu, jumps, precision, mixture)
             if not np.isfinite(ll):
                 raise NumericalError(f"non-finite log-likelihood at iteration {j}")
-            mu_draws[idx] = mu
-            log_lik[idx] = ll
-            if cfg.jumps_enabled:
-                jump_prob_draws[idx] = jump_prob
-                jump_mean_draws[idx] = jump_mean
-                jump_var_draws[idx] = jump_var
+            row = dict(chain=chain_id, iteration=j, mu=mu, jump_prob=jump_prob,
+                       jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
+            for name, column in draws.items():
+                column[idx] = row[name]
             acc.add(precision, mixture, jumps, jump_ind, probs)
             if kept_paths is not None:
                 kept_paths.append(
@@ -324,25 +323,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 )
             idx += 1
 
-    meta = ChainMeta(
-        seed=int(spec.seed),
-        chain_id=int(chain_id),
-        iterations=spec.iterations,
-        burn_in=spec.burn_in,
-        thin_lag=spec.thin_lag,
-        n_obs=n,
-        jumps_enabled=cfg.jumps_enabled,
-    )
-    return ChainOutput(
-        mu=mu_draws,
-        jump_prob=jump_prob_draws if cfg.jumps_enabled else None,
-        jump_mean=jump_mean_draws if cfg.jumps_enabled else None,
-        jump_var=jump_var_draws if cfg.jumps_enabled else None,
-        log_lik=log_lik,
-        latent=acc.summary(),
-        meta=meta,
-        latent_draws=kept_paths,
-    )
+    return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept_paths)
 
 
 def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport
-from .errors import DataFormatError, ParameterError, SizeError
+from .diagnostics import DiagnosticsReport, static_params
+from .errors import DataFormatError, ParameterError
 from .gibbs import RunSpec
 from .model import (
     LATENT_FIELDS, STATIC_NAMES, ChainOutput, LatentSummary, ModelConfig, ReturnsSeries,
@@ -246,20 +246,16 @@ def _write_columns(path, columns: dict[str, np.ndarray]) -> None:
 
 
 def write_draws_csv(path, chains: Sequence[ChainOutput]) -> None:
-    """Write retained static draws of one or more chains.
+    """Write the draws tables of one or more chains, one after the other.
 
     Columns: chain, iteration, mu[, jump_prob, jump_mean, jump_var], log_lik.
-    Jump columns are omitted for no-jump fits.
+    Jump columns are omitted for no-jump fits; chains of both models are a
+    ParameterError.
     """
-    if not chains:
-        raise SizeError("write_draws_csv needs at least one chain")
-    names = [*chains[0].static_names, "log_lik"]
-    parts = [{
-        "chain": np.full(c.n_draws, c.meta.chain_id),
-        "iteration": c.meta.burn_in + c.meta.thin_lag * np.arange(1, c.n_draws + 1),
-        **{name: getattr(c, name) for name in names},
-    } for c in chains]
-    _write_columns(path, {key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
+    static_params([c.draws for c in chains])
+    _write_columns(path, {
+        name: np.concatenate([c.draws[name] for c in chains]) for name in chains[0].draws
+    })
 
 
 def read_draws_csv(path) -> dict:

@@ -14,6 +14,10 @@ lambda**-0.5 (standard-deviation scale).
 
 Jump size and indicator are stored at the same index as the return they
 affect, so xi[t] * jump_ind[t] is the shock added to y[t].
+
+A fitted chain is its draws table: ChainOutput.draws holds the chain's rows
+of draws.csv column by column, so the column names alone say which static
+parameters the fit has.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "LatentSummary",
     "LATENT_FIELDS",
     "STATIC_NAMES",
-    "ChainMeta",
     "ChainOutput",
     "prices_to_returns",
     "returns_to_prices",
@@ -267,52 +270,36 @@ LATENT_FIELDS = tuple(f.name for f in fields(LatentSummary))
 
 # Static parameters of the jump model; a no-jump fit has only the first.
 STATIC_NAMES = ("mu", "jump_prob", "jump_mean", "jump_var")
-
-
-@dataclass(frozen=True)
-class ChainMeta:
-    """Everything needed to reproduce one chain exactly."""
-
-    seed: int
-    chain_id: int
-    iterations: int
-    burn_in: int
-    thin_lag: int
-    n_obs: int
-    jumps_enabled: bool
+_NO_JUMP_PLACEHOLDERS = {"jump_prob": 0.5, "jump_mean": 0.0, "jump_var": 1.0}
 
 
 @dataclass
 class ChainOutput:
     """Thinned post-burn-in draws of one chain.
 
-    Static-parameter draws are stored as flat arrays (one entry per retained
-    draw); jump_prob/jump_mean/jump_var are None when the chain was run with
-    jumps disabled.  log_lik holds the per-draw conditional log-likelihood.
-    Full latent paths are kept only when the run requested them.
+    draws holds the chain's rows of draws.csv, one array per column in file
+    order: chain, iteration (the sweep index of each retained draw), the
+    static parameters (mu alone for a no-jump fit, else STATIC_NAMES), then
+    log_lik, the per-draw conditional log-likelihood.  Each column also
+    reads as an attribute (chain.mu, chain.log_lik).  Full latent paths are
+    kept only when the run requested them.
     """
 
-    mu: np.ndarray
-    jump_prob: Optional[np.ndarray]
-    jump_mean: Optional[np.ndarray]
-    jump_var: Optional[np.ndarray]
-    log_lik: np.ndarray
+    draws: dict[str, np.ndarray]
     latent: LatentSummary
-    meta: ChainMeta
     latent_draws: Optional[list] = None
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for names that are not fields; reads __dict__ so a
+        # half-built instance (copy, pickle) cannot recurse.
+        draws = self.__dict__.get("draws", {})
+        if name not in draws:
+            raise AttributeError(f"{type(self).__name__} has no column {name!r}")
+        return draws[name]
 
     @property
     def n_draws(self) -> int:
-        return int(self.mu.size)
-
-    @property
-    def static_names(self) -> list[str]:
-        return list(STATIC_NAMES if self.jump_prob is not None else STATIC_NAMES[:1])
-
-    def static_array(self, name: str) -> np.ndarray:
-        if name not in self.static_names:
-            raise KeyError(f"no static parameter named {name!r} in this chain")
-        return getattr(self, name)
+        return int(self.draws["mu"].size)
 
     def iter_draws(self):
         """Yield (StaticParams, LatentPath) pairs; needs latent_draws retained.
@@ -322,14 +309,10 @@ class ChainOutput:
         """
         if self.latent_draws is None:
             raise ParameterError("latent draws were not retained for this chain")
+        names = [name for name in STATIC_NAMES if name in self.draws]
         for i, path in enumerate(self.latent_draws):
-            params = StaticParams(
-                mu=float(self.mu[i]),
-                jump_prob=float(self.jump_prob[i]) if self.jump_prob is not None else 0.5,
-                jump_mean=float(self.jump_mean[i]) if self.jump_mean is not None else 0.0,
-                jump_var=float(self.jump_var[i]) if self.jump_var is not None else 1.0,
-            )
-            yield params, path
+            values = {name: float(self.draws[name][i]) for name in names}
+            yield StaticParams(**{**_NO_JUMP_PLACEHOLDERS, **values}), path
 
 
 def prices_to_returns(prices, timestamps: Optional[Sequence[str]] = None) -> ReturnsSeries:

@@ -24,6 +24,7 @@ import pytest
 import jumpvol as jv
 from jumpvol import io as jio
 from jumpvol.cli import main
+from jumpvol.model import STATIC_NAMES
 from gir import run_gir
 from oracles import ALL_CHECKS
 
@@ -171,8 +172,8 @@ def test_07_convergence_speed(daily_sim, announce):
     spec = jv.RunSpec(iterations=1_000, burn_in=200, thin_lag=1, n_chains=3, seed=4242)
     chains = jv.run_multi(daily_sim.returns, jv.ModelConfig(jump_threshold=0.5), spec)
     factors = {
-        name: jv.psrf([c.static_array(name) for c in chains])
-        for name in chains[0].static_names
+        name: jv.psrf([c.draws[name] for c in chains])
+        for name in STATIC_NAMES
     }
     ok = all(value < 1.1 for value in factors.values())
     detail = " ".join(f"{k}={v:.3f}" for k, v in factors.items())

@@ -192,7 +192,7 @@ class TestBuildReport:
     def test_bic_uses_best_draw(self, fitted):
         chains, report = fitted
         best = max(float(np.max(c.log_lik)) for c in chains)
-        assert report.bic == pytest.approx(jv.compute_bic(best, 8, chains[0].meta.n_obs))
+        assert report.bic == pytest.approx(jv.compute_bic(best, 8, len(chains[0].latent)))
         assert report.k == 8
 
     def test_param_table(self, fitted):
@@ -214,6 +214,12 @@ class TestBuildReport:
         spec = jv.RunSpec(iterations=200, burn_in=50, thin_lag=1, seed=5)
         chains = [jv.run_chain(small_sim.returns, jv.ModelConfig(jumps_enabled=False), spec)]
         assert jv.build_report(chains, small_sim.returns, k=3).k == 3
+
+    def test_jump_and_no_jump_chains_refused(self, fitted, small_sim):
+        spec = jv.RunSpec(iterations=20, burn_in=5, thin_lag=1, seed=5)
+        no_jump = jv.run_chain(small_sim.returns, jv.ModelConfig(jumps_enabled=False), spec)
+        with pytest.raises(ParameterError, match="disagree on the model"):
+            jv.build_report([fitted[0][0], no_jump], small_sim.returns)
 
     def test_merge_latent_averages(self, fitted):
         chains, _ = fitted

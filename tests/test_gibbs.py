@@ -71,8 +71,7 @@ class TestRunChain:
     def test_no_jump_reduction(self, small_sim):
         spec = jv.RunSpec(iterations=40, burn_in=10, thin_lag=1, seed=2)
         out = jv.run_chain(small_sim.returns, jv.ModelConfig(jumps_enabled=False), spec)
-        assert out.jump_prob is None and out.jump_mean is None and out.jump_var is None
-        assert out.static_names == ["mu"]
+        assert list(out.draws) == ["chain", "iteration", "mu", "log_lik"]
         assert np.all(out.latent.mean_jump == 0.0)
         assert np.all(out.latent.freq_jump == 0.0)
         assert np.all(out.latent.prob_jump == 0.0)
@@ -82,9 +81,9 @@ class TestRunChain:
         cfg = jv.default_config()
         a = jv.run_chain(small_sim.returns, cfg, spec)
         b = jv.run_chain(small_sim.returns, cfg, spec)
-        np.testing.assert_array_equal(a.mu, b.mu)
-        np.testing.assert_array_equal(a.jump_prob, b.jump_prob)
-        np.testing.assert_array_equal(a.log_lik, b.log_lik)
+        assert list(a.draws) == list(b.draws)
+        for name in a.draws:
+            np.testing.assert_array_equal(a.draws[name], b.draws[name])
         np.testing.assert_array_equal(a.latent.var_mean, b.latent.var_mean)
         np.testing.assert_array_equal(a.latent.var_lo95, b.latent.var_lo95)
 
@@ -175,7 +174,7 @@ class TestRunChain:
             ("jump_mean", sc.jump_mean),
             ("jump_var", sc.jump_sd**2),
         ):
-            draws = out.static_array(name)
+            draws = out.draws[name]
             spread = float(np.std(draws, ddof=1))
             assert abs(float(np.mean(draws)) - true_value) <= 4.0 * spread, name
 
@@ -255,7 +254,8 @@ class TestRunMulti:
     def test_chains_distinct(self, small_sim):
         spec = jv.RunSpec(iterations=25, burn_in=5, thin_lag=1, n_chains=3, seed=3)
         chains = jv.run_multi(small_sim.returns, jv.default_config(), spec)
-        assert [c.meta.chain_id for c in chains] == [0, 1, 2]
+        for k, c in enumerate(chains):
+            np.testing.assert_array_equal(c.draws["chain"], np.full(c.n_draws, k))
         for a, b in itertools.combinations(chains, 2):
             assert not np.array_equal(a.mu, b.mu)
 

@@ -122,17 +122,22 @@ class TestSerialization:
         text = path.read_text()
         assert text.index('"a"') < text.index('"b"')
 
-    def test_draws_round_trip(self, tmp_path, small_sim):
-        spec = jv.RunSpec(iterations=30, burn_in=10, thin_lag=2, seed=3)
-        chain = jv.run_chain(small_sim.returns, jv.default_config(), spec)
+    @pytest.mark.parametrize("n_chains", [1, 2], ids=["one_chain", "two_chains"])
+    @pytest.mark.parametrize("jumps", [True, False], ids=["jump", "no_jump"])
+    def test_draws_round_trip(self, tmp_path, small_sim, jumps, n_chains):
+        spec = jv.RunSpec(iterations=30, burn_in=10, thin_lag=2, n_chains=n_chains, seed=3)
+        chains = jv.run_multi(small_sim.returns, jv.ModelConfig(jumps_enabled=jumps), spec)
         path = tmp_path / "draws.csv"
-        jio.write_draws_csv(path, [chain])
+        jio.write_draws_csv(path, chains)
+        assert path.read_text().splitlines()[0].split(",") == list(chains[0].draws)
         back = jio.read_draws_csv(path)
-        np.testing.assert_array_equal(back["mu"], chain.mu)
-        np.testing.assert_array_equal(back["jump_var"], chain.jump_var)
-        np.testing.assert_array_equal(back["log_lik"], chain.log_lik)
-        expected_iters = chain.meta.burn_in + (np.arange(chain.n_draws) + 1) * chain.meta.thin_lag
-        np.testing.assert_array_equal(back["iteration"], expected_iters)
+        for name in chains[0].draws:
+            expected = np.concatenate([c.draws[name] for c in chains])
+            np.testing.assert_array_equal(back[name], expected)
+            assert back[name].dtype == expected.dtype
+        retained = np.arange(spec.burn_in + spec.thin_lag, spec.iterations + 1, spec.thin_lag)
+        for c in chains:
+            np.testing.assert_array_equal(c.draws["iteration"], retained)
 
     def test_latent_round_trip(self, tmp_path, small_sim):
         spec = jv.RunSpec(iterations=30, burn_in=10, thin_lag=2, seed=3)
@@ -439,6 +444,22 @@ class TestCliDiagnose:
         assert (diag["n_obs"], diag["k"]) == (400, 8)
         assert diag["pd_method"] == "half_variance"
         assert "log_lik_at_mean" not in diag
+
+    def test_jump_and_no_jump_draws_exit_2(self, tmp_path, capsys):
+        jump, no_jump = tmp_path / "jump.csv", tmp_path / "nojump.csv"
+        rows = ["chain,iteration,mu,jump_prob,jump_mean,jump_var,log_lik"]
+        rows += [f"0,{i},{0.05 + 0.001*i},0.02,-2.0,4.0,-300.0" for i in range(1, 11)]
+        jump.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows = ["chain,iteration,mu,log_lik"] + [f"0,{i},0.05,-300.0" for i in range(1, 11)]
+        no_jump.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "diag.json"
+        code = main([
+            "diagnose", "--draws", str(jump), "--draws", str(no_jump), "--n", "400",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert "disagree on the model" in capsys.readouterr().err
+        assert not out.exists()
 
 
     def test_short_chain_exits_3(self, tmp_path, capsys):
