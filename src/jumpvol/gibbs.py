@@ -19,11 +19,16 @@ Retained draws are every thin_lag-th iteration after burn_in.  Each one
 fills a row of the chain's draws table by column name: the chain id, the
 sweep index, the static parameters the model has and the conditional
 log-likelihood.  Per-t latent quantities are accumulated into running
-summaries.  The credibility bands are empirical quantiles of a float32
-matrix of variance-scale draws holding at most _LATENT_MATRIX_BUDGET
-elements (400 MB): every retained draw when draws x n fits, else every
-stride-th one.  Chains never share mutable state, so multi-chain runs are
-trivially order-deterministic by chain id.
+summaries.  The credibility bands equal numpy's linear 2.5% and 97.5%
+quantiles of every float32 variance-scale draw, bit for bit.  Those
+quantiles read only the k = 2.5% of draws (plus two) that are smallest and
+largest at each t, so a chain keeps those in a buffer of at most
+3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
+
+Chains never share mutable state.  run_multi runs them on one thread per
+usable CPU (the random draws release the interpreter lock).  Each chain's
+output depends only on (seed, chain_id), so the result is the same for any
+number of threads.
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -38,6 +43,8 @@ log-likelihood.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -71,8 +78,11 @@ from .volatility import _forward_filter as forward_filter
 __all__ = ["RunSpec", "default_init", "run_chain", "run_multi"]
 
 _MAX_UINT64 = 2**64
-# Elements (retained draws x series length) of the float32 band matrix.
-_LATENT_MATRIX_BUDGET = 100_000_000
+_BAND_QUANTILES = np.array([0.025, 0.975])
+# Fewest rows the band buffer takes between two trims.  A trim sorts the
+# whole buffer, so batches of max(_BAND_BATCH, tail rows) keep the total
+# sorting work linear in the number of draws.
+_BAND_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -172,12 +182,23 @@ def _dispersed_init(y: np.ndarray, cfg: ModelConfig, rng: RngStream):
     return params, path
 
 
-class _LatentAccumulator:
-    """Running per-t summaries of the latent paths over retained draws.
+def _tail_rows(n_draws: int) -> int:
+    """Rows per end that the linear 2.5% and 97.5% quantiles of n_draws values read.
 
-    Means use every draw.  The variance-scale draws for the bands fill a
-    float32 matrix of at most max(1, _LATENT_MATRIX_BUDGET // n) rows: every
-    stride-th retained draw, with stride 1 whenever all of them fit.
+    The virtual index of quantile q is h = (n_draws - 1) q, and the method
+    reads the order statistics floor(h) and floor(h) + 1.
+    """
+    lo, hi = np.floor((n_draws - 1) * _BAND_QUANTILES)
+    return int(max(lo + 2, n_draws - hi))
+
+
+class _LatentAccumulator:
+    """Running per-t summaries of the latent paths over n_draws retained draws.
+
+    Means use every draw.  For the bands, a float32 buffer holds the
+    variance-scale draws.  When it is full, each column is sorted and only
+    its `keep` smallest and `keep` largest values stay: every order statistic
+    the band quantiles read is among them.
     """
 
     def __init__(self, n: int, n_draws: int) -> None:
@@ -189,8 +210,10 @@ class _LatentAccumulator:
         self.sum_ind = np.zeros(n)
         self.sum_var = np.zeros(n)
         self.sum_sd = np.zeros(n)
-        self.stride = -(-n_draws // max(1, _LATENT_MATRIX_BUDGET // n))
-        self.matrix = np.empty((-(-n_draws // self.stride), n), dtype=np.float32)
+        self.keep = _tail_rows(n_draws)
+        rows = min(n_draws, 2 * self.keep + max(_BAND_BATCH, self.keep))
+        self.tails = np.empty((rows, n), dtype=np.float32)
+        self.fill = 0
 
     def add(self, precision, mixture, jumps, ind, probs) -> None:
         inv = 1.0 / precision
@@ -201,16 +224,45 @@ class _LatentAccumulator:
         self.sum_ind += ind
         self.sum_var += inv
         self.sum_sd += np.sqrt(inv)
-        if self.count % self.stride == 0:
-            self.matrix[self.count // self.stride] = inv
+        if self.fill == len(self.tails):
+            rows = self._sort_tails()
+            rows[self.keep:2 * self.keep] = rows[-self.keep:]
+            self.fill = 2 * self.keep
+        self.tails[self.fill] = inv
+        self.fill += 1
         self.count += 1
+
+    def _sort_tails(self) -> np.ndarray:
+        rows = self.tails[:self.fill]
+        rows.sort(axis=0)
+        return rows
+
+    def _bands(self) -> np.ndarray:
+        """np.quantile(draws, [0.025, 0.975], axis=0) of every float32 draw added.
+
+        The buffer holds ranks 0..keep-1 at its top and ranks m-keep..m-1 at
+        its bottom, so rank r sits at row r for the lower band and at row
+        r - (m - fill) for the upper one.  The interpolation repeats numpy's
+        lerp operation by operation: the difference in float32, float64
+        weights, and the b - d (1 - g) form where g >= 0.5.
+        """
+        m = self.count
+        rows = self._sort_tails()
+        h = (m - 1) * _BAND_QUANTILES
+        below = np.floor(h)
+        shift = np.array([0, m - self.fill])
+        ranks = below.astype(np.intp)
+        lower = rows[ranks - shift]
+        upper = rows[np.minimum(ranks + 1, m - 1) - shift]
+        weight = (h - below)[:, None]
+        diff = upper - lower
+        bands = lower + diff * weight
+        np.subtract(upper, diff * (1 - weight), out=bands, where=weight >= 0.5)
+        return bands
 
     def summary(self) -> LatentSummary:
         m = self.count
-        rows = -(-m // self.stride)
-        # The matrix is private and read only here: partition it in place.
-        quantiles = np.quantile(self.matrix[:rows], [0.025, 0.975], axis=0, overwrite_input=True)
-        var_lo, var_hi = quantiles.astype(float)
+        var_lo, var_hi = self._bands()
         return LatentSummary(
             var_mean=self.sum_var / m,
             var_lo95=var_lo,
@@ -239,11 +291,20 @@ def _initial_state(y_arr, cfg, spec, chain_id, rng):
     return _dispersed_init(y_arr, cfg, rng)
 
 
-def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOutput:
+class _Stopped(Exception):
+    """run_chain ended early because run_multi set its stop event."""
+
+
+def run_chain(
+    y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0, *,
+    _stop: Optional[threading.Event] = None,
+) -> ChainOutput:
     """Run one chain and return its thinned draws.
 
     Fixed (spec.seed, chain_id) reproduce the output bit for bit.  A sampler
-    failure mid-run surfaces as NumericalError tagged with the iteration.
+    failure mid-run surfaces as NumericalError naming the chain and the
+    iteration.  run_multi passes _stop, checked once per sweep: once it is
+    set, the chain ends early by raising _Stopped.
     """
     y_arr = returns_array(y, min_len=2)
     n = y_arr.size
@@ -282,6 +343,8 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     probs = zeros
     idx = 0
     for j in range(1, spec.iterations + 1):
+        if _stop is not None and _stop.is_set():
+            raise _Stopped
         try:
             mu = sample_mu(y_arr, jumps, precision, mixture, priors, rng)
             fs = forward_filter(y_arr, mu, jumps, mixture, cfg)
@@ -301,12 +364,16 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 jumps = jump_size * jump_ind
                 jump_prob = sample_jump_prob(jump_ind, priors, rng)
         except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
-            raise NumericalError(f"sampler failed at iteration {j}: {exc}") from exc
+            raise NumericalError(
+                f"chain {chain_id}: sampler failed at iteration {j}: {exc}"
+            ) from exc
 
         if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
             ll = conditional_log_lik(y_arr, mu, jumps, precision, mixture)
             if not np.isfinite(ll):
-                raise NumericalError(f"non-finite log-likelihood at iteration {j}")
+                raise NumericalError(
+                    f"chain {chain_id}: non-finite log-likelihood at iteration {j}"
+                )
             row = dict(chain=chain_id, iteration=j, mu=mu, jump_prob=jump_prob,
                        jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
             for name, column in draws.items():
@@ -326,11 +393,58 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept_paths)
 
 
+def _worker_count(n_chains: int) -> int:
+    """Threads for n_chains chains: one per chain, at most one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_chains, cpus)
+
+
 def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     """Run spec.n_chains independent chains with distinct streams and starts.
 
     Chain 0 starts from the default initialization, later chains from
     overdispersed prior draws, so multi-chain convergence checks are
     meaningful.  Results are ordered by chain id.
+
+    The chains run on min(n_chains, usable CPUs) threads; thread w runs
+    chains w, w + workers, ... in order, so one thread runs them all one
+    after another.  The output is the same for any number of threads.  When
+    a chain fails, or the call is interrupted, the other chains stop at
+    their next sweep, and the error of the lowest failing chain id is raised.
     """
-    return [run_chain(y, cfg, spec, chain_id=k) for k in range(spec.n_chains)]
+    workers = _worker_count(spec.n_chains)
+    chains: list = [None] * spec.n_chains
+    failures: dict[int, BaseException] = {}
+    stop = threading.Event()
+
+    def work(first: int) -> None:
+        try:
+            for k in range(first, spec.n_chains, workers):
+                chains[k] = run_chain(y, cfg, spec, chain_id=k, _stop=stop)
+        except _Stopped:
+            pass
+        except BaseException as exc:  # raised again in the calling thread
+            failures[k] = exc
+            stop.set()
+
+    threads = [threading.Thread(target=work, args=(w,), name=f"jumpvol-chains-{w}", daemon=True)
+               for w in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop.set()
+        # A thread the interrupt caught in start() is not alive yet; it
+        # finds stop set and ends before its first sweep.
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if failures:
+        raise failures[min(failures)]
+    return chains

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -138,22 +144,16 @@ class TestRunChain:
         assert isinstance(params0, jv.StaticParams)
         assert len(path0) == len(small_sim.returns)
 
-    def test_bands_from_every_stride_th_draw_above_budget(self, small_sim, monkeypatch):
-        cfg = jv.default_config()
-        spec = jv.RunSpec(iterations=30, burn_in=10, thin_lag=1, seed=4, keep_latent_draws=True)
-        full = jv.run_chain(small_sim.returns, cfg, spec)
-        # Room for 7 of the 20 draws: stride ceil(20 / 7) = 3 keeps draws 0, 3, ..., 18.
-        monkeypatch.setattr(engine, "_LATENT_MATRIX_BUDGET", 7 * len(small_sim.returns))
-        strided = jv.run_chain(small_sim.returns, cfg, spec)
-        kept = np.stack([1.0 / path.precision for path in strided.latent_draws[::3]])
-        lo, hi = np.quantile(kept.astype(np.float32), [0.025, 0.975], axis=0)
-        np.testing.assert_array_equal(strided.latent.var_lo95, lo)
-        np.testing.assert_array_equal(strided.latent.var_hi95, hi)
-        for name in ("var_mean", "sd_mean", "mean_jump", "prob_jump", "freq_jump",
-                     "mean_precision", "mean_mixture"):
-            np.testing.assert_array_equal(getattr(strided.latent, name), getattr(full.latent, name))
-        np.testing.assert_array_equal(strided.mu, full.mu)
-        assert not np.array_equal(strided.latent.var_lo95, full.latent.var_lo95)
+    def test_bands_exact_over_every_draw_past_the_buffer(self, small_sim):
+        spec = jv.RunSpec(iterations=200, burn_in=50, seed=4, keep_latent_draws=True)
+        out = jv.run_chain(small_sim.returns, jv.default_config(), spec)
+        assert out.n_draws > len(engine._LatentAccumulator(1, out.n_draws).tails)
+        draws = np.stack([1.0 / path.precision for path in out.latent_draws])
+        lo, hi = np.quantile(draws.astype(np.float32), [0.025, 0.975], axis=0)
+        np.testing.assert_array_equal(out.latent.var_lo95, lo)
+        np.testing.assert_array_equal(out.latent.var_hi95, hi)
+        np.testing.assert_array_equal(out.latent.sd_lo95, np.sqrt(lo))
+        np.testing.assert_array_equal(out.latent.sd_hi95, np.sqrt(hi))
 
     def test_stationarity_smoke_initialized_at_truth(self, small_sim, small_sim_config):
         sc = small_sim_config
@@ -269,6 +269,132 @@ class TestRunMulti:
                 + np.var(chains[j].mu, ddof=1) / jv.ess(chains[j].mu)
             )
             assert abs(means[i] - means[j]) <= 3.0 * se
+
+    def test_worker_count_is_capped_by_usable_cpus(self):
+        assert engine._worker_count(1) == 1
+        assert 1 <= engine._worker_count(10**6) <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("workers", [1, 3], ids=["one_thread", "three_threads"])
+    @pytest.mark.parametrize("cfg, thin_lag", [
+        (jv.default_config(), 1),
+        (jv.ModelConfig(jumps_enabled=False), 1),
+        (jv.default_config(), 3),
+    ], ids=["jump", "no_jump", "thin3"])
+    def test_threaded_chains_equal_serial_chains(self, small_sim, monkeypatch, cfg, thin_lag,
+                                                 workers):
+        spec = jv.RunSpec(iterations=60, burn_in=10, thin_lag=thin_lag, n_chains=3, seed=5)
+        serial = [jv.run_chain(small_sim.returns, cfg, spec, chain_id=k) for k in range(3)]
+        # One thread for all chains, or one per chain (more than the cores
+        # of a small machine), with frequent thread switches.
+        monkeypatch.setattr(engine, "_worker_count", lambda n_chains: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = jv.run_multi(small_sim.returns, cfg, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == 3
+        for got, want in zip(threaded, serial):
+            assert list(got.draws) == list(want.draws)
+            for name in want.draws:
+                np.testing.assert_array_equal(got.draws[name], want.draws[name])
+            for field in dataclasses.fields(want.latent):
+                np.testing.assert_array_equal(getattr(got.latent, field.name),
+                                              getattr(want.latent, field.name))
+
+    @staticmethod
+    def _stage_spy(monkeypatch, on_sweep, workers=None):
+        """Count the sweeps of each chain; on_sweep(chain_id, sweep) runs first.
+
+        The chains run on `workers` threads, one per chain by default.
+        """
+        sweeps = {}
+        sample_mu = engine.sample_mu
+
+        def spy(*args):
+            k = args[-1].stream_id
+            sweeps[k] = sweeps.get(k, 0) + 1
+            on_sweep(k, sweeps[k])
+            return sample_mu(*args)
+
+        monkeypatch.setattr(engine, "_worker_count", lambda n_chains: workers or n_chains)
+        monkeypatch.setattr(engine, "sample_mu", spy)
+        return sweeps
+
+    # Long enough that a chain that is not stopped runs for many seconds.
+    _LONG = jv.RunSpec(iterations=100_000, thin_lag=1_000, n_chains=3, seed=2)
+
+    def test_failing_chain_stops_the_others(self, small_sim, monkeypatch):
+        def fail(k, sweep):
+            if k == 1 and sweep == 5:
+                raise FloatingPointError("overflow in a stage")
+
+        sweeps = self._stage_spy(monkeypatch, fail)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError, match="chain 1: sampler failed at iteration 5"):
+            jv.run_multi(small_sim.returns, jv.default_config(), self._LONG)
+        assert threading.active_count() == threads
+        assert sweeps[1] == 5
+        assert all(count < self._LONG.iterations for count in sweeps.values())
+
+    def test_failing_chain_on_one_thread_starts_no_later_chain(self, small_sim, monkeypatch):
+        def fail(k, sweep):
+            if k == 0 and sweep == 5:
+                raise FloatingPointError("overflow in a stage")
+
+        sweeps = self._stage_spy(monkeypatch, fail, workers=1)
+        with pytest.raises(NumericalError, match="chain 0: sampler failed at iteration 5"):
+            jv.run_multi(small_sim.returns, jv.default_config(), self._LONG)
+        assert sweeps == {0: 5}
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupt_stops_every_chain(self, small_sim, monkeypatch):
+        def interrupt(k, sweep):
+            if k == 0 and sweep == 5:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        sweeps = self._stage_spy(monkeypatch, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            jv.run_multi(small_sim.returns, jv.default_config(), self._LONG)
+        # A thread that the interrupt caught in start() is not joined by
+        # run_multi; it ends before its first sweep.
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and any(
+            thread.name.startswith("jumpvol-chains-") for thread in threading.enumerate()
+        ):
+            time.sleep(0.01)
+        assert not any(thread.name.startswith("jumpvol-chains-")
+                       for thread in threading.enumerate())
+        assert all(count < self._LONG.iterations for count in sweeps.values())
+
+
+def _band_edge_counts():
+    """Draw counts one short of, equal to and one past the first trim of the band buffer."""
+    def rows(m):
+        keep = engine._tail_rows(m)
+        return 2 * keep + max(engine._BAND_BATCH, keep)
+
+    return [m for m in range(1, 500) if abs(m - rows(m)) <= 1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 41, *_band_edge_counts(), 350, 1000])
+def test_accumulator_bands_equal_numpy_quantiles(m):
+    gen = np.random.default_rng(m)
+    precision = gen.lognormal(0.0, 1.0, (m, 6))
+    precision[:, 1] = np.round(precision[:, 1], 1) + 0.1  # ties
+    precision[:, 2] = np.linspace(1.0, 5.0, m)            # extremes arrive last
+    precision[:, 3] = np.linspace(5.0, 1.0, m)            # ... and first
+    precision[:, 4] = 2.0
+    acc = engine._LatentAccumulator(6, m)
+    zeros = np.zeros(6)
+    for row in precision:
+        acc.add(row, zeros, zeros, zeros, zeros)
+    got = acc.summary()
+    want = np.quantile((1.0 / precision).astype(np.float32), [0.025, 0.975], axis=0)
+    assert got.var_lo95.dtype == want.dtype
+    np.testing.assert_array_equal(got.var_lo95, want[0])
+    np.testing.assert_array_equal(got.var_hi95, want[1])
+    assert len(acc.tails) <= 3 * acc.keep + engine._BAND_BATCH
 
 
 def _valid_state(n=300):
