@@ -9,11 +9,18 @@ condition on.
 Each public function checks its inputs once.  Paths go through
 :func:`jumpvol.model.aligned`, which returns them as float arrays shaped
 like y, and each scalar or indicator check lives in the one ``*_posterior``
-(or :func:`apply_jump_threshold`) that owns it.  Each public ``sample_*``
-either draws from its checked ``*_posterior`` or calls its private kernel
-(``_name``) on aligned arrays.  The kernels hold the math, and the Gibbs
-sweep calls them directly: its inputs are checked once, when the fit
-starts, and every state it produces is valid by construction.
+(or :func:`apply_jump_threshold`) that owns it.  The public functions then
+build the arrays their private kernel (``_name``) reads and call it; each
+public scalar ``sample_*`` draws from its checked ``*_posterior`` through
+:mod:`jumpvol.rng`.  The kernels hold the math, and the Gibbs sweep calls
+them directly: its inputs are checked once, when the fit starts, and every
+state it produces is valid by construction.  The sweep forms each array
+that several stages read once (see :mod:`jumpvol.gibbs`), so the kernels
+take them ready-made: ``weights`` = mixture * precision, ``shifted`` =
+y - jumps, ``centered`` = y - mu, ``resid`` = y - mu - jumps and
+``variance`` = 1 / weights.  The scalar kernels draw from ``rng.generator``
+with the arguments the checked :mod:`jumpvol.rng` samplers pass it, so
+both give the same stream.
 
 Conventions:
 
@@ -35,7 +42,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import ModelConfig, Priors, aligned
-from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
+from .rng import _GAMMA_FLOOR, RngStream, sample_beta, sample_inverse_gamma, sample_normal
 
 __all__ = [
     "mu_posterior",
@@ -61,17 +68,15 @@ def mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, f
     precision-weighted conjugate update; with no observations it is the
     prior exactly.
     """
-    return _mu_posterior(*aligned(y, jumps=jumps, precision=precision, mixture=mixture), priors)
+    y, jumps, precision, mixture = aligned(y, jumps=jumps, precision=precision, mixture=mixture)
+    return _mu_posterior(mixture * precision, y - jumps, priors)
 
 
-def _mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, float]:
-    if y.size == 0:
+def _mu_posterior(weights, shifted, priors: Priors) -> tuple[float, float]:
+    if weights.size == 0:
         return priors.mu_mean, priors.mu_var
-    weights = mixture * precision
-    post_var = 1.0 / (1.0 / priors.mu_var + float(np.sum(weights)))
-    post_mean = post_var * (
-        priors.mu_mean / priors.mu_var + float(np.sum(weights * (y - jumps)))
-    )
+    post_var = 1.0 / (1.0 / priors.mu_var + float(weights.sum()))
+    post_mean = post_var * (priors.mu_mean / priors.mu_var + float((weights * shifted).sum()))
     return post_mean, post_var
 
 
@@ -79,8 +84,9 @@ def sample_mu(y, jumps, precision, mixture, priors: Priors, rng: RngStream) -> f
     return sample_normal(*mu_posterior(y, jumps, precision, mixture, priors), rng)
 
 
-def _sample_mu(y, jumps, precision, mixture, priors: Priors, rng: RngStream) -> float:
-    return sample_normal(*_mu_posterior(y, jumps, precision, mixture, priors), rng)
+def _sample_mu(weights, shifted, priors: Priors, rng: RngStream) -> float:
+    mean, var = _mu_posterior(weights, shifted, priors)
+    return rng.generator.normal(mean, math.sqrt(var))
 
 
 def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
@@ -90,11 +96,10 @@ def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
     squared residual.
     """
     y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
-    return _mixture_posterior(y, mu, jumps, precision, cfg)
+    return _mixture_posterior(y - mu - jumps, precision, cfg)
 
 
-def _mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
-    resid = y - mu - jumps
+def _mixture_posterior(resid, precision, cfg: ModelConfig):
     shape = 0.5 * cfg.nu + 0.5
     rates = 0.5 * cfg.nu + 0.5 * precision * resid * resid
     return shape, rates
@@ -102,11 +107,11 @@ def _mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
 
 def sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
     y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
-    return _sample_mixture_path(y, mu, jumps, precision, cfg, rng)
+    return _sample_mixture_path(y - mu - jumps, precision, cfg, rng)
 
 
-def _sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
-    shape, rates = _mixture_posterior(y, mu, jumps, precision, cfg)
+def _sample_mixture_path(resid, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
+    shape, rates = _mixture_posterior(resid, precision, cfg)
     return rng.generator.standard_gamma(shape, rates.shape) / rates
 
 
@@ -126,7 +131,7 @@ def _jump_mean_posterior(xi, jump_var: float, priors: Priors) -> tuple[float, fl
     if n == 0:
         return priors.jump_mean_mean, priors.jump_mean_var
     m, v = priors.jump_mean_mean, priors.jump_mean_var
-    xbar = float(np.sum(xi)) / n
+    xbar = float(xi.sum()) / n
     denom = jump_var + n * v
     return (m * jump_var + v * n * xbar) / denom, v * jump_var / denom
 
@@ -136,7 +141,8 @@ def sample_jump_mean(jump_sizes_observed, jump_var, priors: Priors, rng: RngStre
 
 
 def _sample_jump_mean(xi, jump_var, priors: Priors, rng: RngStream) -> float:
-    return sample_normal(*_jump_mean_posterior(xi, jump_var, priors), rng)
+    mean, var = _jump_mean_posterior(xi, jump_var, priors)
+    return rng.generator.normal(mean, math.sqrt(var))
 
 
 def jump_var_posterior(jump_sizes_observed, jump_mean: float, priors: Priors) -> tuple[float, float]:
@@ -150,7 +156,7 @@ def _jump_var_posterior(xi, jump_mean: float, priors: Priors) -> tuple[float, fl
     n = xi.size
     if n == 0:
         return priors.jump_var_shape, priors.jump_var_scale
-    rss = float(np.sum((xi - jump_mean) ** 2))
+    rss = float(((xi - jump_mean) ** 2).sum())
     return priors.jump_var_shape + 0.5 * n, priors.jump_var_scale + 0.5 * rss
 
 
@@ -159,7 +165,8 @@ def sample_jump_var(jump_sizes_observed, jump_mean, priors: Priors, rng: RngStre
 
 
 def _sample_jump_var(xi, jump_mean, priors: Priors, rng: RngStream) -> float:
-    return sample_inverse_gamma(*_jump_var_posterior(xi, jump_mean, priors), rng)
+    shape, scale = _jump_var_posterior(xi, jump_mean, priors)
+    return 1.0 / max(rng.generator.gamma(shape, 1.0 / scale), _GAMMA_FLOOR)
 
 
 def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump_var: float):
@@ -171,14 +178,13 @@ def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump
     y, precision, mixture = aligned(y, precision=precision, mixture=mixture)
     if not (math.isfinite(jump_var) and jump_var >= 0):
         raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
-    return _jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var)
+    return _jump_size_posterior(y - mu, 1.0 / (mixture * precision), jump_mean, jump_var)
 
 
-def _jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump_var: float):
-    obs_var = 1.0 / (mixture * precision)
-    denom = jump_var + obs_var
-    means = (jump_mean * obs_var + (y - mu) * jump_var) / denom
-    variances = jump_var * obs_var / denom
+def _jump_size_posterior(centered, variance, jump_mean: float, jump_var: float):
+    denom = jump_var + variance
+    means = (jump_mean * variance + centered * jump_var) / denom
+    variances = jump_var * variance / denom
     return means, variances
 
 
@@ -186,8 +192,8 @@ def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngSt
     return _normal_path(*jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var), rng)
 
 
-def _sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
-    return _normal_path(*_jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var), rng)
+def _sample_jump_sizes(centered, variance, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
+    return _normal_path(*_jump_size_posterior(centered, variance, jump_mean, jump_var), rng)
 
 
 def _normal_path(means, variances, rng: RngStream) -> np.ndarray:
@@ -208,15 +214,14 @@ def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob
     )
     if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
-    return _jump_indicator_probs(y, mu, precision, mixture, jump_sizes, jump_prob)
+    return _jump_indicator_probs(y - mu, precision, mixture, jump_sizes, jump_prob)
 
 
-def _jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
+def _jump_indicator_probs(centered, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
     if jump_prob <= 0.0:
-        return np.zeros_like(y)
+        return np.zeros_like(centered)
     if jump_prob >= 1.0:
-        return np.ones_like(y)
-    centered = y - mu
+        return np.ones_like(centered)
     # (c - xi)^2 - c^2 = xi (xi - 2c), without the cancellation.
     log_odds = (0.5 * mixture * precision) * (jump_sizes * (2.0 * centered - jump_sizes))
     log_odds += math.log(jump_prob) - math.log1p(-jump_prob)
@@ -260,4 +265,4 @@ def sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
 
 
 def _sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
-    return sample_beta(*_jump_prob_posterior(jump_ind, priors), rng)
+    return rng.generator.beta(*_jump_prob_posterior(jump_ind, priors))

@@ -69,13 +69,13 @@ def conditional_log_lik(y, mu: float, jumps, precision, mixture) -> float:
     weights = mix_arr * prec_arr
     if not np.all(weights > 0):
         raise ParameterError("mixture * precision must be > 0 everywhere")
-    _as_param("variance", 1.0 / weights, positive=True)
-    return _conditional_log_lik(y_arr, mu, jumps_arr, prec_arr, mix_arr)
+    variance = _as_param("variance", 1.0 / weights, positive=True)
+    return _conditional_log_lik(y_arr, mu, jumps_arr, variance)
 
 
-def _conditional_log_lik(y, mu, jumps, precision, mixture) -> float:
-    """Unchecked kernel of :func:`conditional_log_lik` for aligned float arrays."""
-    return float(np.sum(_log_normal_density(y, mu + jumps, 1.0 / (mixture * precision))))
+def _conditional_log_lik(y, mu, jumps, variance) -> float:
+    """Unchecked kernel of :func:`conditional_log_lik`; variance is 1 / (mixture * precision)."""
+    return float(_log_normal_density(y, mu + jumps, variance).sum())
 
 
 def compute_bic(log_lik_hat: float, k: int, n: int) -> float:

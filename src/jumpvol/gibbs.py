@@ -36,9 +36,22 @@ LatentPath constructors check the initial state.  Every state a sweep
 produces is finite and positive by construction, so the stage names this
 module calls (sample_mu, forward_filter, backward_sample, ...,
 conditional_log_lik) are bound to the unchecked kernels behind the public
-functions of the same names, with the same signatures.  The sweep keeps two
-numerical guards: the finiteness of the filtered rates and of each retained
-log-likelihood.
+functions of the same names.  The sweep keeps two numerical guards: the
+finiteness of the filtered rates and of each retained log-likelihood.
+
+The kernels take the arrays that several stages share.  Each chain keeps
+one workspace of them and fills it in place, once per sweep:
+
+    array     value                formed after    read by
+    centered  y - mu               the mu draw     jump sizes, indicators
+    resid     centered - jumps     the mu draw     filter, mixture path
+    weights   mixture * precision  mixture draw    the next mu draw
+    variance  1 / weights          mixture draw    jump sizes, log-likelihood
+    shifted   y - jumps            indicators      the next mu draw
+
+Each is computed with the operations, in the order, that the public
+function of its stage uses, so the sweep draws bit for bit what the public
+functions draw when called in the order above.
 """
 
 from __future__ import annotations
@@ -327,8 +340,10 @@ def run_chain(
     jump_size = np.array(path0.jump_size, dtype=float)
     jump_ind = np.array(path0.jump_ind, dtype=np.int64)
     jumps = jump_size * jump_ind
-    zeros = np.zeros(n)
     priors = cfg.priors
+    centered, resid, variance = np.empty(n), np.empty(n), np.empty(n)
+    weights = mixture * precision
+    shifted = y_arr - jumps
 
     n_ret = spec.n_retained
     acc = _LatentAccumulator(n, n_ret)
@@ -340,28 +355,29 @@ def run_chain(
     }
     kept_paths = [] if spec.keep_latent_draws else None
 
-    probs = zeros
+    probs = np.zeros(n)
     idx = 0
     for j in range(1, spec.iterations + 1):
         if _stop is not None and _stop.is_set():
             raise _Stopped
         try:
-            mu = sample_mu(y_arr, jumps, precision, mixture, priors, rng)
-            fs = forward_filter(y_arr, mu, jumps, mixture, cfg)
+            mu = sample_mu(weights, shifted, priors, rng)
+            np.subtract(y_arr, mu, out=centered)
+            np.subtract(centered, jumps, out=resid)
+            fs = forward_filter(resid, mixture, cfg)
             precision = backward_sample(fs, cfg, rng)
-            mixture = sample_mixture_path(y_arr, mu, jumps, precision, cfg, rng)
+            mixture = sample_mixture_path(resid, precision, cfg, rng)
+            np.multiply(mixture, precision, out=weights)
+            np.divide(1.0, weights, out=variance)
             if cfg.jumps_enabled:
                 observed = jump_size[jump_ind == 1]
                 jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                 jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                jump_size = sample_jump_sizes(
-                    y_arr, mu, precision, mixture, jump_mean, jump_var, rng
-                )
-                probs = jump_indicator_probs(
-                    y_arr, mu, precision, mixture, jump_size, jump_prob
-                )
+                jump_size = sample_jump_sizes(centered, variance, jump_mean, jump_var, rng)
+                probs = jump_indicator_probs(centered, precision, mixture, jump_size, jump_prob)
                 jump_ind = apply_jump_threshold(probs, cfg.jump_threshold)
-                jumps = jump_size * jump_ind
+                np.multiply(jump_size, jump_ind, out=jumps)
+                np.subtract(y_arr, jumps, out=shifted)
                 jump_prob = sample_jump_prob(jump_ind, priors, rng)
         except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
             raise NumericalError(
@@ -369,7 +385,7 @@ def run_chain(
             ) from exc
 
         if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
-            ll = conditional_log_lik(y_arr, mu, jumps, precision, mixture)
+            ll = conditional_log_lik(y_arr, mu, jumps, variance)
             if not np.isfinite(ll):
                 raise NumericalError(
                     f"chain {chain_id}: non-finite log-likelihood at iteration {j}"

@@ -11,7 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, fields
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -59,6 +62,9 @@ SIM_COLUMNS = ["t", "return", "true_v", "true_jump", "true_N", "true_gamma"]
 # The RunSpec fields a report echoes; the rest (init, keep_latent_draws) are not settings.
 _RUN_ECHO = ("iterations", "burn_in", "thin_lag", "n_chains", "seed")
 
+# Rows _read_columns holds as text at a time before parsing them into columns.
+_BLOCK_ROWS = 512
+
 
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (lossless round trip)."""
@@ -100,52 +106,75 @@ def to_json17(obj, indent: int = 0) -> str:
     raise ParameterError(f"cannot serialize object of type {type(obj).__name__} to JSON")
 
 
+@contextmanager
 def _csv_rows(path):
-    """Rows of a UTF-8 CSV file; a file that cannot be read or decoded is a data error."""
+    """A CSV reader over a UTF-8 file, read as the rows are taken.
+
+    A file that cannot be read or decoded is a data error, wherever the
+    reading stops.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not valid UTF-8: {exc}") from exc
-    return csv.reader(text.splitlines())
 
 
 def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
     """Columns of a header-led numeric CSV file, keyed by column name.
 
     header, when given, is the exact header the file must have.  Columns
-    named in ints parse as int64, the rest as float.  A short row or a
-    non-numeric cell is a DataFormatError naming its line.
+    named in ints parse as int64, the rest as float.  Rows are parsed as
+    they are read, _BLOCK_ROWS at a time, into one packed buffer per
+    column.  A DataFormatError names the first short row if there is one,
+    else the first line of the leftmost column that holds a non-numeric
+    cell.
     """
     path = Path(path)
-    reader = _csv_rows(path)
-    try:
-        names = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: file is empty") from None
-    if header is not None and names != list(header):
-        raise DataFormatError(f"{path}: line 1: unexpected header {names}, expected {list(header)}")
-    rows = list(reader)
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(names):
+    with _csv_rows(path) as reader:
+        names = next(reader, None)
+        if names is None:
+            raise DataFormatError(f"{path}: file is empty")
+        if header is not None and names != list(header):
             raise DataFormatError(
-                f"{path}: line {line_no}: expected {len(names)} columns, got {len(row)}"
+                f"{path}: line 1: unexpected header {names}, expected {list(header)}"
             )
-    out: dict[str, np.ndarray] = {}
-    for name, cells in zip(names, zip(*rows) if rows else [()] * len(names)):
-        parse = int if name in ints else float
-        try:
-            out[name] = np.array(list(map(parse, cells)), dtype=np.int64 if parse is int else float)
-        except ValueError:
-            for line_no, cell in enumerate(cells, start=2):
-                try:
-                    parse(cell)
-                except ValueError:
+        parsers = [int if name in ints else float for name in names]
+        columns = [array("q" if parse is int else "d") for parse in parsers]
+        bad: dict[int, tuple[int, str]] = {}  # column -> (line, cell) of its first bad cell
+        first = 2  # line number of the block's first row
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            for line_no, row in enumerate(rows, start=first):
+                if len(row) != len(names):
                     raise DataFormatError(
-                        f"{path}: line {line_no}: non-numeric {name} value {cell!r}"
-                    ) from None
-    return out
+                        f"{path}: line {line_no}: expected {len(names)} columns, got {len(row)}"
+                    )
+            for k, (column, parse, cells) in enumerate(zip(columns, parsers, zip(*rows))):
+                if k in bad:
+                    continue
+                try:
+                    column.extend(map(parse, cells))
+                except ValueError:
+                    bad[k] = next(
+                        (line_no, cell) for line_no, cell in enumerate(cells, start=first)
+                        if not _parses(parse, cell)
+                    )
+            first += len(rows)
+    if bad:
+        k = min(bad)
+        line_no, cell = bad[k]
+        raise DataFormatError(f"{path}: line {line_no}: non-numeric {names[k]} value {cell!r}")
+    return {name: np.frombuffer(column, column.typecode) for name, column in zip(names, columns)}
+
+
+def _parses(parse, cell: str) -> bool:
+    try:
+        parse(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def ingest_csv(path, mode: str) -> ReturnsSeries:
@@ -159,7 +188,8 @@ def ingest_csv(path, mode: str) -> ReturnsSeries:
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     path = Path(path)
-    rows = list(_csv_rows(path))
+    with _csv_rows(path) as reader:
+        rows = list(reader)
     if not rows:
         raise DataFormatError(f"{path}: file is empty")
     header = [h.strip().lower() for h in rows[0]]

@@ -29,9 +29,10 @@ Everything that does not depend on the data is computed once per
 aligns the other paths with it (:func:`jumpvol.model.returns_array` and
 :func:`jumpvol.model.aligned`); :func:`backward_sample` checks that the
 filter state matches cfg.  Both then call the unchecked kernels
-``_forward_filter`` and ``_backward_sample``, which the Gibbs sweep calls
-directly.  The kernels keep one numerical guard: the filtered rates must be
-finite.
+``_forward_filter``, which reads the residuals y - mu - jumps that the
+Gibbs sweep has already formed, and ``_backward_sample``; the sweep calls
+them directly.  The kernels keep one numerical guard: the filtered rates
+must be finite.
 """
 
 from __future__ import annotations
@@ -200,13 +201,12 @@ def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterStat
         raise ParameterError(f"mu must be finite, got {mu}")
     if not np.all(mix_arr > 0):
         raise ParameterError("mixture entries must be > 0")
-    return _forward_filter(y_arr, mu, jumps_arr, mix_arr, cfg)
+    return _forward_filter(y_arr - mu - jumps_arr, mix_arr, cfg)
 
 
-def _forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterState:
-    n = y.size
+def _forward_filter(resid, mixture, cfg: ModelConfig) -> FilterState:
+    n = resid.size
     plan = discount_plan(cfg.omega, cfg.a0, n)
-    resid = y - mu - jumps
     b = np.empty(n + 1, dtype=float)
     b[0] = cfg.b0
     b[1:] = discount_scan(0.5 * mixture * resid * resid, plan, cfg.b0)
@@ -238,6 +238,8 @@ def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nd
     plan = fs.plan
     n = plan.n
     b = fs.b
+    # The one checked scalar draw of a sweep: bench/tracing.py times the
+    # rng layer through this call (rng.gamma).
     lam_n = sample_gamma(plan.a[n], b[n], rng)
     if lam_n <= 0.0:
         # Underflow guard for extreme shapes; keeps the path positive.

@@ -186,33 +186,33 @@ class TestSweepOrder:
         mean/variance blocks see the previous iteration's sizes."""
         import jumpvol.gibbs as engine
 
-        log = {"mu_out": [], "filter_mu": [], "filter_mixture": [], "filter_jumps": [],
-               "mixture_out": [], "jump_sizes_out": [], "jump_mean_sizes_in": []}
+        log = {"mu_out": [], "filter_resid": [], "filter_mixture": [], "mixture_out": [],
+               "jump_sizes_out": [], "ind_out": [], "jump_mean_sizes_in": []}
 
         real_sample_mu = engine.sample_mu
         real_forward = engine.forward_filter
         real_mixture = engine.sample_mixture_path
         real_sizes = engine.sample_jump_sizes
         real_jump_mean = engine.sample_jump_mean
+        real_threshold = engine.apply_jump_threshold
 
-        def spy_mu(y, jumps, precision, mixture, priors, rng):
-            out = real_sample_mu(y, jumps, precision, mixture, priors, rng)
+        def spy_mu(weights, shifted, priors, rng):
+            out = real_sample_mu(weights, shifted, priors, rng)
             log["mu_out"].append(out)
             return out
 
-        def spy_forward(y, mu, jumps, mixture, cfg):
-            log["filter_mu"].append(mu)
+        def spy_forward(resid, mixture, cfg):
+            log["filter_resid"].append(np.array(resid, copy=True))
             log["filter_mixture"].append(np.array(mixture, copy=True))
-            log["filter_jumps"].append(np.array(jumps, copy=True))
-            return real_forward(y, mu, jumps, mixture, cfg)
+            return real_forward(resid, mixture, cfg)
 
-        def spy_mixture(y, mu, jumps, precision, cfg, rng):
-            out = real_mixture(y, mu, jumps, precision, cfg, rng)
+        def spy_mixture(resid, precision, cfg, rng):
+            out = real_mixture(resid, precision, cfg, rng)
             log["mixture_out"].append(np.array(out, copy=True))
             return out
 
-        def spy_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng):
-            out = real_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng)
+        def spy_sizes(centered, variance, jump_mean, jump_var, rng):
+            out = real_sizes(centered, variance, jump_mean, jump_var, rng)
             log["jump_sizes_out"].append(np.array(out, copy=True))
             return out
 
@@ -220,18 +220,28 @@ class TestSweepOrder:
             log["jump_mean_sizes_in"].append(np.array(sizes, copy=True))
             return real_jump_mean(sizes, jump_var, priors, rng)
 
+        def spy_threshold(probs, threshold):
+            out = real_threshold(probs, threshold)
+            log["ind_out"].append(np.array(out, copy=True))
+            return out
+
         monkeypatch.setattr(engine, "sample_mu", spy_mu)
         monkeypatch.setattr(engine, "forward_filter", spy_forward)
         monkeypatch.setattr(engine, "sample_mixture_path", spy_mixture)
         monkeypatch.setattr(engine, "sample_jump_sizes", spy_sizes)
         monkeypatch.setattr(engine, "sample_jump_mean", spy_jump_mean)
+        monkeypatch.setattr(engine, "apply_jump_threshold", spy_threshold)
 
         spec = jv.RunSpec(iterations=4, burn_in=0, thin_lag=1, seed=6)
         jv.run_chain(small_sim.returns, jv.default_config(), spec)
 
+        y = small_sim.returns.returns
+        jumps = np.zeros(len(y))  # the default start declares no jumps
         for j in range(4):
-            # precision block conditions on this iteration's mu draw
-            assert log["filter_mu"][j] == log["mu_out"][j]
+            # precision block conditions on this iteration's mu draw and on
+            # the previous iteration's jumps
+            np.testing.assert_array_equal(log["filter_resid"][j], y - log["mu_out"][j] - jumps)
+            jumps = log["jump_sizes_out"][j] * log["ind_out"][j]
         for j in range(1, 4):
             # ... and on the previous iteration's mixture path
             np.testing.assert_array_equal(log["filter_mixture"][j], log["mixture_out"][j - 1])
@@ -241,6 +251,74 @@ class TestSweepOrder:
             # jump-size mean block sees sizes drawn in the previous iteration
             previous = set(log["jump_sizes_out"][j - 1].tolist())
             assert all(v in previous for v in log["jump_mean_sizes_in"][j].tolist())
+
+
+def _reference_chain(y, cfg, spec):
+    """run_chain's sweep, written with the public checked stage functions.
+
+    Chain 0 from the default start, every stage in the documented order,
+    drawing from an equal-seeded stream.  Returns the draws table and the
+    retained latent paths.
+    """
+    rng = jv.RngStream(spec.seed, stream_id=0)
+    params, path = jv.default_init(y, cfg)
+    mu, jump_prob = params.mu, params.jump_prob
+    jump_mean, jump_var = params.jump_mean, params.jump_var
+    precision, mixture = path.precision, path.mixture
+    jump_size, jump_ind = path.jump_size, path.jump_ind
+    jumps = jump_size * jump_ind
+    priors = cfg.priors
+    rows, paths = [], []
+    for j in range(1, spec.iterations + 1):
+        mu = conditionals.sample_mu(y, jumps, precision, mixture, priors, rng)
+        fs = volatility.forward_filter(y, mu, jumps, mixture, cfg)
+        precision = volatility.backward_sample(fs, cfg, rng)
+        mixture = conditionals.sample_mixture_path(y, mu, jumps, precision, cfg, rng)
+        if cfg.jumps_enabled:
+            observed = jump_size[jump_ind == 1]
+            jump_mean = conditionals.sample_jump_mean(observed, jump_var, priors, rng)
+            jump_var = conditionals.sample_jump_var(observed, jump_mean, priors, rng)
+            jump_size = conditionals.sample_jump_sizes(
+                y, mu, precision, mixture, jump_mean, jump_var, rng
+            )
+            probs = conditionals.jump_indicator_probs(
+                y, mu, precision, mixture, jump_size, jump_prob
+            )
+            jump_ind = conditionals.apply_jump_threshold(probs, cfg.jump_threshold)
+            jumps = jump_size * jump_ind
+            jump_prob = conditionals.sample_jump_prob(jump_ind, priors, rng)
+        if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
+            log_lik = diagnostics.conditional_log_lik(y, mu, jumps, precision, mixture)
+            rows.append(dict(chain=0, iteration=j, mu=mu, jump_prob=jump_prob,
+                             jump_mean=jump_mean, jump_var=jump_var, log_lik=log_lik))
+            paths.append((precision, mixture, jump_size, jump_ind))
+    return rows, paths
+
+
+@pytest.mark.parametrize("n", [2, 252, 1200])
+@pytest.mark.parametrize("omega", [0.05, 0.9, 1.0])
+@pytest.mark.parametrize("jumps_enabled", [True, False])
+def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled):
+    """The sweep, with its workspace arrays formed once, draws bit for bit what
+    the public stage functions draw when called in the documented order."""
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    cfg = jv.ModelConfig(omega=omega, jumps_enabled=jumps_enabled)
+    spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=3, seed=8, keep_latent_draws=True)
+    out = jv.run_chain(y, cfg, spec)
+    rows, paths = _reference_chain(y, cfg, spec)
+    assert out.n_draws == len(rows) == 9
+    for name, column in out.draws.items():
+        np.testing.assert_array_equal(column, [row[name] for row in rows], err_msg=name)
+    for got, want in zip(out.latent_draws, paths):
+        for got_path, want_path in zip(
+            (got.precision, got.mixture, got.jump_size, got.jump_ind), want
+        ):
+            np.testing.assert_array_equal(got_path, want_path)
+    if jumps_enabled and n > 2 and omega > 0.05:
+        # The jump block ran with declared jumps, not only the empty-set
+        # branch.  (At omega = 0.05 the precision follows each observation,
+        # and the short run at n = 252 declares none.)
+        assert any(p.jump_ind.any() for p in out.latent_draws)
 
 
 class TestRunMulti:
@@ -397,57 +475,77 @@ def test_accumulator_bands_equal_numpy_quantiles(m):
     assert len(acc.tails) <= 3 * acc.keep + engine._BAND_BATCH
 
 
-def _valid_state(n=300):
+def _valid_state(n=300, mu=0.1):
     gen = np.random.default_rng(42)
     cfg = jv.default_config()
     ind = (gen.random(n) < 0.05).astype(np.int64)
     sizes = gen.normal(-2.0, 2.0, n)
+    y = gen.normal(0.0, 1.0, n) + sizes * ind
+    precision = gen.gamma(4.0, 0.25, n)
+    mixture = gen.gamma(15.0, 1.0 / 15.0, n)
+    jumps = sizes * ind
     return {
         "cfg": cfg,
         "priors": cfg.priors,
-        "y": gen.normal(0.0, 1.0, n) + sizes * ind,
-        "precision": gen.gamma(4.0, 0.25, n),
-        "mixture": gen.gamma(15.0, 1.0 / 15.0, n),
+        "y": y,
+        "precision": precision,
+        "mixture": mixture,
         "sizes": sizes,
         "ind": ind,
-        "jumps": sizes * ind,
+        "jumps": jumps,
         "observed": sizes[ind == 1],
+        # the sweep's workspace arrays at this state, for mu = 0.1
+        "weights": mixture * precision,
+        "variance": 1.0 / (mixture * precision),
+        "shifted": y - jumps,
+        "centered": y - mu,
+        "resid": y - mu - jumps,
     }
 
 
-# Arguments of each stage as the sweep passes them, from a valid state and a stream.
+# Arguments of each stage from a valid state and a stream: as a caller passes
+# them to the public function and, where they differ, as the sweep passes them
+# to the kernel.
 _STAGES = {
     "sample_mu": (conditionals, lambda s, r: (
-        s["y"], s["jumps"], s["precision"], s["mixture"], s["priors"], r)),
+        s["y"], s["jumps"], s["precision"], s["mixture"], s["priors"], r), lambda s, r: (
+        s["weights"], s["shifted"], s["priors"], r)),
     "forward_filter": (volatility, lambda s, r: (
-        s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"])),
+        s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), lambda s, r: (
+        s["resid"], s["mixture"], s["cfg"])),
     "backward_sample": (volatility, lambda s, r: (
         jv.forward_filter(s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), s["cfg"], r)),
     "sample_mixture_path": (conditionals, lambda s, r: (
-        s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r)),
+        s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r), lambda s, r: (
+        s["resid"], s["precision"], s["cfg"], r)),
     "sample_jump_mean": (conditionals, lambda s, r: (s["observed"], 3.0, s["priors"], r)),
     "sample_jump_var": (conditionals, lambda s, r: (s["observed"], -2.0, s["priors"], r)),
     "sample_jump_sizes": (conditionals, lambda s, r: (
-        s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, r)),
+        s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, r), lambda s, r: (
+        s["centered"], s["variance"], -2.0, 3.0, r)),
     "jump_indicator_probs": (conditionals, lambda s, r: (
-        s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05)),
+        s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05), lambda s, r: (
+        s["centered"], s["precision"], s["mixture"], s["sizes"], 0.05)),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7)),
     "sample_jump_prob": (conditionals, lambda s, r: (s["ind"], s["priors"], r)),
     "conditional_log_lik": (diagnostics, lambda s, r: (
-        s["y"], 0.1, s["jumps"], s["precision"], s["mixture"])),
+        s["y"], 0.1, s["jumps"], s["precision"], s["mixture"]), lambda s, r: (
+        s["y"], 0.1, s["jumps"], s["variance"])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_STAGES))
 def test_sweep_kernel_matches_public_function(name):
     """The stage the sweep calls is the unchecked kernel of the public function:
-    same arguments and seed give bit-identical results and generator state."""
-    module, args = _STAGES[name]
+    the arrays the sweep forms from the same state and the same seed give
+    bit-identical results and generator state."""
+    module, args, *kernel_args = _STAGES[name]
+    kernel_args = kernel_args[0] if kernel_args else args
     kernel, public = getattr(engine, name), getattr(module, name)
     assert kernel is not public
     state = _valid_state()
     rng_kernel, rng_public = jv.RngStream(5, 1), jv.RngStream(5, 1)
-    got, want = kernel(*args(state, rng_kernel)), public(*args(state, rng_public))
+    got, want = kernel(*kernel_args(state, rng_kernel)), public(*args(state, rng_public))
     if isinstance(want, jv.FilterState):
         assert got.plan is want.plan
         got, want = got.b, want.b

@@ -191,6 +191,69 @@ class TestSerialization:
             getattr(jio, reader)(path)
 
 
+    def _draws_text(self, newline="\n", final=True):
+        lines = ["chain,iteration,mu,log_lik", "0,1,0.25,-10.5", "0,2,-1e-3,-11", "1,1,3,-9.75"]
+        return newline.join(lines) + (newline if final else "")
+
+    @pytest.mark.parametrize("newline,final", [("\r\n", True), ("\n", False), ("\r\n", False)])
+    def test_reader_line_endings(self, tmp_path, newline, final):
+        """CRLF line ends and a missing final newline read like the LF file."""
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        lf.write_bytes(self._draws_text().encode())
+        other.write_bytes(self._draws_text(newline, final).encode())
+        want, got = jio.read_draws_csv(lf), jio.read_draws_csv(other)
+        assert list(got) == list(want) == ["chain", "iteration", "mu", "log_lik"]
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            np.testing.assert_array_equal(got[name], want[name])
+        assert want["chain"].dtype == np.int64 and want["mu"].dtype == np.float64
+
+    def test_blank_line_is_a_row_of_no_columns(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        lines = self._draws_text().split("\n")
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: expected 4 columns, got 0$"):
+            jio.read_draws_csv(path)
+
+    def test_header_only_file_reads_empty_typed_columns(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        path.write_text("chain,iteration,mu,log_lik\n", encoding="utf-8")
+        back = jio.read_draws_csv(path)
+        assert [back[name].dtype for name in back] == [np.int64, np.int64, float, float]
+        assert all(back[name].size == 0 for name in back)
+
+    @pytest.mark.parametrize("rows,message", [
+        # a short row anywhere is named before any non-numeric cell
+        (["0,1,x,-1", "0,2,0.5", "0,3,0.5,-1"], "line 3: expected 4 columns, got 3"),
+        # the leftmost column with a bad cell is named, at its first bad line
+        (["0,1,0.5,y", "0,2,x,-1", "0,3,z,-1"], "line 3: non-numeric mu value 'x'"),
+    ])
+    def test_reader_names_the_same_defect_in_a_file_with_several(self, tmp_path, rows, message):
+        path = tmp_path / "draws.csv"
+        path.write_text("\n".join(["chain,iteration,mu,log_lik", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=message):
+            jio.read_draws_csv(path)
+
+    @pytest.mark.parametrize("short_row", [False, True])
+    def test_reader_defects_past_the_first_block(self, tmp_path, short_row):
+        """Rows are parsed in blocks; the defect named is the same as in one pass."""
+        rows = [f"0,{i},0.5,-1" for i in range(1, 3001)]
+        rows[1500] = "0,1501,0.5,oops"   # line 1502
+        rows[1600] = "0,1601,nan?,-1"    # line 1602: mu is left of log_lik
+        rows[2700] = "0,2701,bad,-1"     # a later block
+        if short_row:
+            rows[2999] = "0,3000"        # line 3001
+        path = tmp_path / "draws.csv"
+        path.write_text("\n".join(["chain,iteration,mu,log_lik", *rows]) + "\n", encoding="utf-8")
+        message = (
+            "line 3001: expected 4 columns, got 2$" if short_row
+            else r"line 1602: non-numeric mu value 'nan\?'$"
+        )
+        with pytest.raises(DataFormatError, match=message):
+            jio.read_draws_csv(path)
+
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "cfg.txt"
