@@ -24,11 +24,9 @@ from .diagnostics import (
     MIN_PSRF_DRAWS,
     DiagnosticsReport,
     build_report,
-    conditional_log_lik,
     coverage,
-    information_criteria,
+    score_draws,
     static_params,
-    summarize_param,
 )
 from .errors import DataFormatError, JumpvolError, NumericalError, ParameterError, SizeError
 from .gibbs import RunSpec, run_multi
@@ -180,6 +178,10 @@ def cmd_fit(args) -> int:
 
     series = jio.ingest_csv(args.input, get("mode"))
     stats = jio.describe(series)
+    for key, limit in jio.DEGENERATE_LIMITS.items():
+        if stats[key] > limit:
+            raise DataFormatError(f"{args.input}: {key} {_display(stats[key])} exceeds {limit}: "
+                                  "too many equal returns for a well-defined fit")
     print(
         "data: " + " ".join(f"{key}={_display(stats[key])}" for key in
                             ("n", "mean", "variance", "skewness", "kurtosis", "min", "max"))
@@ -286,22 +288,14 @@ def cmd_diagnose(args) -> int:
     if not chains:
         raise DataFormatError("no chains found in the given draw files")
 
-    names, k = static_params(chains, args.bic_k)
-    params = [asdict(summarize_param(name, [c[name] for c in chains])) for name in names]
-
-    log_lik = np.concatenate([c["log_lik"] for c in chains])
     series = jio.ingest_csv(args.input, args.mode) if args.input else None
     n_obs = args.n if args.n is not None else (len(series) if series is not None else None)
-    log_lik_at_mean = None
-    if series is not None and args.latent_summary:
-        latent = jio.read_latent_csv(args.latent_summary)
-        mu_bar = float(np.mean(np.concatenate([c["mu"] for c in chains])))
-        log_lik_at_mean = conditional_log_lik(
-            series, mu_bar, latent.mean_jump, latent.mean_precision, latent.mean_mixture
-        )
-    diagnostics = information_criteria(log_lik, n_obs, k, log_lik_at_mean)
+    with_plug_in = series is not None and args.latent_summary
+    latent = jio.read_latent_csv(args.latent_summary) if with_plug_in else None
+    diagnostics, params = score_draws(chains, args.bic_k, n_obs, series, latent)
+    log_lik = np.concatenate([c["log_lik"] for c in chains])
     diagnostics["n_draws"] = int(log_lik.size)
-    if log_lik_at_mean is not None:
+    if latent is not None:
         diagnostics["pd_method"] = "plug_in_mean"
     else:
         # Draws-only fallback: half the deviance variance estimates the
@@ -311,7 +305,9 @@ def cmd_diagnose(args) -> int:
             p_d=p_d, dic=diagnostics["mean_deviance"] + p_d, pd_method="half_variance"
         )
 
-    jio.write_report_json(args.output, {"diagnostics": diagnostics, "params": params})
+    jio.write_report_json(
+        args.output, {"diagnostics": diagnostics, "params": [asdict(p) for p in params]}
+    )
     print(f"wrote: {args.output}")
     return 0
 

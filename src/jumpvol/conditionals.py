@@ -11,16 +11,14 @@ Each public function checks its inputs once.  Paths go through
 like y, and each scalar or indicator check lives in the one ``*_posterior``
 (or :func:`apply_jump_threshold`) that owns it.  The public functions then
 build the arrays their private kernel (``_name``) reads and call it; each
-public scalar ``sample_*`` draws from its checked ``*_posterior`` through
-:mod:`jumpvol.rng`.  The kernels hold the math, and the Gibbs sweep calls
-them directly: its inputs are checked once, when the fit starts, and every
-state it produces is valid by construction.  The sweep forms each array
-that several stages read once (see :mod:`jumpvol.gibbs`), so the kernels
-take them ready-made: ``weights`` = mixture * precision, ``shifted`` =
-y - jumps, ``centered`` = y - mu, ``resid`` = y - mu - jumps and
-``variance`` = 1 / weights.  The scalar kernels draw from ``rng.generator``
-with the arguments the checked :mod:`jumpvol.rng` samplers pass it, so
-both give the same stream.
+public scalar ``sample_*`` makes, from its checked ``*_posterior``, the one
+generator call that its kernel makes.  The kernels hold the math, and the
+Gibbs sweep calls them directly: its inputs are checked once, when the fit
+starts, and every state it produces is valid by construction.  The sweep
+forms each array that several stages read once (see :mod:`jumpvol.gibbs`),
+so the kernels take them ready-made: ``weights`` = mixture * precision,
+``shifted`` = y - jumps, ``centered`` = y - mu, ``resid`` = y - mu - jumps
+and ``variance`` = 1 / weights.
 
 Conventions:
 
@@ -42,7 +40,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import ModelConfig, Priors, aligned
-from .rng import _GAMMA_FLOOR, RngStream, sample_beta, sample_inverse_gamma, sample_normal
+from .rng import _GAMMA_FLOOR, RngStream
 
 __all__ = [
     "mu_posterior",
@@ -81,11 +79,14 @@ def _mu_posterior(weights, shifted, priors: Priors) -> tuple[float, float]:
 
 
 def sample_mu(y, jumps, precision, mixture, priors: Priors, rng: RngStream) -> float:
-    return sample_normal(*mu_posterior(y, jumps, precision, mixture, priors), rng)
+    return _normal(*mu_posterior(y, jumps, precision, mixture, priors), rng)
 
 
 def _sample_mu(weights, shifted, priors: Priors, rng: RngStream) -> float:
-    mean, var = _mu_posterior(weights, shifted, priors)
+    return _normal(*_mu_posterior(weights, shifted, priors), rng)
+
+
+def _normal(mean: float, var: float, rng: RngStream) -> float:
     return rng.generator.normal(mean, math.sqrt(var))
 
 
@@ -137,12 +138,11 @@ def _jump_mean_posterior(xi, jump_var: float, priors: Priors) -> tuple[float, fl
 
 
 def sample_jump_mean(jump_sizes_observed, jump_var, priors: Priors, rng: RngStream) -> float:
-    return sample_normal(*jump_mean_posterior(jump_sizes_observed, jump_var, priors), rng)
+    return _normal(*jump_mean_posterior(jump_sizes_observed, jump_var, priors), rng)
 
 
 def _sample_jump_mean(xi, jump_var, priors: Priors, rng: RngStream) -> float:
-    mean, var = _jump_mean_posterior(xi, jump_var, priors)
-    return rng.generator.normal(mean, math.sqrt(var))
+    return _normal(*_jump_mean_posterior(xi, jump_var, priors), rng)
 
 
 def jump_var_posterior(jump_sizes_observed, jump_mean: float, priors: Priors) -> tuple[float, float]:
@@ -161,11 +161,14 @@ def _jump_var_posterior(xi, jump_mean: float, priors: Priors) -> tuple[float, fl
 
 
 def sample_jump_var(jump_sizes_observed, jump_mean, priors: Priors, rng: RngStream) -> float:
-    return sample_inverse_gamma(*jump_var_posterior(jump_sizes_observed, jump_mean, priors), rng)
+    return _inverse_gamma(*jump_var_posterior(jump_sizes_observed, jump_mean, priors), rng)
 
 
 def _sample_jump_var(xi, jump_mean, priors: Priors, rng: RngStream) -> float:
-    shape, scale = _jump_var_posterior(xi, jump_mean, priors)
+    return _inverse_gamma(*_jump_var_posterior(xi, jump_mean, priors), rng)
+
+
+def _inverse_gamma(shape: float, scale: float, rng: RngStream) -> float:
     return 1.0 / max(rng.generator.gamma(shape, 1.0 / scale), _GAMMA_FLOOR)
 
 
@@ -261,7 +264,7 @@ def _jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
 
 
 def sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
-    return sample_beta(*jump_prob_posterior(jump_ind, priors), rng)
+    return rng.generator.beta(*jump_prob_posterior(jump_ind, priors))
 
 
 def _sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "conditional_log_lik",
     "compute_bic",
     "compute_dic",
-    "information_criteria",
     "coverage",
     "ess",
     "psrf",
@@ -44,6 +43,7 @@ __all__ = [
     "DiagnosticsReport",
     "merge_latent",
     "static_params",
+    "score_draws",
     "build_report",
     "DEFAULT_K_JUMPS",
     "DEFAULT_K_NO_JUMPS",
@@ -98,28 +98,6 @@ def compute_dic(deviance_draws, deviance_at_mean: float) -> tuple[float, float]:
         raise ParameterError(f"deviance_at_mean must be finite, got {deviance_at_mean}")
     p_d = float(np.mean(draws)) - deviance_at_mean
     return deviance_at_mean + 2.0 * p_d, p_d
-
-
-def information_criteria(log_lik, n_obs=None, k=None, log_lik_at_mean=None) -> dict:
-    """Deviance scores from the per-draw log-likelihoods.
-
-    Always gives mean_deviance and log_lik_max.  With n_obs it adds n_obs, k
-    and bic; with the plug-in log-likelihood at the posterior mean it adds
-    log_lik_at_mean, deviance_at_mean, p_d and dic.
-    """
-    log_lik = np.asarray(log_lik, dtype=float)
-    deviance = -2.0 * log_lik
-    log_lik_max = float(np.max(log_lik))
-    scores = {"mean_deviance": float(np.mean(deviance)), "log_lik_max": log_lik_max}
-    if n_obs is not None:
-        bic = compute_bic(log_lik_max, k, n_obs)
-        scores.update(n_obs=int(n_obs), k=int(k), bic=bic)
-    if log_lik_at_mean is not None:
-        deviance_at_mean = -2.0 * log_lik_at_mean
-        dic, p_d = compute_dic(deviance, deviance_at_mean)
-        scores.update(log_lik_at_mean=log_lik_at_mean, deviance_at_mean=deviance_at_mean,
-                      p_d=p_d, dic=dic)
-    return scores
 
 
 def coverage(true_path, lower, upper) -> float:
@@ -275,13 +253,45 @@ def static_params(tables: Sequence[dict], k: Optional[int] = None) -> tuple[list
     return names[0], k
 
 
+def score_draws(tables: Sequence[dict], k: Optional[int] = None, n_obs: Optional[int] = None,
+                y=None, latent: Optional[LatentSummary] = None) -> tuple[dict, list[ParamSummary]]:
+    """Deviance scores and parameter summaries of chains' draws tables.
+
+    tables holds one draws table per chain; static_params reads the
+    parameter names and the default k from them.  The scores always give
+    mean_deviance and log_lik_max.  With n_obs they add n_obs, k and bic.
+    Given the returns y and the chains' latent summary, they add the
+    plug-in log_lik_at_mean (pooled mean of mu, latent means),
+    deviance_at_mean, p_d and dic.
+    """
+    names, k = static_params(tables, k)
+    log_lik = np.concatenate([t["log_lik"] for t in tables])
+    deviance = -2.0 * log_lik
+    log_lik_max = float(np.max(log_lik))
+    scores = {"mean_deviance": float(np.mean(deviance)), "log_lik_max": log_lik_max}
+    if n_obs is not None:
+        scores.update(n_obs=int(n_obs), k=int(k), bic=compute_bic(log_lik_max, k, n_obs))
+    if y is not None and latent is not None:
+        mu_bar = float(np.mean(np.concatenate([t["mu"] for t in tables])))
+        log_lik_at_mean = conditional_log_lik(
+            y, mu_bar, latent.mean_jump, latent.mean_precision, latent.mean_mixture
+        )
+        deviance_at_mean = -2.0 * log_lik_at_mean
+        dic, p_d = compute_dic(deviance, deviance_at_mean)
+        scores.update(log_lik_at_mean=log_lik_at_mean, deviance_at_mean=deviance_at_mean,
+                      p_d=p_d, dic=dic)
+    params = [summarize_param(name, [t[name] for t in tables]) for name in names]
+    return scores, params
+
+
 def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> DiagnosticsReport:
     """Assemble the full diagnostics report from one or more chains.
 
-    All chains must come from the same data and model; static_params reads
+    All chains must come from the same data and model; score_draws reads
     the parameter names and the default k from their draws.
     """
-    names, k = static_params([c.draws for c in chains], k)
+    tables = [c.draws for c in chains]
+    static_params(tables)  # no chains, or chains of two models, fail first
     n_obs = len(chains[0].latent)
     if any(len(c.latent) != n_obs for c in chains[1:]):
         raise ParameterError("chains disagree on data length")
@@ -290,12 +300,5 @@ def build_report(chains: Sequence[ChainOutput], y, k: Optional[int] = None) -> D
         raise SizeError(f"series length {y_arr.size} != chain data length {n_obs}")
 
     latent = merge_latent(chains)
-    mu_bar = float(np.mean(np.concatenate([c.mu for c in chains])))
-    log_lik_at_mean = conditional_log_lik(
-        y_arr, mu_bar, latent.mean_jump, latent.mean_precision, latent.mean_mixture
-    )
-    scores = information_criteria(
-        np.concatenate([c.log_lik for c in chains]), n_obs, k, log_lik_at_mean
-    )
-    params = [summarize_param(name, [c.draws[name] for c in chains]) for name in names]
+    scores, params = score_draws(tables, k, n_obs, y_arr, latent)
     return DiagnosticsReport(**scores, params=params, latent=latent)

@@ -18,12 +18,13 @@ zero (the no-jump reduction of the model).
 Retained draws are every thin_lag-th iteration after burn_in.  Each one
 fills a row of the chain's draws table by column name: the chain id, the
 sweep index, the static parameters the model has and the conditional
-log-likelihood.  Per-t latent quantities are accumulated into running
-summaries.  The credibility bands equal numpy's linear 2.5% and 97.5%
-quantiles of every float32 variance-scale draw, bit for bit.  Those
-quantiles read only the k = 2.5% of draws (plus two) that are smallest and
-largest at each t, so a chain keeps those in a buffer of at most
-3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
+log-likelihood.  With RunSpec.keep_latent_draws it also fills the same row
+of one (draws, n) array per latent path.  Per-t latent quantities are
+accumulated into running summaries.  The credibility bands equal numpy's
+linear 2.5% and 97.5% quantiles of every float32 variance-scale draw, bit
+for bit.  Those quantiles read only the k = 2.5% of draws (plus two) that
+are smallest and largest at each t, so a chain keeps those in a buffer of
+at most 3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
 
 Chains never share mutable state.  run_multi runs them on one thread per
 usable CPU (the random draws release the interpreter lock).  Each chain's
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,8 +103,9 @@ _BAND_BATCH = 64
 class RunSpec:
     """Iteration plan for one fit.
 
-    keep_latent_draws retains every thinned LatentPath (memory heavy, meant
-    for tests and small runs).
+    keep_latent_draws fills ChainOutput.latent_draws with every retained
+    latent path, one (n_retained, n) array per LatentPath field (memory
+    heavy, meant for tests and small runs).
     """
 
     iterations: int
@@ -353,7 +355,8 @@ def run_chain(
         "iteration": np.empty(n_ret, dtype=np.int64),
         **{name: np.empty(n_ret) for name in (*static, "log_lik")},
     }
-    kept_paths = [] if spec.keep_latent_draws else None
+    kept = {f.name: np.empty((n_ret, n), dtype=np.int64 if f.name == "jump_ind" else float)
+            for f in fields(LatentPath)} if spec.keep_latent_draws else None
 
     probs = np.zeros(n)
     idx = 0
@@ -395,18 +398,14 @@ def run_chain(
             for name, column in draws.items():
                 column[idx] = row[name]
             acc.add(precision, mixture, jumps, jump_ind, probs)
-            if kept_paths is not None:
-                kept_paths.append(
-                    LatentPath(
-                        precision=precision.copy(),
-                        mixture=mixture.copy(),
-                        jump_size=jump_size.copy(),
-                        jump_ind=jump_ind.copy(),
-                    )
-                )
+            if kept is not None:
+                path = dict(precision=precision, mixture=mixture, jump_size=jump_size,
+                            jump_ind=jump_ind)
+                for name, rows in kept.items():
+                    rows[idx] = path[name]
             idx += 1
 
-    return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept_paths)
+    return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept)
 
 
 def _worker_count(n_chains: int) -> int:

@@ -244,9 +244,9 @@ class LatentSummary:
     """Per-time-step posterior summaries accumulated over retained draws.
 
     var_* columns summarize 1/lambda (variance scale), sd_* columns
-    lambda**-0.5.  Interval columns are empirical 2.5%/97.5% quantiles of
-    the draws; a chain whose draws x n exceeds the band-matrix budget takes
-    them from an evenly spaced subset of its draws.
+    lambda**-0.5.  Interval columns are numpy's linear 2.5%/97.5% quantiles
+    of every float32 variance-scale draw; summaries merged across chains
+    average them.
     """
 
     var_mean: np.ndarray
@@ -270,7 +270,6 @@ LATENT_FIELDS = tuple(f.name for f in fields(LatentSummary))
 
 # Static parameters of the jump model; a no-jump fit has only the first.
 STATIC_NAMES = ("mu", "jump_prob", "jump_mean", "jump_var")
-_NO_JUMP_PLACEHOLDERS = {"jump_prob": 0.5, "jump_mean": 0.0, "jump_var": 1.0}
 
 
 @dataclass
@@ -281,13 +280,16 @@ class ChainOutput:
     order: chain, iteration (the sweep index of each retained draw), the
     static parameters (mu alone for a no-jump fit, else STATIC_NAMES), then
     log_lik, the per-draw conditional log-likelihood.  Each column also
-    reads as an attribute (chain.mu, chain.log_lik).  Full latent paths are
-    kept only when the run requested them.
+    reads as an attribute (chain.mu, chain.log_lik).
+
+    latent_draws, kept only when the run requested them, holds the latent
+    paths the same way: one (n_draws, n) array per LatentPath field, whose
+    row i is the path at row i of draws (jump_ind int64, the rest float64).
     """
 
     draws: dict[str, np.ndarray]
     latent: LatentSummary
-    latent_draws: Optional[list] = None
+    latent_draws: Optional[dict[str, np.ndarray]] = None
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Reached only for names that are not fields; reads __dict__ so a
@@ -300,19 +302,6 @@ class ChainOutput:
     @property
     def n_draws(self) -> int:
         return int(self.draws["mu"].size)
-
-    def iter_draws(self):
-        """Yield (StaticParams, LatentPath) pairs; needs latent_draws retained.
-
-        For no-jump chains the jump fields of StaticParams are filled with
-        neutral placeholders (the model has no such parameters).
-        """
-        if self.latent_draws is None:
-            raise ParameterError("latent draws were not retained for this chain")
-        names = [name for name in STATIC_NAMES if name in self.draws]
-        for i, path in enumerate(self.latent_draws):
-            values = {name: float(self.draws[name][i]) for name in names}
-            yield StaticParams(**{**_NO_JUMP_PLACEHOLDERS, **values}), path
 
 
 def prices_to_returns(prices, timestamps: Optional[Sequence[str]] = None) -> ReturnsSeries:

@@ -119,8 +119,6 @@ def sample_normal(mean, variance, rng: RngStream, size=None):
     """Draw from N(mean, variance); variance 0 returns the mean exactly."""
     mean_arr = _as_param("mean", mean)
     var_arr = _as_param("variance", variance, nonnegative=True)
-    if _scalar(mean_arr, var_arr, size=size):
-        return float(rng.generator.normal(float(mean_arr), math.sqrt(float(var_arr))))
     return rng.generator.normal(mean_arr, np.sqrt(var_arr), size=size)
 
 
@@ -128,8 +126,6 @@ def sample_beta(a, b, rng: RngStream, size=None):
     """Draw from Beta(a, b); mean a/(a+b)."""
     a_arr = _as_param("a", a, positive=True)
     b_arr = _as_param("b", b, positive=True)
-    if _scalar(a_arr, b_arr, size=size):
-        return float(rng.generator.beta(float(a_arr), float(b_arr)))
     return rng.generator.beta(a_arr, b_arr, size=size)
 
 

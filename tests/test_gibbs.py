@@ -137,18 +137,29 @@ class TestRunChain:
     def test_latent_draw_retention(self, small_sim):
         spec = jv.RunSpec(iterations=12, burn_in=4, thin_lag=2, seed=9, keep_latent_draws=True)
         out = jv.run_chain(small_sim.returns, jv.default_config(), spec)
-        assert out.latent_draws is not None and len(out.latent_draws) == out.n_draws
-        pairs = list(out.iter_draws())
-        assert len(pairs) == out.n_draws
-        params0, path0 = pairs[0]
-        assert isinstance(params0, jv.StaticParams)
-        assert len(path0) == len(small_sim.returns)
+        n = len(small_sim.returns)
+        kept = out.latent_draws
+        assert list(kept) == [f.name for f in dataclasses.fields(jv.LatentPath)]
+        for name, rows in kept.items():
+            assert rows.shape == (out.n_draws, n), name
+            assert rows.dtype == (np.int64 if name == "jump_ind" else np.float64), name
+        # Row i is the state of row i of draws: a valid LatentPath whose
+        # jumps give back the retained log-likelihood of that draw.
+        for i in range(out.n_draws):
+            path = jv.LatentPath(**{name: rows[i] for name, rows in kept.items()})
+            assert len(path) == n
+            log_lik = jv.conditional_log_lik(
+                small_sim.returns, out.mu[i], path.jumps, path.precision, path.mixture
+            )
+            assert log_lik == out.log_lik[i]
+        assert jv.run_chain(small_sim.returns, jv.default_config(), jv.RunSpec(
+            iterations=12, burn_in=4, thin_lag=2, seed=9)).latent_draws is None
 
     def test_bands_exact_over_every_draw_past_the_buffer(self, small_sim):
         spec = jv.RunSpec(iterations=200, burn_in=50, seed=4, keep_latent_draws=True)
         out = jv.run_chain(small_sim.returns, jv.default_config(), spec)
         assert out.n_draws > len(engine._LatentAccumulator(1, out.n_draws).tails)
-        draws = np.stack([1.0 / path.precision for path in out.latent_draws])
+        draws = 1.0 / out.latent_draws["precision"]
         lo, hi = np.quantile(draws.astype(np.float32), [0.025, 0.975], axis=0)
         np.testing.assert_array_equal(out.latent.var_lo95, lo)
         np.testing.assert_array_equal(out.latent.var_hi95, hi)
@@ -309,16 +320,14 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled):
     assert out.n_draws == len(rows) == 9
     for name, column in out.draws.items():
         np.testing.assert_array_equal(column, [row[name] for row in rows], err_msg=name)
-    for got, want in zip(out.latent_draws, paths):
-        for got_path, want_path in zip(
-            (got.precision, got.mixture, got.jump_size, got.jump_ind), want
-        ):
-            np.testing.assert_array_equal(got_path, want_path)
+    for i, want in enumerate(paths):
+        for (name, rows), want_path in zip(out.latent_draws.items(), want):
+            np.testing.assert_array_equal(rows[i], want_path, err_msg=name)
     if jumps_enabled and n > 2 and omega > 0.05:
         # The jump block ran with declared jumps, not only the empty-set
         # branch.  (At omega = 0.05 the precision follows each observation,
         # and the short run at n = 252 declares none.)
-        assert any(p.jump_ind.any() for p in out.latent_draws)
+        assert out.latent_draws["jump_ind"].any()
 
 
 class TestRunMulti:

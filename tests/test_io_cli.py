@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -99,6 +100,58 @@ class TestDescribe:
         assert stats["min"] == values.min() and stats["max"] == values.max()
 
 
+    def test_tie_statistics(self):
+        stats = jio.describe(jv.ReturnsSeries([0.5, 0.0, -0.0, 0.0, 0.5, 0.5, 0.5, 1.0]))
+        assert stats["mode_share"] == 0.5  # 0.5 four times of eight; -0.0 equals 0.0
+        assert stats["longest_run"] == 3  # the three zeros; 0.5 repeats only twice in a row
+        stats = jio.describe(jv.ReturnsSeries([1.0, 2.0, 3.0]))
+        assert stats["mode_share"] == 0.0 and stats["longest_run"] == 1
+
+
+# The intraday law of the acceptance suite at n = 2000, and the ways in which
+# real intraday data ties: zero returns scattered through the series, a
+# trading halt, and prices quoted in ticks.
+def _intraday_returns(alteration):
+    y = jv.simulate(jv.SimConfig(
+        n=2000, mu=0.0, jump_prob=0.0087, jump_mean=-0.02, jump_sd=0.05,
+        nu=30.0, theta=0.002, kappa=0.015, sigma_v=0.002, corr=0.4, seed=3,
+    )).returns.returns.copy()
+    if alteration == "zeros_40pct":
+        y[np.random.default_rng(0).permutation(y.size)[:800]] = 0.0
+    elif alteration == "halt_300":
+        y[1000:1300] = 0.0
+    else:
+        y = np.round(y, 2)
+    return y
+
+
+class TestDegenerateData:
+    @pytest.mark.parametrize("alteration,statistic", [
+        ("zeros_40pct", "mode_share 0.4 exceeds 0.2"),
+        ("halt_300", "longest_run 300 exceeds 40"),
+    ])
+    def test_fit_refuses_tied_returns(self, tmp_path, capsys, alteration, statistic):
+        path = tmp_path / "returns.csv"
+        write_returns_csv(path, _intraday_returns(alteration).tolist())
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--input", str(path), "--output-dir", str(out_dir)]) == 3
+        assert statistic in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_fit_accepts_returns_rounded_to_ticks(self, tmp_path):
+        y = _intraday_returns("rounded")
+        stats = jio.describe(jv.ReturnsSeries(y))
+        assert 0.05 < stats["mode_share"] < 0.2  # about 10% zeros
+        path = tmp_path / "returns.csv"
+        write_returns_csv(path, y.tolist())
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--input", str(path), "--iterations", "20", "--burn-in", "5",
+                     "--output-dir", str(out_dir)]) == 0
+        report = jio.read_report_json(out_dir / "report.json")
+        assert report["data"]["mode_share"] == stats["mode_share"]
+        assert report["data"]["longest_run"] == stats["longest_run"]
+
+
 class TestSerialization:
     def test_fmt17_round_trips(self):
         for x in (0.1, 1 / 3, math.pi, 1e-300, 1e300, -0.0, 123456789.123456789):
@@ -166,8 +219,12 @@ class TestSerialization:
             jio.write_latent_csv(path, latent)
         assert not path.exists()
 
-    @pytest.mark.parametrize("reader", ["read_draws_csv", "read_latent_csv", "read_sim_csv"])
-    @pytest.mark.parametrize("defect", ["wrong_header", "short_row", "non_numeric"])
+    @pytest.mark.parametrize("defect,reader", [
+        *itertools.product(["wrong_header", "short_row", "non_numeric"],
+                           ["read_draws_csv", "read_latent_csv", "read_sim_csv"]),
+        # Only draws files have integer columns.
+        ("out_of_range", "read_draws_csv"),
+    ])
     def test_reader_errors_name_the_line(self, tmp_path, reader, defect):
         header = {
             "read_draws_csv": ["chain", "iteration", "mu", "log_lik"],
@@ -182,13 +239,18 @@ class TestSerialization:
         elif defect == "short_row":
             lines[2] = row[:-1]
             line_no = 3
-        else:
+        elif defect == "non_numeric":
             lines[2] = row[:-1] + ["oops"]
+            line_no = 3
+        else:
+            lines[2] = ["99999999999999999999"] + row[1:]
             line_no = 3
         path = tmp_path / "bad.csv"
         path.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
-        with pytest.raises(DataFormatError, match=f"line {line_no}:"):
+        with pytest.raises(DataFormatError, match=f"line {line_no}:") as err:
             getattr(jio, reader)(path)
+        if defect == "out_of_range":
+            assert "out-of-range chain value '99999999999999999999'" in str(err.value)
 
 
     def _draws_text(self, newline="\n", final=True):

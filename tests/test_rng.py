@@ -74,6 +74,30 @@ def test_first_two_moments_match_analytic(family, params, make_rng):
     assert abs(np.var(draws, ddof=1) - var) < 4.0 * se_var
 
 
+# Scalar parameter types; each draws what the array path draws for the same value.
+SCALAR_KINDS = {
+    "float": float,
+    "int": int,
+    "numpy_float64": np.float64,
+    "numpy_float32": np.float32,
+    "zero_d_array": np.asarray,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_KINDS))
+@pytest.mark.parametrize(
+    "family,params", [case for case in MOMENT_CASES if case[0] in ("normal", "beta")]
+)
+def test_scalar_draw_is_a_float_equal_to_the_array_draw(family, params, kind):
+    values = [SCALAR_KINDS[kind](p) for p in params]
+    scalar_rng, array_rng = jv.RngStream(11, 2), jv.RngStream(11, 2)
+    for _ in range(20):
+        got = _draws(family, values, scalar_rng, None)
+        want = _draws(family, [np.array([float(v)]) for v in values], array_rng, None)
+        assert type(got) is float
+        assert got == want[0]
+
+
 def test_gamma_mean_examples(make_rng):
     # Unit-shape/rate gamma is exponential with mean one.
     rng = make_rng(7)
