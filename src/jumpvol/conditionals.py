@@ -20,6 +20,11 @@ so the kernels take them ready-made: ``weights`` = mixture * precision,
 ``shifted`` = y - jumps, ``centered`` = y - mu, ``resid`` = y - mu - jumps
 and ``variance`` = 1 / weights.
 
+The kernels of the two array samplers take their standard variates
+(gammas at the mixture path's common shape, normals for the jump sizes) as
+arrays, which the Gibbs sweep draws ahead of time; the public functions
+draw them from the stream's child generators (see :mod:`jumpvol.rng`).
+
 Conventions:
 
 * ``jumps`` is the realized jump path xi * N, aligned with y.
@@ -101,19 +106,24 @@ def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
 
 
 def _mixture_posterior(resid, precision, cfg: ModelConfig):
-    shape = 0.5 * cfg.nu + 0.5
     rates = 0.5 * cfg.nu + 0.5 * precision * resid * resid
-    return shape, rates
+    return _mixture_shape(cfg), rates
+
+
+def _mixture_shape(cfg: ModelConfig) -> float:
+    return 0.5 * cfg.nu + 0.5
 
 
 def sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
     y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
-    return _sample_mixture_path(y - mu - jumps, precision, cfg, rng)
+    variates = rng.gammas.standard_gamma(_mixture_shape(cfg), y.size)
+    return _sample_mixture_path(y - mu - jumps, precision, cfg, variates)
 
 
-def _sample_mixture_path(resid, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
-    shape, rates = _mixture_posterior(resid, precision, cfg)
-    return rng.generator.standard_gamma(shape, rates.shape) / rates
+def _sample_mixture_path(resid, precision, cfg: ModelConfig, variates) -> np.ndarray:
+    """variates: standard gammas at the common shape, one per observation."""
+    _, rates = _mixture_posterior(resid, precision, cfg)
+    return variates / rates
 
 
 def jump_mean_posterior(jump_sizes_observed, jump_var: float, priors: Priors) -> tuple[float, float]:
@@ -192,15 +202,17 @@ def _jump_size_posterior(centered, variance, jump_mean: float, jump_var: float):
 
 
 def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
-    return _normal_path(*jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var), rng)
+    means, variances = jump_size_posterior(y, mu, precision, mixture, jump_mean, jump_var)
+    return _normal_path(means, variances, rng.normals.standard_normal(means.shape))
 
 
-def _sample_jump_sizes(centered, variance, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
-    return _normal_path(*_jump_size_posterior(centered, variance, jump_mean, jump_var), rng)
+def _sample_jump_sizes(centered, variance, jump_mean, jump_var, variates) -> np.ndarray:
+    """variates: standard normals, one per observation."""
+    return _normal_path(*_jump_size_posterior(centered, variance, jump_mean, jump_var), variates)
 
 
-def _normal_path(means, variances, rng: RngStream) -> np.ndarray:
-    return means + np.sqrt(variances) * rng.generator.standard_normal(means.shape)
+def _normal_path(means, variances, variates) -> np.ndarray:
+    return means + np.sqrt(variances) * variates
 
 
 def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:

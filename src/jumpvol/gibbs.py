@@ -31,6 +31,25 @@ usable CPU (the random draws release the interpreter lock).  Each chain's
 output depends only on (seed, chain_id), so the result is the same for any
 number of threads.
 
+The array draws of a sweep, the backward-sample innovations, the mixture
+path and the jump sizes, scale standard variates whose parameters do not
+depend on the chain's state.  Each chain draws those from the two child
+streams of its RngStream (see :mod:`jumpvol.rng`), a chunk of sweeps at a
+time (_VariateRing): one call per stream fills the chunk's standard
+gammas, another its standard normals, and sweep i of the chunk reads row
+i.  When the series has at least _HELPER_MIN_N points and the chain has a
+spare CPU, a helper thread fills the next chunk while the sweeps read the
+current one.  The CPU is spare when the usable CPUs number at least twice
+the chains running at once: one for run_chain on its own, run_multi's
+thread count for its chains.  Each child stream fills its chunks in the
+same order either way, and the chunk size does not depend on the helper,
+so the output is the same with or without it.  The helper is joined when
+run_chain returns or raises.  A CPU the chain's affinity allows may still be
+busy with other processes, or slow to wake: so every _HELPER_WINDOW_S the
+chain checks that its two threads together have been busy for at least
+_HELPER_MIN_BUSY times the wall time since the helper warmed up, and
+otherwise joins the helper and draws the rest of the chunks itself.
+
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
 LatentPath constructors check the initial state.  Every state a sweep
@@ -58,7 +77,9 @@ functions draw when called in the order above.
 from __future__ import annotations
 
 import os
+import queue
 import threading
+import time
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -67,6 +88,7 @@ import numpy as np
 from .conditionals import (
     _apply_jump_threshold as apply_jump_threshold,
     _jump_indicator_probs as jump_indicator_probs,
+    _mixture_shape,
     _sample_jump_mean as sample_jump_mean,
     _sample_jump_prob as sample_jump_prob,
     _sample_jump_sizes as sample_jump_sizes,
@@ -88,6 +110,7 @@ from .model import (
 from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 from .volatility import _backward_sample as backward_sample
 from .volatility import _forward_filter as forward_filter
+from .volatility import discount_plan, innovation_variates
 
 __all__ = ["RunSpec", "default_init", "run_chain", "run_multi"]
 
@@ -97,6 +120,26 @@ _BAND_QUANTILES = np.array([0.025, 0.975])
 # whole buffer, so batches of max(_BAND_BATCH, tail rows) keep the total
 # sorting work linear in the number of draws.
 _BAND_BATCH = 64
+# Shortest series whose standard variates a helper thread draws (see
+# _VariateRing).  The helper's memory (a second slot and the thread) does
+# not shrink with n, but its gain does: forced on for the 252-point fits of
+# short_batch it gained 4% in sweeps per second for 0.7 MB (1.7%) of peak
+# memory, while at n = 1,000 it gained 19-25% (while a helper paid at all).
+_HELPER_MIN_N = 1000
+# Wall seconds between a chain's checks that its helper pays; the first
+# window is a warm-up (a helper that later ran 1.5-1.8 times the busy CPU
+# seconds per wall second read 1.07 over its first 50 ms).
+_HELPER_WINDOW_S = 0.05
+# CPU seconds per wall second that the sweeps' thread and the helper must
+# use together for the helper to pay.  The helper's fills take 1.15-1.2
+# times the CPU of the same fills in the sweeps' thread (n = 5,000, two
+# cores), so at 1.0 the chain would run slower than with inline draws.
+_HELPER_MIN_BUSY = 1.2
+# Standard variates a chunk of sweeps holds (at least one sweep's worth).
+# A chunk is one numpy call per child stream and, with a helper, one
+# handover: the helper takes the interpreter lock a few times per chunk,
+# not per sweep.  A slot is 512 kB.
+_CHUNK_VARIATES = 2**16
 
 
 @dataclass(frozen=True)
@@ -310,16 +353,109 @@ class _Stopped(Exception):
     """run_chain ended early because run_multi set its stop event."""
 
 
+class _VariateRing:
+    """The standard variates of the sweeps' array draws, a chunk of sweeps per slot.
+
+    A slot is a (chunk, len(shapes)) array of standard gammas at shapes,
+    drawn from rng.gammas, and a (chunk, n_normals) array of standard
+    normals, drawn from rng.normals; row i belongs to the chunk's i-th
+    sweep.  take() returns the next chunk's slot, which the caller reads
+    until its next take().  Without a helper, take() fills the one slot
+    itself.  With one, a helper thread fills two slots in turn, one chunk
+    ahead: take() waits for chunk c, then requests chunk c + 1 in the slot
+    that held chunk c - 1.  Either way each child stream fills its arrays
+    chunk after chunk, so the variates are the same.  A failure in the
+    helper is raised by take(); close() joins the helper.  (Two queues, not
+    a concurrent.futures executor: the executor's import and machinery cost
+    0.4 MB of peak memory at n = 5,000.)
+
+    The helper pays only while it runs beside the sweeps, not in turn with
+    them.  Every _HELPER_WINDOW_S after the first, take() adds the CPU time
+    that the sweeps' thread and the helper have used since the first window
+    ended: if together they fall short of _HELPER_MIN_BUSY times the wall
+    time (CPUs busy with other work, or slow to wake the helper), the helper
+    is joined and take() fills the rest of the chunks itself.  The totals
+    run from the first window, so that a short stall of the whole machine,
+    which slows the inline draws as much, does not end a helper that has
+    paid so far.
+    """
+
+    def __init__(self, rng: RngStream, shapes: np.ndarray, n_normals: int, chunk: int,
+                 chunks: int, helper_name: Optional[str]) -> None:
+        self._rng = rng
+        self._shapes = shapes
+        self._slots = [(np.empty((chunk, shapes.size)), np.empty((chunk, n_normals)))
+                       for _ in range(2 if helper_name else 1)]
+        self._chunks = chunks
+        self._taken = 0
+        self._thread = None
+        if helper_name:
+            self._requests, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
+            self._start = None
+            self._next_check = time.perf_counter() + _HELPER_WINDOW_S
+            self._helper_cpu = 0.0
+            self._thread = threading.Thread(target=self._serve, name=helper_name, daemon=True)
+            self._thread.start()
+            self._requests.put(self._slots[0])
+
+    def _fill(self, slot):
+        self._rng.gammas.standard_gamma(self._shapes, out=slot[0])
+        self._rng.normals.standard_normal(out=slot[1])
+        return slot
+
+    def _serve(self) -> None:
+        for slot in iter(self._requests.get, None):
+            try:
+                start = time.thread_time()
+                self._fill(slot)
+                self._helper_cpu += time.thread_time() - start
+            except BaseException as exc:  # raised again by take()
+                slot = exc
+            self._filled.put(slot)
+
+    def take(self):
+        self._taken += 1
+        if self._thread is None:
+            return self._fill(self._slots[0])
+        slot = self._filled.get()  # the helper is idle until the next request
+        if isinstance(slot, BaseException):
+            raise slot
+        if not self._helper_pays():
+            self.close()
+        elif self._taken < self._chunks:
+            self._requests.put(self._slots[self._taken % 2])
+        return slot
+
+    def _helper_pays(self) -> bool:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        if wall < self._next_check:
+            return True
+        self._next_check = wall + _HELPER_WINDOW_S
+        if self._start is None:  # the first window warms up: count from its end
+            self._start, self._helper_cpu = (wall, cpu), 0.0
+            return True
+        wall0, cpu0 = self._start
+        return cpu - cpu0 + self._helper_cpu >= _HELPER_MIN_BUSY * (wall - wall0)
+
+    def close(self) -> None:
+        if self._thread is not None:
+            self._requests.put(None)
+            self._thread.join()
+            self._thread = None
+
+
 def run_chain(
     y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0, *,
-    _stop: Optional[threading.Event] = None,
+    _stop: Optional[threading.Event] = None, _threads: int = 1,
 ) -> ChainOutput:
     """Run one chain and return its thinned draws.
 
     Fixed (spec.seed, chain_id) reproduce the output bit for bit.  A sampler
     failure mid-run surfaces as NumericalError naming the chain and the
     iteration.  run_multi passes _stop, checked once per sweep: once it is
-    set, the chain ends early by raising _Stopped.
+    set, the chain ends early by raising _Stopped.  It also passes _threads,
+    the number of chains running at once, for the spare-CPU rule of the
+    helper thread (see the module notes).
     """
     y_arr = returns_array(y, min_len=2)
     n = y_arr.size
@@ -358,63 +494,87 @@ def run_chain(
     kept = {f.name: np.empty((n_ret, n), dtype=np.int64 if f.name == "jump_ind" else float)
             for f in fields(LatentPath)} if spec.keep_latent_draws else None
 
+    # Each sweep reads one row of standard gammas (the innovations' head,
+    # then the mixture path) and one row of standard normals (the other
+    # innovations, then the jump sizes): the variates of the public stages.
+    innovation_shapes, tail = innovation_variates(discount_plan(cfg.omega, cfg.a0, n))
+    head = innovation_shapes.size
+    shapes = np.concatenate([innovation_shapes, np.full(n, _mixture_shape(cfg))])
+    n_normals = tail + (n if cfg.jumps_enabled else 0)
+    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (shapes.size + n_normals)))
+    helper = n >= _HELPER_MIN_N and _usable_cpus() >= 2 * _threads
+    ring = _VariateRing(rng, shapes, n_normals, chunk, -(-spec.iterations // chunk),
+                        f"jumpvol-variates-{chain_id}" if helper else None)
+
     probs = np.zeros(n)
     idx = 0
-    for j in range(1, spec.iterations + 1):
-        if _stop is not None and _stop.is_set():
-            raise _Stopped
-        try:
-            mu = sample_mu(weights, shifted, priors, rng)
-            np.subtract(y_arr, mu, out=centered)
-            np.subtract(centered, jumps, out=resid)
-            fs = forward_filter(resid, mixture, cfg)
-            precision = backward_sample(fs, cfg, rng)
-            mixture = sample_mixture_path(resid, precision, cfg, rng)
-            np.multiply(mixture, precision, out=weights)
-            np.divide(1.0, weights, out=variance)
-            if cfg.jumps_enabled:
-                observed = jump_size[jump_ind == 1]
-                jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
-                jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                jump_size = sample_jump_sizes(centered, variance, jump_mean, jump_var, rng)
-                probs = jump_indicator_probs(centered, precision, mixture, jump_size, jump_prob)
-                jump_ind = apply_jump_threshold(probs, cfg.jump_threshold)
-                np.multiply(jump_size, jump_ind, out=jumps)
-                np.subtract(y_arr, jumps, out=shifted)
-                jump_prob = sample_jump_prob(jump_ind, priors, rng)
-        except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
-            raise NumericalError(
-                f"chain {chain_id}: sampler failed at iteration {j}: {exc}"
-            ) from exc
-
-        if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
-            ll = conditional_log_lik(y_arr, mu, jumps, variance)
-            if not np.isfinite(ll):
+    try:
+        for j in range(1, spec.iterations + 1):
+            if _stop is not None and _stop.is_set():
+                raise _Stopped
+            i = (j - 1) % chunk
+            if i == 0:
+                chunk_gammas, chunk_normals = ring.take()
+            gammas, normals = chunk_gammas[i], chunk_normals[i]
+            try:
+                mu = sample_mu(weights, shifted, priors, rng)
+                np.subtract(y_arr, mu, out=centered)
+                np.subtract(centered, jumps, out=resid)
+                fs = forward_filter(resid, mixture, cfg)
+                precision = backward_sample(fs, cfg, rng, gammas[:head], normals[:tail])
+                mixture = sample_mixture_path(resid, precision, cfg, gammas[head:])
+                np.multiply(mixture, precision, out=weights)
+                np.divide(1.0, weights, out=variance)
+                if cfg.jumps_enabled:
+                    observed = jump_size[jump_ind == 1]
+                    jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
+                    jump_var = sample_jump_var(observed, jump_mean, priors, rng)
+                    jump_size = sample_jump_sizes(centered, variance, jump_mean, jump_var,
+                                                  normals[tail:])
+                    probs = jump_indicator_probs(centered, precision, mixture, jump_size,
+                                                 jump_prob)
+                    jump_ind = apply_jump_threshold(probs, cfg.jump_threshold)
+                    np.multiply(jump_size, jump_ind, out=jumps)
+                    np.subtract(y_arr, jumps, out=shifted)
+                    jump_prob = sample_jump_prob(jump_ind, priors, rng)
+            except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
                 raise NumericalError(
-                    f"chain {chain_id}: non-finite log-likelihood at iteration {j}"
-                )
-            row = dict(chain=chain_id, iteration=j, mu=mu, jump_prob=jump_prob,
-                       jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
-            for name, column in draws.items():
-                column[idx] = row[name]
-            acc.add(precision, mixture, jumps, jump_ind, probs)
-            if kept is not None:
-                path = dict(precision=precision, mixture=mixture, jump_size=jump_size,
-                            jump_ind=jump_ind)
-                for name, rows in kept.items():
-                    rows[idx] = path[name]
-            idx += 1
+                    f"chain {chain_id}: sampler failed at iteration {j}: {exc}"
+                ) from exc
+
+            if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
+                ll = conditional_log_lik(y_arr, mu, jumps, variance)
+                if not np.isfinite(ll):
+                    raise NumericalError(
+                        f"chain {chain_id}: non-finite log-likelihood at iteration {j}"
+                    )
+                row = dict(chain=chain_id, iteration=j, mu=mu, jump_prob=jump_prob,
+                           jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
+                for name, column in draws.items():
+                    column[idx] = row[name]
+                acc.add(precision, mixture, jumps, jump_ind, probs)
+                if kept is not None:
+                    path = dict(precision=precision, mixture=mixture, jump_size=jump_size,
+                                jump_ind=jump_ind)
+                    for name, rows in kept.items():
+                        rows[idx] = path[name]
+                idx += 1
+    finally:
+        ring.close()
 
     return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count(n_chains: int) -> int:
     """Threads for n_chains chains: one per chain, at most one per usable CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_chains, cpus)
+    return min(n_chains, _usable_cpus())
 
 
 def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
@@ -438,7 +598,7 @@ def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     def work(first: int) -> None:
         try:
             for k in range(first, spec.n_chains, workers):
-                chains[k] = run_chain(y, cfg, spec, chain_id=k, _stop=stop)
+                chains[k] = run_chain(y, cfg, spec, chain_id=k, _stop=stop, _threads=workers)
         except _Stopped:
             pass
         except BaseException as exc:  # raised again in the calling thread

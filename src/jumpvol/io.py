@@ -139,7 +139,8 @@ def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
     they are read, _BLOCK_ROWS at a time, into one packed buffer per
     column.  A DataFormatError names the first short row if there is one,
     else the first line of the leftmost column that holds a non-numeric
-    cell or an integer beyond int64.
+    cell, an integer beyond int64 or a float that is not finite (nan, inf
+    or an overflow such as 1e999): no file this package writes holds one.
     """
     path = Path(path)
     with _csv_rows(path) as reader:
@@ -165,6 +166,8 @@ def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
                     continue
                 try:
                     column.extend(map(parse, cells))
+                    if parse is float and not all(map(math.isfinite, column[-len(cells):])):
+                        raise ValueError
                 except (ValueError, OverflowError):
                     bad[k] = next(
                         (line_no, cell, problem)
@@ -182,12 +185,13 @@ def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
 def _cell_problem(parse, typecode: str, cell: str) -> Optional[str]:
     """None for a cell that parses into a column of typecode, else what is wrong with it."""
     try:
-        array(typecode, [parse(cell)])
+        value = parse(cell)
+        array(typecode, [value])
     except ValueError:
         return "non-numeric"
     except OverflowError:
         return "out-of-range"
-    return None
+    return None if math.isfinite(value) else "non-finite"
 
 
 def ingest_csv(path, mode: str) -> ReturnsSeries:

@@ -15,6 +15,21 @@ All functions accept scalars or arrays for the distribution parameters and
 broadcast like numpy.  Given the same (seed, stream_id) and the same call
 sequence, draws are reproducible bit for bit; distinct stream ids give
 statistically independent streams.
+
+An :class:`RngStream` holds three generators seeded from one SeedSequence:
+
+* ``generator`` makes every scalar draw: the four static parameters of a
+  Gibbs sweep, the terminal precision lambda_n, the dispersed starts of
+  later chains and everything :mod:`jumpvol.synthetic` draws.
+* ``gammas`` (spawn key ``(stream_id, 0)``) and ``normals`` (spawn key
+  ``(stream_id, 1)``), the child streams, make the sweep's array draws,
+  whose parameters do not depend on the chain's state.  ``gammas`` draws
+  the standard gammas of the backward-sample innovations (at the plan's
+  leading shapes) and then of the mixture path; ``normals`` draws the
+  standard normals of the remaining innovations and then of the jump
+  sizes.  Each child stream draws one kind of variate in a fixed order, so
+  several sweeps' worth can be drawn in one call, ahead of the sweeps and
+  on another thread, without changing any draw (see :mod:`jumpvol.gibbs`).
 """
 
 from __future__ import annotations
@@ -50,11 +65,15 @@ class RngStream:
     """One independently seeded stream of random draws (one per chain).
 
     Identical (seed, stream_id) always reproduce the same draw sequence.
+    ``generator`` makes the scalar draws, and ``gammas`` and ``normals``
+    the sweep's array draws (see the module notes).
     """
 
     seed: int
     stream_id: int = 0
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
+    gammas: np.random.Generator = field(init=False, repr=False, compare=False)
+    normals: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
@@ -64,6 +83,7 @@ class RngStream:
                 raise ParameterError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
         root = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         self.generator = np.random.default_rng(root)
+        self.gammas, self.normals = map(np.random.default_rng, root.spawn(2))
 
 
 def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False):

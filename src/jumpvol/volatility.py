@@ -33,6 +33,11 @@ filter state matches cfg.  Both then call the unchecked kernels
 Gibbs sweep has already formed, and ``_backward_sample``; the sweep calls
 them directly.  The kernels keep one numerical guard: the filtered rates
 must be finite.
+
+The innovations' standard variates (gammas at shapes[:head], normals past
+it) do not depend on the data, so ``_backward_sample`` takes them as arrays
+and the Gibbs sweep draws them ahead of time; :func:`backward_sample` draws
+them from the stream's child generators (see :mod:`jumpvol.rng`).
 """
 
 from __future__ import annotations
@@ -230,11 +235,29 @@ def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nda
         raise ParameterError(
             f"filter state was built with omega={fs.plan.omega}, cfg has omega={cfg.omega}"
         )
-    return _backward_sample(fs, cfg, rng)
+    shapes, n_normals = innovation_variates(fs.plan)
+    gammas = rng.gammas.standard_gamma(shapes)
+    normals = rng.normals.standard_normal(n_normals)
+    return _backward_sample(fs, cfg, rng, gammas, normals)
 
 
-def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
-    """Kernel of :func:`backward_sample`; cfg is unused once omega is checked."""
+def innovation_variates(plan: DiscountPlan) -> tuple[np.ndarray, int]:
+    """The standard variates of the backward-sample innovations.
+
+    Returns the shapes of the standard gammas (plan.shapes[:head]; a shape
+    of 0 draws exactly 0), drawn from rng.gammas, and the number of standard
+    normals past the head (n - 1 - head), drawn from rng.normals.
+    """
+    return plan.shapes[: plan.head], plan.n - 1 - plan.head
+
+
+def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream,
+                     gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`backward_sample`; cfg is unused once omega is checked.
+
+    gammas and normals are the variates of :func:`innovation_variates`:
+    eta_t = gamma/b_t in the head, Z^2/(2 b_t) past it.
+    """
     plan = fs.plan
     n = plan.n
     b = fs.b
@@ -248,11 +271,9 @@ def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nd
         return np.array([lam_n], dtype=float)
 
     head = plan.head
-    gen = rng.generator
     eta = np.empty(n - 1, dtype=float)  # eta[t-1] = eta_t
-    eta[:head] = gen.standard_gamma(plan.shapes[:head]) / b[1 : head + 1]
-    z = gen.standard_normal(n - 1 - head)
-    eta[head:] = z * z / (2.0 * b[head + 1 : n])
+    eta[:head] = gammas / b[1 : head + 1]
+    eta[head:] = normals * normals / (2.0 * b[head + 1 : n])
     lam = np.empty(n, dtype=float)
     # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal.
     lam[: n - 1] = discount_scan(eta[::-1], plan, lam_n)[::-1]

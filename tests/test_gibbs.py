@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -217,13 +218,13 @@ class TestSweepOrder:
             log["filter_mixture"].append(np.array(mixture, copy=True))
             return real_forward(resid, mixture, cfg)
 
-        def spy_mixture(resid, precision, cfg, rng):
-            out = real_mixture(resid, precision, cfg, rng)
+        def spy_mixture(resid, precision, cfg, variates):
+            out = real_mixture(resid, precision, cfg, variates)
             log["mixture_out"].append(np.array(out, copy=True))
             return out
 
-        def spy_sizes(centered, variance, jump_mean, jump_var, rng):
-            out = real_sizes(centered, variance, jump_mean, jump_var, rng)
+        def spy_sizes(centered, variance, jump_mean, jump_var, variates):
+            out = real_sizes(centered, variance, jump_mean, jump_var, variates)
             log["jump_sizes_out"].append(np.array(out, copy=True))
             return out
 
@@ -328,6 +329,236 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled):
         # branch.  (At omega = 0.05 the precision follows each observation,
         # and the short run at n = 252 declares none.)
         assert out.latent_draws["jump_ind"].any()
+
+
+def _force_helper(monkeypatch, on: bool, chunk_variates=None):
+    """Force the helper thread of the variate ring on or off; returns the list
+    of rings whose slots a helper thread filled, by helper name."""
+    monkeypatch.setattr(engine, "_HELPER_MIN_N", 0 if on else 10**9)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 64 if on else 1)
+    if chunk_variates is not None:
+        monkeypatch.setattr(engine, "_CHUNK_VARIATES", chunk_variates)
+    helpers = []
+    fill = engine._VariateRing._fill
+
+    def spy(self, slot):
+        name = threading.current_thread().name
+        if name.startswith("jumpvol-variates-") and not hasattr(self, "_spied"):
+            self._spied = True
+            helpers.append(name)
+        return fill(self, slot)
+
+    monkeypatch.setattr(engine._VariateRing, "_fill", spy)
+    return helpers
+
+
+def _helpers_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("jumpvol-")]
+
+
+@pytest.mark.parametrize("n", [2, 252, 1200])
+@pytest.mark.parametrize("omega", [0.05, 0.9, 1.0])
+@pytest.mark.parametrize("jumps_enabled", [True, False])
+def test_helper_thread_changes_no_draw(n, omega, jumps_enabled, monkeypatch):
+    """A chain draws the same with its variates drawn on a helper thread as in
+    the sweep's own thread, and for any chunk size (here one to three sweeps
+    a chunk, with a partly used last chunk)."""
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    cfg = jv.ModelConfig(omega=omega, jumps_enabled=jumps_enabled)
+    spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=3, seed=8, keep_latent_draws=True)
+    two_sweeps = 2 * (3 * n - 1)
+
+    def run(helper, chunk_variates=None):
+        with monkeypatch.context() as m:
+            started = _force_helper(m, helper, chunk_variates)
+            out = jv.run_chain(y, cfg, spec)
+        assert len(started) == helper
+        assert not _helpers_alive()
+        return out
+
+    want = run(False)
+    for got in (run(True), run(True, two_sweeps), run(False, two_sweeps), run(True, 1)):
+        for name, column in want.draws.items():
+            np.testing.assert_array_equal(got.draws[name], column, err_msg=name)
+        for field in dataclasses.fields(want.latent):
+            np.testing.assert_array_equal(getattr(got.latent, field.name),
+                                          getattr(want.latent, field.name))
+        for name, rows in want.latent_draws.items():
+            np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
+
+
+def test_helper_threads_under_stress_change_no_draw(small_sim, monkeypatch):
+    """Three chains on three threads, each with a helper refilling its ring
+    every sweep (more threads than cores), with frequent thread switches,
+    draw what the chains draw one after another without helpers."""
+    spec = jv.RunSpec(iterations=60, burn_in=10, n_chains=3, seed=5)
+    serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
+              for k in range(3)]
+    started = _force_helper(monkeypatch, True, chunk_variates=1)
+    monkeypatch.setattr(engine, "_worker_count", lambda n_chains: n_chains)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = jv.run_multi(small_sim.returns, jv.default_config(), spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 3
+    assert not _helpers_alive()
+    for got, want in zip(threaded, serial):
+        for name in want.draws:
+            np.testing.assert_array_equal(got.draws[name], want.draws[name])
+        np.testing.assert_array_equal(got.latent.var_mean, want.latent.var_mean)
+
+
+class TestHelperThread:
+    """Every helper thread is joined, however run_chain ends."""
+
+    def test_size_and_spare_cpu_rule(self, small_sim, monkeypatch):
+        started = _force_helper(monkeypatch, True)
+        spec = jv.RunSpec(iterations=5, seed=1)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+        jv.run_chain(small_sim.returns, jv.default_config(), spec, _threads=2)  # 3 < 2 x 2
+        monkeypatch.setattr(engine, "_HELPER_MIN_N", len(small_sim.returns) + 1)
+        jv.run_chain(small_sim.returns, jv.default_config(), spec)  # too short
+        assert started == []
+        monkeypatch.setattr(engine, "_HELPER_MIN_N", len(small_sim.returns))
+        jv.run_chain(small_sim.returns, jv.default_config(), spec)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
+        jv.run_chain(small_sim.returns, jv.default_config(), spec, _threads=2)
+        assert len(started) == 2
+
+    def test_joined_on_return(self, small_sim, monkeypatch):
+        started = _force_helper(monkeypatch, True, chunk_variates=1)
+        jv.run_chain(small_sim.returns, jv.default_config(), jv.RunSpec(iterations=20, seed=1))
+        assert len(started) == 1
+        assert not _helpers_alive()
+
+    def test_failure_on_the_helper_is_raised_by_run_chain(self, small_sim, monkeypatch):
+        helpers = _force_helper(monkeypatch, True, chunk_variates=1)
+        fill, fills = engine._VariateRing._fill, []
+
+        def fail_third(self, slot):
+            fills.append(threading.current_thread().name)
+            if len(fills) == 3:
+                raise MemoryError("no room for the variates")
+            return fill(self, slot)
+
+        monkeypatch.setattr(engine._VariateRing, "_fill", fail_third)
+        with pytest.raises(MemoryError, match="no room"):
+            jv.run_chain(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
+        assert len(helpers) == 1 and fills[2].startswith("jumpvol-variates-")
+        assert not _helpers_alive()
+
+    def test_helper_that_does_not_pay_is_joined(self, small_sim, monkeypatch):
+        """A chain drops a helper that does not pay at its fifth chunk, joins it
+        and fills the later chunks itself, drawing what the inline chain draws."""
+        spec = jv.RunSpec(iterations=20, burn_in=4, seed=3, keep_latent_draws=True)
+        with monkeypatch.context() as m:
+            _force_helper(m, False)
+            want = jv.run_chain(small_sim.returns, jv.default_config(), spec)
+        helpers = _force_helper(monkeypatch, True, chunk_variates=1)
+        checks = []
+        monkeypatch.setattr(engine._VariateRing, "_helper_pays",
+                            lambda self: checks.append(None) or len(checks) < 5)
+        fill = engine._VariateRing._fill
+        inline = []
+
+        def spy(self, slot):
+            if not threading.current_thread().name.startswith("jumpvol-variates-"):
+                inline.append(_helpers_alive())
+            return fill(self, slot)
+
+        monkeypatch.setattr(engine._VariateRing, "_fill", spy)
+        got = jv.run_chain(small_sim.returns, jv.default_config(), spec)
+        assert len(helpers) == 1 and len(checks) == 5
+        assert inline == [[]] * (spec.iterations - 5)  # each after the helper is gone
+        for name, column in want.draws.items():
+            np.testing.assert_array_equal(got.draws[name], column, err_msg=name)
+        for name, rows in want.latent_draws.items():
+            np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
+
+    def test_helper_pays_while_the_two_threads_are_busy_for_the_wall_time(self, monkeypatch):
+        """After a warm-up window, the helper's CPU time and the sweeps' together
+        must reach _HELPER_MIN_BUSY times the wall time, checked once per window."""
+        clock = {"wall": 10.0, "cpu": 4.0}
+        monkeypatch.setattr(engine, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock["wall"], thread_time=lambda: clock["cpu"]))
+        monkeypatch.setattr(engine, "_HELPER_WINDOW_S", 0.25)
+        monkeypatch.setattr(engine, "_HELPER_MIN_BUSY", 1.5)
+        ring = engine._VariateRing(jv.RngStream(1), np.ones(3), 2, 1, 10, "jumpvol-variates-t")
+        ring.close()  # the check reads only the clocks and the helper's CPU time
+        for wall, cpu, helper_cpu, pays in [
+            (0.125, 0.0, 0.0, True),  # before the first check
+            (0.25, 0.0, 0.0, True),  # the warm-up ends: the totals start here
+            (0.5, 0.25, 0.125, True),  # 0.375 CPU seconds in 0.25 s
+            (0.625, 0.25, 0.125, True),  # short, but the next check is not due
+            (0.75, 0.5, 0.125, False),  # 0.625 CPU seconds in 0.5 s
+            (1.0, 0.5, 0.625, True),
+        ]:
+            clock.update(wall=10.0 + wall, cpu=4.0 + cpu)
+            ring._helper_cpu = helper_cpu
+            assert ring._helper_pays() is pays, wall
+
+    @staticmethod
+    def _fail_at_sweep(monkeypatch, sweep, exc):
+        calls = []
+        sample_mu = engine.sample_mu
+
+        def spy(*args):
+            calls.append(None)
+            if len(calls) == sweep:
+                raise exc
+            return sample_mu(*args)
+
+        monkeypatch.setattr(engine, "sample_mu", spy)
+        return calls
+
+    def test_joined_on_numerical_error(self, small_sim, monkeypatch):
+        started = _force_helper(monkeypatch, True, chunk_variates=1)
+        self._fail_at_sweep(monkeypatch, 5, FloatingPointError("overflow in a stage"))
+        with pytest.raises(NumericalError, match="iteration 5"):
+            jv.run_chain(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
+        assert len(started) == 1
+        assert not _helpers_alive()
+
+    def test_joined_on_interrupt(self, small_sim, monkeypatch):
+        started = _force_helper(monkeypatch, True, chunk_variates=1)
+        calls = self._fail_at_sweep(monkeypatch, 5, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            jv.run_chain(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
+        assert len(calls) == 5 and len(started) == 1
+        assert not _helpers_alive()
+
+    def test_joined_when_run_multi_stops_on_a_failing_chain(self, small_sim, monkeypatch):
+        started = _force_helper(monkeypatch, True, chunk_variates=1)
+
+        def fail(k, sweep):
+            if k == 1 and sweep == 5:
+                raise FloatingPointError("overflow in a stage")
+
+        TestRunMulti._stage_spy(monkeypatch, fail)
+        with pytest.raises(NumericalError, match="chain 1: sampler failed at iteration 5"):
+            jv.run_multi(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
+        assert len(started) == 3
+        assert not _helpers_alive()
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_joined_when_run_multi_is_interrupted(self, small_sim, monkeypatch):
+        _force_helper(monkeypatch, True, chunk_variates=1)
+
+        def interrupt(k, sweep):
+            if k == 0 and sweep == 5:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        TestRunMulti._stage_spy(monkeypatch, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            jv.run_multi(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
+        # As in TestRunMulti: a chain thread that the interrupt caught in
+        # start() ends on its own, before its first sweep.
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and _helpers_alive():
+            time.sleep(0.01)
+        assert not _helpers_alive()
 
 
 class TestRunMulti:
@@ -512,9 +743,19 @@ def _valid_state(n=300, mu=0.1):
     }
 
 
+def _filtered(s):
+    return jv.forward_filter(s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"])
+
+
+def _innovations(plan, rng):
+    shapes, n_normals = volatility.innovation_variates(plan)
+    return rng.gammas.standard_gamma(shapes), rng.normals.standard_normal(n_normals)
+
+
 # Arguments of each stage from a valid state and a stream: as a caller passes
 # them to the public function and, where they differ, as the sweep passes them
-# to the kernel.
+# to the kernel.  The kernels of the array stages take standard variates, which
+# the sweep draws from the stream's child generators in this order.
 _STAGES = {
     "sample_mu": (conditionals, lambda s, r: (
         s["y"], s["jumps"], s["precision"], s["mixture"], s["priors"], r), lambda s, r: (
@@ -522,16 +763,17 @@ _STAGES = {
     "forward_filter": (volatility, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), lambda s, r: (
         s["resid"], s["mixture"], s["cfg"])),
-    "backward_sample": (volatility, lambda s, r: (
-        jv.forward_filter(s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), s["cfg"], r)),
+    "backward_sample": (volatility, lambda s, r: (_filtered(s), s["cfg"], r), lambda s, r: (
+        _filtered(s), s["cfg"], r, *_innovations(_filtered(s).plan, r))),
     "sample_mixture_path": (conditionals, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r), lambda s, r: (
-        s["resid"], s["precision"], s["cfg"], r)),
+        s["resid"], s["precision"], s["cfg"],
+        r.gammas.standard_gamma(0.5 * s["cfg"].nu + 0.5, len(s["y"])))),
     "sample_jump_mean": (conditionals, lambda s, r: (s["observed"], 3.0, s["priors"], r)),
     "sample_jump_var": (conditionals, lambda s, r: (s["observed"], -2.0, s["priors"], r)),
     "sample_jump_sizes": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, r), lambda s, r: (
-        s["centered"], s["variance"], -2.0, 3.0, r)),
+        s["centered"], s["variance"], -2.0, 3.0, r.normals.standard_normal(len(s["y"])))),
     "jump_indicator_probs": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05), lambda s, r: (
         s["centered"], s["precision"], s["mixture"], s["sizes"], 0.05)),
@@ -547,7 +789,7 @@ _STAGES = {
 def test_sweep_kernel_matches_public_function(name):
     """The stage the sweep calls is the unchecked kernel of the public function:
     the arrays the sweep forms from the same state and the same seed give
-    bit-identical results and generator state."""
+    bit-identical results and states of both generators."""
     module, args, *kernel_args = _STAGES[name]
     kernel_args = kernel_args[0] if kernel_args else args
     kernel, public = getattr(engine, name), getattr(module, name)
@@ -565,3 +807,5 @@ def test_sweep_kernel_matches_public_function(name):
     else:
         assert got == want
     assert rng_kernel.generator.random() == rng_public.generator.random()
+    assert rng_kernel.gammas.random() == rng_public.gammas.random()
+    assert rng_kernel.normals.random() == rng_public.normals.random()

@@ -220,7 +220,7 @@ class TestSerialization:
         assert not path.exists()
 
     @pytest.mark.parametrize("defect,reader", [
-        *itertools.product(["wrong_header", "short_row", "non_numeric"],
+        *itertools.product(["wrong_header", "short_row", "non_numeric", "nan", "inf", "1e999"],
                            ["read_draws_csv", "read_latent_csv", "read_sim_csv"]),
         # Only draws files have integer columns.
         ("out_of_range", "read_draws_csv"),
@@ -242,6 +242,9 @@ class TestSerialization:
         elif defect == "non_numeric":
             lines[2] = row[:-1] + ["oops"]
             line_no = 3
+        elif defect in ("nan", "inf", "1e999"):
+            lines[2] = row[:-1] + [defect]
+            line_no = 3
         else:
             lines[2] = ["99999999999999999999"] + row[1:]
             line_no = 3
@@ -251,6 +254,8 @@ class TestSerialization:
             getattr(jio, reader)(path)
         if defect == "out_of_range":
             assert "out-of-range chain value '99999999999999999999'" in str(err.value)
+        if defect in ("nan", "inf", "1e999"):
+            assert f"non-finite {header[-1]} value '{defect}'" in str(err.value)
 
 
     def _draws_text(self, newline="\n", final=True):

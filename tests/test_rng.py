@@ -170,6 +170,41 @@ def test_distinct_streams_differ():
     assert a != b
 
 
+# The first raw outputs and the first standard normal of RngStream(seed,
+# stream_id).generator, pinned when the child streams were added: the scalar
+# draws and everything synthetic.simulate draws keep their stream.
+_GENERATOR_PINS = {
+    (0, 0): ([17394127715520444142, 5835390491061343638], 0.735955670177038),
+    (42, 1): ([8623682774590505111, 856830905295172750], -1.3401775973994274),
+    (20230817, 3): ([2409297017107670888, 2559594330042824173], -0.44297000274690074),
+    (2**64 - 1, 2**64 - 1): ([7097014041879349551, 9127158305087064115], 0.02272911914165153),
+}
+
+
+@pytest.mark.parametrize("seed,stream_id", sorted(_GENERATOR_PINS))
+def test_generator_keeps_its_stream(seed, stream_id):
+    raw, normal = _GENERATOR_PINS[seed, stream_id]
+    stream = jv.RngStream(seed, stream_id)
+    assert stream.generator.bit_generator.random_raw(2).tolist() == raw
+    assert stream.generator.standard_normal() == normal
+
+
+@pytest.mark.parametrize("seed", [0, 42, 20230817])
+def test_child_streams_differ_from_every_generator(seed):
+    """gammas and normals are streams of their own: their first outputs match
+    neither each other nor the generator of any stream id tried."""
+    def first(gen):
+        return tuple(gen.bit_generator.random_raw(4).tolist())
+
+    streams = [jv.RngStream(seed, k) for k in range(8)]
+    generators = {first(jv.RngStream(seed, k).generator) for k in range(8)}
+    children = [first(getattr(s, name)) for s in streams for name in ("gammas", "normals")]
+    assert len(set(children)) == len(children)
+    assert not generators & set(children)
+    assert [first(jv.RngStream(seed, 3).gammas), first(jv.RngStream(seed, 3).normals)] == \
+        children[6:8]
+
+
 def test_gamma_shape_zero_is_point_mass(rng):
     assert jv.sample_gamma(0.0, 2.0, rng) == 0.0
     mixed = jv.sample_gamma(np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0, 5.0]), rng)
