@@ -27,9 +27,11 @@ are smallest and largest at each t, so a chain keeps those in a buffer of
 at most 3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
 
 Chains never share mutable state.  run_multi runs them on one thread per
-usable CPU (the random draws release the interpreter lock).  Each chain's
-output depends only on (seed, chain_id), so the result is the same for any
-number of threads.
+two usable CPUs, each with a CPU to spare for its helper (below), so on
+two CPUs the chains run one after another: a sweep's many short numpy
+calls each take the interpreter lock back, and ran 2.2-2.7 times slower
+beside a second chain thread.  A chain's output depends only on (seed,
+chain_id), so the result is the same for any number of threads.
 
 The array draws of a sweep, the backward-sample innovations, the mixture
 path and the jump sizes, scale standard variates whose parameters do not
@@ -37,18 +39,14 @@ depend on the chain's state.  Each chain draws those from the two child
 streams of its RngStream (see :mod:`jumpvol.rng`), a chunk of sweeps at a
 time (_VariateRing): one call per stream fills the chunk's standard
 gammas, another its standard normals, and sweep i of the chunk reads row
-i.  When the series has at least _HELPER_MIN_N points and the chain has a
-spare CPU, a helper thread fills the next chunk while the sweeps read the
-current one.  The CPU is spare when the usable CPUs number at least twice
-the chains running at once: one for run_chain on its own, run_multi's
-thread count for its chains.  Each child stream fills its chunks in the
+i.  When the series has at least _HELPER_MIN_N points and the process may
+use at least two CPUs, a helper thread fills the next chunk while the
+sweeps read the current one.  Each child stream fills its chunks in the
 same order either way, and the chunk size does not depend on the helper,
 so the output is the same with or without it.  The helper is joined when
-run_chain returns or raises.  A CPU the chain's affinity allows may still be
-busy with other processes, or slow to wake: so every _HELPER_WINDOW_S the
-chain checks that its two threads together have been busy for at least
-_HELPER_MIN_BUSY times the wall time since the helper warmed up, and
-otherwise joins the helper and draws the rest of the chunks itself.
+run_chain returns or raises, or as soon as it stops paying: when the
+chain's two threads together are busy for less than _HELPER_MIN_BUSY
+times the wall time (a usable CPU may be busy with other processes).
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -370,7 +368,9 @@ class _VariateRing:
     0.4 MB of peak memory at n = 5,000.)
 
     The helper pays only while it runs beside the sweeps, not in turn with
-    them.  Every _HELPER_WINDOW_S after the first, take() adds the CPU time
+    them: run_chain starts it only when the process may use two CPUs, and
+    run_multi runs one chain thread per two.  A usable CPU may still be
+    busy, so every _HELPER_WINDOW_S after the first, take() adds the CPU time
     that the sweeps' thread and the helper have used since the first window
     ended: if together they fall short of _HELPER_MIN_BUSY times the wall
     time (CPUs busy with other work, or slow to wake the helper), the helper
@@ -446,16 +446,14 @@ class _VariateRing:
 
 def run_chain(
     y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0, *,
-    _stop: Optional[threading.Event] = None, _threads: int = 1,
+    _stop: Optional[threading.Event] = None,
 ) -> ChainOutput:
     """Run one chain and return its thinned draws.
 
     Fixed (spec.seed, chain_id) reproduce the output bit for bit.  A sampler
     failure mid-run surfaces as NumericalError naming the chain and the
     iteration.  run_multi passes _stop, checked once per sweep: once it is
-    set, the chain ends early by raising _Stopped.  It also passes _threads,
-    the number of chains running at once, for the spare-CPU rule of the
-    helper thread (see the module notes).
+    set, the chain ends early by raising _Stopped.
     """
     y_arr = returns_array(y, min_len=2)
     n = y_arr.size
@@ -502,7 +500,7 @@ def run_chain(
     shapes = np.concatenate([innovation_shapes, np.full(n, _mixture_shape(cfg))])
     n_normals = tail + (n if cfg.jumps_enabled else 0)
     chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (shapes.size + n_normals)))
-    helper = n >= _HELPER_MIN_N and _usable_cpus() >= 2 * _threads
+    helper = n >= _HELPER_MIN_N and _usable_cpus() >= 2
     ring = _VariateRing(rng, shapes, n_normals, chunk, -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
 
@@ -573,8 +571,9 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(n_chains: int) -> int:
-    """Threads for n_chains chains: one per chain, at most one per usable CPU."""
-    return min(n_chains, _usable_cpus())
+    """Threads for n_chains chains: one per chain, at most one per two usable
+    CPUs, so that each chain thread leaves a CPU to its helper thread."""
+    return min(n_chains, max(1, _usable_cpus() // 2))
 
 
 def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
@@ -584,11 +583,12 @@ def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     overdispersed prior draws, so multi-chain convergence checks are
     meaningful.  Results are ordered by chain id.
 
-    The chains run on min(n_chains, usable CPUs) threads; thread w runs
-    chains w, w + workers, ... in order, so one thread runs them all one
-    after another.  The output is the same for any number of threads.  When
-    a chain fails, or the call is interrupted, the other chains stop at
-    their next sweep, and the error of the lowest failing chain id is raised.
+    The chains run on _worker_count(n_chains) threads; thread w runs chains
+    w, w + workers, ... in order, so on two CPUs one thread runs them all one
+    after another, each with its helper.  The output is the same for any
+    number of threads.  When a chain fails, or the call is interrupted, the
+    other chains stop at their next sweep, and the error of the lowest
+    failing chain id is raised.
     """
     workers = _worker_count(spec.n_chains)
     chains: list = [None] * spec.n_chains
@@ -598,7 +598,7 @@ def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     def work(first: int) -> None:
         try:
             for k in range(first, spec.n_chains, workers):
-                chains[k] = run_chain(y, cfg, spec, chain_id=k, _stop=stop, _threads=workers)
+                chains[k] = run_chain(y, cfg, spec, chain_id=k, _stop=stop)
         except _Stopped:
             pass
         except BaseException as exc:  # raised again in the calling thread

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import signal
 import sys
 import threading
@@ -414,18 +413,19 @@ class TestHelperThread:
     """Every helper thread is joined, however run_chain ends."""
 
     def test_size_and_spare_cpu_rule(self, small_sim, monkeypatch):
+        """A chain starts a helper on a series of at least _HELPER_MIN_N points
+        when the process may use two CPUs."""
         started = _force_helper(monkeypatch, True)
         spec = jv.RunSpec(iterations=5, seed=1)
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-        jv.run_chain(small_sim.returns, jv.default_config(), spec, _threads=2)  # 3 < 2 x 2
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        jv.run_chain(small_sim.returns, jv.default_config(), spec)  # no spare CPU
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(engine, "_HELPER_MIN_N", len(small_sim.returns) + 1)
         jv.run_chain(small_sim.returns, jv.default_config(), spec)  # too short
         assert started == []
         monkeypatch.setattr(engine, "_HELPER_MIN_N", len(small_sim.returns))
         jv.run_chain(small_sim.returns, jv.default_config(), spec)
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
-        jv.run_chain(small_sim.returns, jv.default_config(), spec, _threads=2)
-        assert len(started) == 2
+        assert len(started) == 1
 
     def test_joined_on_return(self, small_sim, monkeypatch):
         started = _force_helper(monkeypatch, True, chunk_variates=1)
@@ -588,9 +588,42 @@ class TestRunMulti:
             )
             assert abs(means[i] - means[j]) <= 3.0 * se
 
-    def test_worker_count_is_capped_by_usable_cpus(self):
-        assert engine._worker_count(1) == 1
-        assert 1 <= engine._worker_count(10**6) <= (os.cpu_count() or 1)
+    def test_worker_count_is_capped_by_usable_cpus(self, monkeypatch):
+        """One chain thread per two usable CPUs, at least one, at most one per chain."""
+        # usable CPUs: threads for 1, 3 and 4 chains
+        table = {1: (1, 1, 1), 2: (1, 1, 1), 3: (1, 1, 1), 4: (1, 2, 2), 8: (1, 3, 4)}
+        for cpus, want in table.items():
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+            assert tuple(engine._worker_count(chains) for chains in (1, 3, 4)) == want, cpus
+
+    def test_two_cpus_run_the_chains_in_turn_each_with_a_helper(self, small_sim, monkeypatch):
+        """On two CPUs the chains of run_multi run one after another on one
+        thread, each drawing its variates on a helper, and draw what the
+        chains draw alone without helpers."""
+        spec = jv.RunSpec(iterations=60, burn_in=10, n_chains=3, seed=5, keep_latent_draws=True)
+        serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
+                  for k in range(3)]
+        helpers = _force_helper(monkeypatch, True, chunk_variates=1)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        run_chain, chain_threads = engine.run_chain, set()
+
+        def spy(*args, **kwargs):
+            chain_threads.add(threading.current_thread().name)
+            return run_chain(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_chain", spy)
+        got = jv.run_multi(small_sim.returns, jv.default_config(), spec)
+        assert len(chain_threads) == 1 and chain_threads.pop().startswith("jumpvol-chains-")
+        assert sorted(helpers) == [f"jumpvol-variates-{k}" for k in range(3)]
+        assert not _helpers_alive()
+        for chain, want in zip(got, serial):
+            for name, column in want.draws.items():
+                np.testing.assert_array_equal(chain.draws[name], column, err_msg=name)
+            for field in dataclasses.fields(want.latent):
+                np.testing.assert_array_equal(getattr(chain.latent, field.name),
+                                              getattr(want.latent, field.name))
+            for name, rows in want.latent_draws.items():
+                np.testing.assert_array_equal(chain.latent_draws[name], rows, err_msg=name)
 
     @pytest.mark.parametrize("workers", [1, 3], ids=["one_thread", "three_threads"])
     @pytest.mark.parametrize("cfg, thin_lag", [
