@@ -26,12 +26,10 @@ for bit.  Those quantiles read only the k = 2.5% of draws (plus two) that
 are smallest and largest at each t, so a chain keeps those in a buffer of
 at most 3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
 
-Chains never share mutable state.  run_multi runs them on one thread per
-two usable CPUs, each with a CPU to spare for its helper (below), so on
-two CPUs the chains run one after another: a sweep's many short numpy
-calls each take the interpreter lock back, and ran 2.2-2.7 times slower
-beside a second chain thread.  A chain's output depends only on (seed,
-chain_id), so the result is the same for any number of threads.
+Chains never share mutable state; a chain's output depends only on (seed,
+chain_id).  run_multi runs chains with helper threads (below) in turn: a
+sweep's short numpy calls take the interpreter lock back and ran 2.2-2.7
+times slower beside a second chain thread.  Others get a thread per CPU.
 
 The array draws of a sweep, the backward-sample innovations, the mixture
 path and the jump sizes, scale standard variates whose parameters do not
@@ -39,14 +37,14 @@ depend on the chain's state.  Each chain draws those from the two child
 streams of its RngStream (see :mod:`jumpvol.rng`), a chunk of sweeps at a
 time (_VariateRing): one call per stream fills the chunk's standard
 gammas, another its standard normals, and sweep i of the chunk reads row
-i.  When the series has at least _HELPER_MIN_N points and the process may
-use at least two CPUs, a helper thread fills the next chunk while the
-sweeps read the current one.  Each child stream fills its chunks in the
-same order either way, and the chunk size does not depend on the helper,
-so the output is the same with or without it.  The helper is joined when
-run_chain returns or raises, or as soon as it stops paying: when the
-chain's two threads together are busy for less than _HELPER_MIN_BUSY
-times the wall time (a usable CPU may be busy with other processes).
+i.  With at least _HELPER_MIN_N points and two usable CPUs, a helper
+thread fills the next chunk while the sweeps read the current one.  Each
+child stream fills its chunks in the same order either way, and the chunk
+size does not depend on the helper, so the output is the same with or
+without it.  The helper is joined when run_chain returns or raises, or as
+soon as it stops paying: when the chain's two threads together are busy
+for less than _HELPER_MIN_BUSY times the wall time (a usable CPU may be
+busy with other processes).
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -368,16 +366,15 @@ class _VariateRing:
     0.4 MB of peak memory at n = 5,000.)
 
     The helper pays only while it runs beside the sweeps, not in turn with
-    them: run_chain starts it only when the process may use two CPUs, and
-    run_multi runs one chain thread per two.  A usable CPU may still be
-    busy, so every _HELPER_WINDOW_S after the first, take() adds the CPU time
-    that the sweeps' thread and the helper have used since the first window
-    ended: if together they fall short of _HELPER_MIN_BUSY times the wall
-    time (CPUs busy with other work, or slow to wake the helper), the helper
-    is joined and take() fills the rest of the chunks itself.  The totals
-    run from the first window, so that a short stall of the whole machine,
-    which slows the inline draws as much, does not end a helper that has
-    paid so far.
+    them: it starts only when the process may use two CPUs, and run_multi
+    then runs its chains in turn.  A usable CPU may still be busy, so every
+    _HELPER_WINDOW_S after the first, take() adds the CPU time that the
+    sweeps' thread and the helper have used since the first window ended:
+    if together they fall short of _HELPER_MIN_BUSY times the wall time
+    (CPUs busy with other work, or slow to wake the helper), the helper is
+    joined and take() fills the rest of the chunks itself.  The totals run
+    from the first window, so that a short stall of the whole machine, which
+    slows the inline draws as much, does not end a helper that has paid so far.
     """
 
     def __init__(self, rng: RngStream, shapes: np.ndarray, n_normals: int, chunk: int,
@@ -500,7 +497,7 @@ def run_chain(
     shapes = np.concatenate([innovation_shapes, np.full(n, _mixture_shape(cfg))])
     n_normals = tail + (n if cfg.jumps_enabled else 0)
     chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (shapes.size + n_normals)))
-    helper = n >= _HELPER_MIN_N and _usable_cpus() >= 2
+    helper = _helper_runs(n)
     ring = _VariateRing(rng, shapes, n_normals, chunk, -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
 
@@ -570,10 +567,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(n_chains: int) -> int:
-    """Threads for n_chains chains: one per chain, at most one per two usable
-    CPUs, so that each chain thread leaves a CPU to its helper thread."""
-    return min(n_chains, max(1, _usable_cpus() // 2))
+def _helper_runs(n: int) -> bool:
+    """Whether a chain on n points draws its variates on a helper thread."""
+    return n >= _HELPER_MIN_N and _usable_cpus() >= 2
+
+
+def _worker_count(n_chains: int, n: int) -> int:
+    """One thread if chains on n points have helpers, else one per chain and CPU."""
+    return 1 if _helper_runs(n) else min(n_chains, _usable_cpus())
 
 
 def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
@@ -583,14 +584,13 @@ def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     overdispersed prior draws, so multi-chain convergence checks are
     meaningful.  Results are ordered by chain id.
 
-    The chains run on _worker_count(n_chains) threads; thread w runs chains
-    w, w + workers, ... in order, so on two CPUs one thread runs them all one
-    after another, each with its helper.  The output is the same for any
-    number of threads.  When a chain fails, or the call is interrupted, the
-    other chains stop at their next sweep, and the error of the lowest
-    failing chain id is raised.
+    Of its _worker_count threads, thread w runs chains w, w + workers, ...
+    in order; the output is the same for any number of threads.  When a
+    chain fails, or the call is interrupted, the other chains stop at their
+    next sweep, and the error of the lowest failing chain id is raised.
     """
-    workers = _worker_count(spec.n_chains)
+    y = returns_array(y, min_len=2)
+    workers = _worker_count(spec.n_chains, y.size)
     chains: list = [None] * spec.n_chains
     failures: dict[int, BaseException] = {}
     stop = threading.Event()

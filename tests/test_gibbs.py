@@ -394,7 +394,7 @@ def test_helper_threads_under_stress_change_no_draw(small_sim, monkeypatch):
     serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
               for k in range(3)]
     started = _force_helper(monkeypatch, True, chunk_variates=1)
-    monkeypatch.setattr(engine, "_worker_count", lambda n_chains: n_chains)
+    monkeypatch.setattr(engine, "_worker_count", lambda n_chains, n: n_chains)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -589,22 +589,32 @@ class TestRunMulti:
             assert abs(means[i] - means[j]) <= 3.0 * se
 
     def test_worker_count_is_capped_by_usable_cpus(self, monkeypatch):
-        """One chain thread per two usable CPUs, at least one, at most one per chain."""
-        # usable CPUs: threads for 1, 3 and 4 chains
-        table = {1: (1, 1, 1), 2: (1, 1, 1), 3: (1, 1, 1), 4: (1, 2, 2), 8: (1, 3, 4)}
+        """Chains with helpers run on one thread; others on one thread per
+        chain, at most one per usable CPU."""
+        long_n, short_n = engine._HELPER_MIN_N, engine._HELPER_MIN_N - 1
+        # usable CPUs: threads for 1, 3 and 4 chains on a long and a short series
+        table = {1: ((1, 1, 1), (1, 1, 1)), 2: ((1, 1, 1), (1, 2, 2)),
+                 3: ((1, 1, 1), (1, 3, 3)), 4: ((1, 1, 1), (1, 3, 4)),
+                 8: ((1, 1, 1), (1, 3, 4))}
         for cpus, want in table.items():
             monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
-            assert tuple(engine._worker_count(chains) for chains in (1, 3, 4)) == want, cpus
+            got = tuple(tuple(engine._worker_count(chains, n) for chains in (1, 3, 4))
+                        for n in (long_n, short_n))
+            assert got == want, cpus
 
-    def test_two_cpus_run_the_chains_in_turn_each_with_a_helper(self, small_sim, monkeypatch):
-        """On two CPUs the chains of run_multi run one after another on one
-        thread, each drawing its variates on a helper, and draw what the
-        chains draw alone without helpers."""
+    @pytest.mark.parametrize("helpers", [True, False], ids=["helpers", "no_helpers"])
+    def test_two_cpus_run_chains_with_helpers_in_turn(self, small_sim, monkeypatch, helpers):
+        """On two CPUs, chains with helpers run one after another on one
+        thread, each drawing its variates on its helper; chains without run
+        on two threads.  Either way they draw what the chains draw alone."""
         spec = jv.RunSpec(iterations=60, burn_in=10, n_chains=3, seed=5, keep_latent_draws=True)
         serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
                   for k in range(3)]
-        helpers = _force_helper(monkeypatch, True, chunk_variates=1)
+        started = _force_helper(monkeypatch, True, chunk_variates=1)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        # The series is just long enough for helpers, or one point short.
+        n = len(small_sim.returns)
+        monkeypatch.setattr(engine, "_HELPER_MIN_N", n if helpers else n + 1)
         run_chain, chain_threads = engine.run_chain, set()
 
         def spy(*args, **kwargs):
@@ -613,8 +623,9 @@ class TestRunMulti:
 
         monkeypatch.setattr(engine, "run_chain", spy)
         got = jv.run_multi(small_sim.returns, jv.default_config(), spec)
-        assert len(chain_threads) == 1 and chain_threads.pop().startswith("jumpvol-chains-")
-        assert sorted(helpers) == [f"jumpvol-variates-{k}" for k in range(3)]
+        want_threads = ["jumpvol-chains-0"] if helpers else ["jumpvol-chains-0", "jumpvol-chains-1"]
+        assert sorted(chain_threads) == want_threads
+        assert sorted(started) == ([f"jumpvol-variates-{k}" for k in range(3)] if helpers else [])
         assert not _helpers_alive()
         for chain, want in zip(got, serial):
             for name, column in want.draws.items():
@@ -637,7 +648,7 @@ class TestRunMulti:
         serial = [jv.run_chain(small_sim.returns, cfg, spec, chain_id=k) for k in range(3)]
         # One thread for all chains, or one per chain (more than the cores
         # of a small machine), with frequent thread switches.
-        monkeypatch.setattr(engine, "_worker_count", lambda n_chains: workers)
+        monkeypatch.setattr(engine, "_worker_count", lambda n_chains, n: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -668,7 +679,7 @@ class TestRunMulti:
             on_sweep(k, sweeps[k])
             return sample_mu(*args)
 
-        monkeypatch.setattr(engine, "_worker_count", lambda n_chains: workers or n_chains)
+        monkeypatch.setattr(engine, "_worker_count", lambda n_chains, n: workers or n_chains)
         monkeypatch.setattr(engine, "sample_mu", spy)
         return sweeps
 
