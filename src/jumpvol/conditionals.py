@@ -18,7 +18,10 @@ starts, and every state it produces is valid by construction.  The sweep
 forms each array that several stages read once (see :mod:`jumpvol.gibbs`),
 so the kernels take them ready-made: ``weights`` = mixture * precision,
 ``shifted`` = y - jumps, ``centered`` = y - mu, ``resid`` = y - mu - jumps
-and ``variance`` = 1 / weights.
+and ``variance`` = 1 / weights.  The array kernels write into the arrays
+they are given (``out`` for the result, ``work`` and ``mask`` for scratch):
+the public functions allocate them on each call, and the sweep passes its
+workspace.
 
 The kernels of the two array samplers take their standard variates
 (gammas at the mixture path's common shape, normals for the jump sizes) as
@@ -72,14 +75,15 @@ def mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, f
     prior exactly.
     """
     y, jumps, precision, mixture = aligned(y, jumps=jumps, precision=precision, mixture=mixture)
-    return _mu_posterior(mixture * precision, y - jumps, priors)
+    return _mu_posterior(mixture * precision, y - jumps, priors, np.empty(y.size))
 
 
-def _mu_posterior(weights, shifted, priors: Priors) -> tuple[float, float]:
+def _mu_posterior(weights, shifted, priors: Priors, work) -> tuple[float, float]:
     if weights.size == 0:
         return priors.mu_mean, priors.mu_var
     post_var = 1.0 / (1.0 / priors.mu_var + float(weights.sum()))
-    post_mean = post_var * (priors.mu_mean / priors.mu_var + float((weights * shifted).sum()))
+    weighted = np.multiply(weights, shifted, out=work)
+    post_mean = post_var * (priors.mu_mean / priors.mu_var + float(weighted.sum()))
     return post_mean, post_var
 
 
@@ -87,8 +91,8 @@ def sample_mu(y, jumps, precision, mixture, priors: Priors, rng: RngStream) -> f
     return _normal(*mu_posterior(y, jumps, precision, mixture, priors), rng)
 
 
-def _sample_mu(weights, shifted, priors: Priors, rng: RngStream) -> float:
-    return _normal(*_mu_posterior(weights, shifted, priors), rng)
+def _sample_mu(weights, shifted, priors: Priors, work, rng: RngStream) -> float:
+    return _normal(*_mu_posterior(weights, shifted, priors, work), rng)
 
 
 def _normal(mean: float, var: float, rng: RngStream) -> float:
@@ -102,12 +106,15 @@ def mixture_posterior(y, mu: float, jumps, precision, cfg: ModelConfig):
     squared residual.
     """
     y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
-    return _mixture_posterior(y - mu - jumps, precision, cfg)
+    return _mixture_posterior(y - mu - jumps, precision, cfg, np.empty(y.size))
 
 
-def _mixture_posterior(resid, precision, cfg: ModelConfig):
-    rates = 0.5 * cfg.nu + 0.5 * precision * resid * resid
-    return _mixture_shape(cfg), rates
+def _mixture_posterior(resid, precision, cfg: ModelConfig, out):
+    np.multiply(0.5, precision, out=out)
+    out *= resid
+    out *= resid
+    np.add(0.5 * cfg.nu, out, out=out)
+    return _mixture_shape(cfg), out
 
 
 def _mixture_shape(cfg: ModelConfig) -> float:
@@ -117,13 +124,13 @@ def _mixture_shape(cfg: ModelConfig) -> float:
 def sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
     y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
     variates = rng.gammas.standard_gamma(_mixture_shape(cfg), y.size)
-    return _sample_mixture_path(y - mu - jumps, precision, cfg, variates)
+    return _sample_mixture_path(y - mu - jumps, precision, cfg, variates, np.empty(y.size))
 
 
-def _sample_mixture_path(resid, precision, cfg: ModelConfig, variates) -> np.ndarray:
+def _sample_mixture_path(resid, precision, cfg: ModelConfig, variates, out) -> np.ndarray:
     """variates: standard gammas at the common shape, one per observation."""
-    _, rates = _mixture_posterior(resid, precision, cfg)
-    return variates / rates
+    _, rates = _mixture_posterior(resid, precision, cfg, out)
+    return np.divide(variates, rates, out=out)
 
 
 def jump_mean_posterior(jump_sizes_observed, jump_var: float, priors: Priors) -> tuple[float, float]:
@@ -191,14 +198,21 @@ def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump
     y, precision, mixture = aligned(y, precision=precision, mixture=mixture)
     if not (math.isfinite(jump_var) and jump_var >= 0):
         raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
-    return _jump_size_posterior(y - mu, 1.0 / (mixture * precision), jump_mean, jump_var)
+    return _jump_size_posterior(y - mu, 1.0 / (mixture * precision), jump_mean, jump_var,
+                                np.empty(y.size), np.empty((2, y.size)))
 
 
-def _jump_size_posterior(centered, variance, jump_mean: float, jump_var: float):
-    denom = jump_var + variance
-    means = (jump_mean * variance + centered * jump_var) / denom
-    variances = jump_var * variance / denom
-    return means, variances
+def _jump_size_posterior(centered, variance, jump_mean: float, jump_var: float, out, work):
+    """The means are written into out and the variances into work[1]."""
+    denom, variances = work
+    np.add(jump_var, variance, out=denom)
+    np.multiply(jump_mean, variance, out=out)
+    np.multiply(centered, jump_var, out=variances)
+    out += variances
+    out /= denom
+    np.multiply(jump_var, variance, out=variances)
+    variances /= denom
+    return out, variances
 
 
 def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngStream) -> np.ndarray:
@@ -206,13 +220,18 @@ def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngSt
     return _normal_path(means, variances, rng.normals.standard_normal(means.shape))
 
 
-def _sample_jump_sizes(centered, variance, jump_mean, jump_var, variates) -> np.ndarray:
+def _sample_jump_sizes(centered, variance, jump_mean, jump_var, variates, out, work) -> np.ndarray:
     """variates: standard normals, one per observation."""
-    return _normal_path(*_jump_size_posterior(centered, variance, jump_mean, jump_var), variates)
+    return _normal_path(*_jump_size_posterior(centered, variance, jump_mean, jump_var, out, work),
+                        variates)
 
 
 def _normal_path(means, variances, variates) -> np.ndarray:
-    return means + np.sqrt(variances) * variates
+    """means + sqrt(variances) * variates, written into means."""
+    np.sqrt(variances, out=variances)
+    variances *= variates
+    means += variances
+    return means
 
 
 def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
@@ -229,25 +248,39 @@ def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob
     )
     if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
-    return _jump_indicator_probs(y - mu, precision, mixture, jump_sizes, jump_prob)
+    return _jump_indicator_probs(y - mu, precision, mixture, jump_sizes, jump_prob,
+                                 np.empty(y.size), np.empty((2, y.size)),
+                                 np.empty(y.size, dtype=bool))
 
 
-def _jump_indicator_probs(centered, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
-    if jump_prob <= 0.0:
-        return np.zeros_like(centered)
-    if jump_prob >= 1.0:
-        return np.ones_like(centered)
+def _jump_indicator_probs(centered, precision, mixture, jump_sizes, jump_prob: float,
+                          out, work, mask) -> np.ndarray:
+    if jump_prob <= 0.0 or jump_prob >= 1.0:
+        out.fill(float(jump_prob >= 1.0))
+        return out
     # (c - xi)^2 - c^2 = xi (xi - 2c), without the cancellation.
-    log_odds = (0.5 * mixture * precision) * (jump_sizes * (2.0 * centered - jump_sizes))
+    log_odds, spread = work
+    np.multiply(0.5, mixture, out=log_odds)
+    log_odds *= precision
+    np.multiply(2.0, centered, out=spread)
+    spread -= jump_sizes
+    np.multiply(jump_sizes, spread, out=spread)
+    log_odds *= spread
     log_odds += math.log(jump_prob) - math.log1p(-jump_prob)
-    return _logistic(log_odds)
+    return _logistic(log_odds, out, spread, mask)
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) through exp(-|z|), which cannot overflow."""
-    e = np.exp(-np.abs(z))
-    r = 1.0 / (1.0 + e)
-    return np.where(z >= 0.0, r, e * r)
+def _logistic(z: np.ndarray, out, e, mask) -> np.ndarray:
+    """1 / (1 + exp(-z)) through exp(-|z|), which cannot overflow; z is overwritten."""
+    np.greater_equal(z, 0.0, out=mask)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    r = np.add(1.0, e, out=z)
+    np.divide(1.0, r, out=r)
+    np.multiply(e, r, out=out)
+    np.copyto(out, r, where=mask)
+    return out
 
 
 def apply_jump_threshold(probs, threshold: float) -> np.ndarray:
@@ -255,11 +288,14 @@ def apply_jump_threshold(probs, threshold: float) -> np.ndarray:
     probs_arr = np.asarray(probs, dtype=float)
     if not math.isfinite(threshold):
         raise ParameterError(f"threshold must be finite, got {threshold}")
-    return _apply_jump_threshold(probs_arr, threshold)
+    return _apply_jump_threshold(probs_arr, threshold, np.empty(probs_arr.shape, dtype=np.int64),
+                                 np.empty(probs_arr.shape, dtype=bool))
 
 
-def _apply_jump_threshold(probs, threshold: float) -> np.ndarray:
-    return (probs > threshold).astype(np.int64)
+def _apply_jump_threshold(probs, threshold: float, out, mask) -> np.ndarray:
+    np.greater(probs, threshold, out=mask)
+    np.copyto(out, mask)
+    return out
 
 
 def jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:

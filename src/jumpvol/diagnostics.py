@@ -70,12 +70,14 @@ def conditional_log_lik(y, mu: float, jumps, precision, mixture) -> float:
     if not np.all(weights > 0):
         raise ParameterError("mixture * precision must be > 0 everywhere")
     variance = _as_param("variance", 1.0 / weights, positive=True)
-    return _conditional_log_lik(y_arr, mu, jumps_arr, variance)
+    return _conditional_log_lik(y_arr, mu, jumps_arr, variance, np.empty((2, y_arr.size)))
 
 
-def _conditional_log_lik(y, mu, jumps, variance) -> float:
+def _conditional_log_lik(y, mu, jumps, variance, work) -> float:
     """Unchecked kernel of :func:`conditional_log_lik`; variance is 1 / (mixture * precision)."""
-    return float(_log_normal_density(y, mu + jumps, variance).sum())
+    densities, mean = work
+    np.add(mu, jumps, out=mean)
+    return float(_log_normal_density(y, mean, variance, densities, mean).sum())
 
 
 def compute_bic(log_lik_hat: float, k: int, n: int) -> float:

@@ -55,23 +55,38 @@ conditional_log_lik) are bound to the unchecked kernels behind the public
 functions of the same names.  The sweep keeps two numerical guards: the
 finiteness of the filtered rates and of each retained log-likelihood.
 
-The kernels take the arrays that several stages share.  Each chain keeps
-one workspace of them and fills it in place, once per sweep:
+The kernels take the arrays that several stages share and write into
+arrays they are given.  Each chain allocates, once, a workspace of every
+n-length array a sweep touches:
 
-    array     value                formed after    read by
-    centered  y - mu               the mu draw     jump sizes, indicators
-    resid     centered - jumps     the mu draw     filter, mixture path
-    weights   mixture * precision  mixture draw    the next mu draw
-    variance  1 / weights          mixture draw    jump sizes, log-likelihood
-    shifted   y - jumps            indicators      the next mu draw
+    array      holds                 written by            read by
+    precision  lambda path           backward_sample       mixture path, weights, indicators
+    mixture    gamma path            sample_mixture_path   filter, weights, indicators
+    jump_size  xi path               sample_jump_sizes     jump mean/variance, indicators
+    jump_ind   N path (int64)        apply_jump_threshold  jumps, mask, jump_prob
+    probs      P(N_t = 1)            jump_indicator_probs  threshold
+    jumps      jump_size * jump_ind  the indicators        resid, shifted, log-likelihood
+    centered   y - mu                the mu draw           jump sizes, indicators
+    resid      centered - jumps      the mu draw           filter, mixture path
+    weights    mixture * precision   the mixture draw      the next mu draw
+    variance   1 / weights           the mixture draw      jump sizes, log-likelihood
+    shifted    y - jumps             the indicators        the next mu draw
+    rates      b, padded for a scan  forward_filter        backward_sample
+    scan       padded scratch        backward_sample       itself
+    work       two float scratches   mu draw, jump sizes, indicators, log-likelihood
+    mask       bool scratch          jump_ind == 1 (jump mean/variance), indicators, threshold
 
-Each is computed with the operations, in the order, that the public
-function of its stage uses, so the sweep draws bit for bit what the public
-functions draw when called in the order above.
+Each scratch is read only by the stage that wrote it; a retained draw reads
+the first six, and the accumulator keeps 1 / precision and its square root
+in two arrays of its own.  Every array is computed with the operations, in
+the order, that the public function of its stage uses, so the sweep draws
+bit for bit what the public functions (which allocate these arrays) draw
+when called in the order above.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
@@ -264,20 +279,21 @@ class _LatentAccumulator:
         self.sum_ind = np.zeros(n)
         self.sum_var = np.zeros(n)
         self.sum_sd = np.zeros(n)
+        self.inv, self.sd = np.empty(n), np.empty(n)
         self.keep = _tail_rows(n_draws)
         rows = min(n_draws, 2 * self.keep + max(_BAND_BATCH, self.keep))
         self.tails = np.empty((rows, n), dtype=np.float32)
         self.fill = 0
 
     def add(self, precision, mixture, jumps, ind, probs) -> None:
-        inv = 1.0 / precision
+        inv = np.divide(1.0, precision, out=self.inv)
         self.sum_precision += precision
         self.sum_mixture += mixture
         self.sum_jump += jumps
         self.sum_prob += probs
         self.sum_ind += ind
         self.sum_var += inv
-        self.sum_sd += np.sqrt(inv)
+        self.sum_sd += np.sqrt(inv, out=self.sd)
         if self.fill == len(self.tails):
             rows = self._sort_tails()
             rows[self.keep:2 * self.keep] = rows[-self.keep:]
@@ -468,15 +484,21 @@ def run_chain(
     jump_prob = params0.jump_prob
     jump_mean = params0.jump_mean
     jump_var = params0.jump_var
+    priors = cfg.priors
+    # The workspace: every n-length array a sweep touches (see the module notes).
     precision = np.array(path0.precision, dtype=float)
     mixture = np.array(path0.mixture, dtype=float)
     jump_size = np.array(path0.jump_size, dtype=float)
     jump_ind = np.array(path0.jump_ind, dtype=np.int64)
     jumps = jump_size * jump_ind
-    priors = cfg.priors
+    probs = np.zeros(n)
     centered, resid, variance = np.empty(n), np.empty(n), np.empty(n)
     weights = mixture * precision
     shifted = y_arr - jumps
+    work = (np.empty(n), np.empty(n))
+    mask = np.empty(n, dtype=bool)
+    plan = discount_plan(cfg.omega, cfg.a0, n)
+    rates, scan = np.empty(1 + plan.neg.size), np.empty(plan.neg.size)
 
     n_ret = spec.n_retained
     acc = _LatentAccumulator(n, n_ret)
@@ -492,7 +514,7 @@ def run_chain(
     # Each sweep reads one row of standard gammas (the innovations' head,
     # then the mixture path) and one row of standard normals (the other
     # innovations, then the jump sizes): the variates of the public stages.
-    innovation_shapes, tail = innovation_variates(discount_plan(cfg.omega, cfg.a0, n))
+    innovation_shapes, tail = innovation_variates(plan)
     head = innovation_shapes.size
     shapes = np.concatenate([innovation_shapes, np.full(n, _mixture_shape(cfg))])
     n_normals = tail + (n if cfg.jumps_enabled else 0)
@@ -501,7 +523,6 @@ def run_chain(
     ring = _VariateRing(rng, shapes, n_normals, chunk, -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
 
-    probs = np.zeros(n)
     idx = 0
     try:
         for j in range(1, spec.iterations + 1):
@@ -512,24 +533,25 @@ def run_chain(
                 chunk_gammas, chunk_normals = ring.take()
             gammas, normals = chunk_gammas[i], chunk_normals[i]
             try:
-                mu = sample_mu(weights, shifted, priors, rng)
+                mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y_arr, mu, out=centered)
                 np.subtract(centered, jumps, out=resid)
-                fs = forward_filter(resid, mixture, cfg)
-                precision = backward_sample(fs, cfg, rng, gammas[:head], normals[:tail])
-                mixture = sample_mixture_path(resid, precision, cfg, gammas[head:])
+                fs = forward_filter(resid, mixture, cfg, rates)
+                backward_sample(fs, cfg, rng, gammas[:head], normals[:tail], precision, scan)
+                sample_mixture_path(resid, precision, cfg, gammas[head:], mixture)
                 np.multiply(mixture, precision, out=weights)
                 np.divide(1.0, weights, out=variance)
                 if cfg.jumps_enabled:
-                    observed = jump_size[jump_ind == 1]
+                    observed = jump_size[np.equal(jump_ind, 1, out=mask)]
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                     jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                    jump_size = sample_jump_sizes(centered, variance, jump_mean, jump_var,
-                                                  normals[tail:])
-                    probs = jump_indicator_probs(centered, precision, mixture, jump_size,
-                                                 jump_prob)
-                    jump_ind = apply_jump_threshold(probs, cfg.jump_threshold)
-                    np.multiply(jump_size, jump_ind, out=jumps)
+                    sample_jump_sizes(centered, variance, jump_mean, jump_var, normals[tail:],
+                                      jump_size, work)
+                    jump_indicator_probs(centered, precision, mixture, jump_size, jump_prob,
+                                         probs, work, mask)
+                    apply_jump_threshold(probs, cfg.jump_threshold, jump_ind, mask)
+                    np.copyto(jumps, jump_ind)  # cast first: a mixed multiply buffers a path
+                    jumps *= jump_size
                     np.subtract(y_arr, jumps, out=shifted)
                     jump_prob = sample_jump_prob(jump_ind, priors, rng)
             except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
@@ -538,8 +560,8 @@ def run_chain(
                 ) from exc
 
             if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
-                ll = conditional_log_lik(y_arr, mu, jumps, variance)
-                if not np.isfinite(ll):
+                ll = conditional_log_lik(y_arr, mu, jumps, variance, work)
+                if not math.isfinite(ll):
                     raise NumericalError(
                         f"chain {chain_id}: non-finite log-likelihood at iteration {j}"
                     )

@@ -177,12 +177,20 @@ def log_normal_density(y, mean, variance):
     y_arr = np.asarray(y, dtype=float)
     mean_arr = np.asarray(mean, dtype=float)
     var_arr = _as_param("variance", variance, positive=True)
-    out = _log_normal_density(y_arr, mean_arr, var_arr)
+    shape = np.broadcast_shapes(y_arr.shape, mean_arr.shape, np.shape(var_arr))
+    out = _log_normal_density(y_arr, mean_arr, var_arr, np.empty(shape), np.empty(shape))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _log_normal_density(y, mean, variance):
-    """Unchecked kernel of :func:`log_normal_density` for float inputs."""
-    return -0.5 * (LOG_TWO_PI + np.log(variance) + (y - mean) ** 2 / variance)
+def _log_normal_density(y, mean, variance, out, work):
+    """Unchecked kernel of :func:`log_normal_density`, written into out; work may be mean."""
+    np.subtract(y, mean, out=work)
+    np.square(work, out=work)
+    work /= variance
+    np.log(variance, out=out)
+    np.add(LOG_TWO_PI, out, out=out)
+    out += work
+    out *= -0.5
+    return out

@@ -31,8 +31,11 @@ aligns the other paths with it (:func:`jumpvol.model.returns_array` and
 filter state matches cfg.  Both then call the unchecked kernels
 ``_forward_filter``, which reads the residuals y - mu - jumps that the
 Gibbs sweep has already formed, and ``_backward_sample``; the sweep calls
-them directly.  The kernels keep one numerical guard: the filtered rates
-must be finite.
+them directly.  The kernels write into the arrays they are given: the
+public functions allocate them on each call, the sweep once per chain.
+Each scan runs in a buffer of plan.neg.size entries (n padded to whole
+blocks), and the filter's rates are written straight into its buffer.
+The kernels keep one numerical guard: the filtered rates must be finite.
 
 The innovations' standard variates (gammas at shapes[:head], normals past
 it) do not depend on the data, so ``_backward_sample`` takes them as arrays
@@ -132,20 +135,29 @@ def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0
     start, and the result is then accurate to a few ulp; mixed signs could
     cancel, so callers pass only non-negative increments.
     """
+    return _discount_scan(increments, plan, start, np.empty(plan.neg.size))
+
+
+def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`discount_scan`: x_1..x_m are written into out[:m].
+
+    out has plan.neg.size entries (plan.n padded to whole blocks), scratch
+    past m; increments may be out[:m] itself.
+    """
     m = len(increments)
     block = plan.pos.size
+    x = out[:m]
+    np.multiply(increments, plan.neg[:m], out=x)
     if m <= block:
         # One block: the same per-element operations without the padding,
         # the reshape and the carry loop.
-        out = increments * plan.neg[:m]
-        np.cumsum(out, out=out)
-        out += start
-        out *= plan.pos[:m]
-        return out
-    buf = np.zeros(-(-m // block) * block)
-    np.multiply(increments, plan.neg[:m], out=buf[:m])
-    rows = buf.reshape(-1, block)
-    np.cumsum(rows, axis=1, out=rows)
+        np.add.accumulate(x, out=x)
+        x += start
+        x *= plan.pos[:m]
+        return x
+    out[m:] = 0.0
+    rows = out.reshape(-1, block)
+    np.add.accumulate(rows, axis=1, out=rows)
     carries = []
     carry = float(start)
     last = float(plan.pos[-1])
@@ -154,7 +166,7 @@ def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0
         carry = last * (carry + row_sum)
     rows += np.array(carries)[:, None]
     rows *= plan.pos
-    return buf[:m]
+    return x
 
 
 @dataclass
@@ -206,15 +218,21 @@ def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterStat
         raise ParameterError(f"mu must be finite, got {mu}")
     if not np.all(mix_arr > 0):
         raise ParameterError("mixture entries must be > 0")
-    return _forward_filter(y_arr - mu - jumps_arr, mix_arr, cfg)
+    plan = discount_plan(cfg.omega, cfg.a0, y_arr.size)
+    return _forward_filter(y_arr - mu - jumps_arr, mix_arr, cfg, np.empty(1 + plan.neg.size))
 
 
-def _forward_filter(resid, mixture, cfg: ModelConfig) -> FilterState:
+def _forward_filter(resid, mixture, cfg: ModelConfig, out: np.ndarray) -> FilterState:
+    """The rates b are out[:n+1], and the scan runs in out[1:] (plan.neg.size entries)."""
     n = resid.size
     plan = discount_plan(cfg.omega, cfg.a0, n)
-    b = np.empty(n + 1, dtype=float)
+    b = out[: n + 1]
     b[0] = cfg.b0
-    b[1:] = discount_scan(0.5 * mixture * resid * resid, plan, cfg.b0)
+    increments = b[1:]
+    np.multiply(0.5, mixture, out=increments)
+    increments *= resid
+    increments *= resid
+    _discount_scan(increments, plan, cfg.b0, out[1:])
     np.maximum(b, _B_FLOOR, out=b)
     # After the floor every rate is positive unless it is inf or NaN, and
     # the maximum is non-finite exactly when some rate is.
@@ -238,7 +256,8 @@ def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nda
     shapes, n_normals = innovation_variates(fs.plan)
     gammas = rng.gammas.standard_gamma(shapes)
     normals = rng.normals.standard_normal(n_normals)
-    return _backward_sample(fs, cfg, rng, gammas, normals)
+    return _backward_sample(fs, cfg, rng, gammas, normals, np.empty(fs.plan.n),
+                            np.empty(fs.plan.neg.size))
 
 
 def innovation_variates(plan: DiscountPlan) -> tuple[np.ndarray, int]:
@@ -251,12 +270,13 @@ def innovation_variates(plan: DiscountPlan) -> tuple[np.ndarray, int]:
     return plan.shapes[: plan.head], plan.n - 1 - plan.head
 
 
-def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream,
-                     gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream, gammas: np.ndarray,
+                     normals: np.ndarray, out: np.ndarray, scan: np.ndarray) -> np.ndarray:
     """Kernel of :func:`backward_sample`; cfg is unused once omega is checked.
 
     gammas and normals are the variates of :func:`innovation_variates`:
-    eta_t = gamma/b_t in the head, Z^2/(2 b_t) past it.
+    eta_t = gamma/b_t in the head, Z^2/(2 b_t) past it.  The path is
+    written into out; the scan runs in scan (plan.neg.size entries).
     """
     plan = fs.plan
     n = plan.n
@@ -268,15 +288,17 @@ def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream,
         # Underflow guard for extreme shapes; keeps the path positive.
         lam_n = _B_FLOOR
     if n == 1:
-        return np.array([lam_n], dtype=float)
+        out[0] = lam_n
+        return out
 
     head = plan.head
-    eta = np.empty(n - 1, dtype=float)  # eta[t-1] = eta_t
-    eta[:head] = gammas / b[1 : head + 1]
-    eta[head:] = normals * normals / (2.0 * b[head + 1 : n])
-    lam = np.empty(n, dtype=float)
+    eta = out[: n - 1]  # eta[t-1] = eta_t
+    np.divide(gammas, b[1 : head + 1], out=eta[:head])
+    twice_b = np.multiply(2.0, b[head + 1 : n], out=scan[: n - 1 - head])
+    np.multiply(normals, normals, out=eta[head:])
+    np.divide(eta[head:], twice_b, out=eta[head:])
     # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal.
-    lam[: n - 1] = discount_scan(eta[::-1], plan, lam_n)[::-1]
-    lam[n - 1] = lam_n
-    np.maximum(lam, _B_FLOOR, out=lam)
-    return lam
+    out[: n - 1] = _discount_scan(eta[::-1], plan, lam_n, scan)[::-1]
+    out[n - 1] = lam_n
+    np.maximum(out, _B_FLOOR, out=out)
+    return out

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -207,23 +208,23 @@ class TestSweepOrder:
         real_jump_mean = engine.sample_jump_mean
         real_threshold = engine.apply_jump_threshold
 
-        def spy_mu(weights, shifted, priors, rng):
-            out = real_sample_mu(weights, shifted, priors, rng)
+        def spy_mu(weights, shifted, priors, work, rng):
+            out = real_sample_mu(weights, shifted, priors, work, rng)
             log["mu_out"].append(out)
             return out
 
-        def spy_forward(resid, mixture, cfg):
+        def spy_forward(resid, mixture, cfg, rates):
             log["filter_resid"].append(np.array(resid, copy=True))
             log["filter_mixture"].append(np.array(mixture, copy=True))
-            return real_forward(resid, mixture, cfg)
+            return real_forward(resid, mixture, cfg, rates)
 
-        def spy_mixture(resid, precision, cfg, variates):
-            out = real_mixture(resid, precision, cfg, variates)
+        def spy_mixture(resid, precision, cfg, variates, path):
+            out = real_mixture(resid, precision, cfg, variates, path)
             log["mixture_out"].append(np.array(out, copy=True))
             return out
 
-        def spy_sizes(centered, variance, jump_mean, jump_var, variates):
-            out = real_sizes(centered, variance, jump_mean, jump_var, variates)
+        def spy_sizes(centered, variance, jump_mean, jump_var, variates, path, work):
+            out = real_sizes(centered, variance, jump_mean, jump_var, variates, path, work)
             log["jump_sizes_out"].append(np.array(out, copy=True))
             return out
 
@@ -231,8 +232,8 @@ class TestSweepOrder:
             log["jump_mean_sizes_in"].append(np.array(sizes, copy=True))
             return real_jump_mean(sizes, jump_var, priors, rng)
 
-        def spy_threshold(probs, threshold):
-            out = real_threshold(probs, threshold)
+        def spy_threshold(probs, threshold, ind, mask):
+            out = real_threshold(probs, threshold, ind, mask)
             log["ind_out"].append(np.array(out, copy=True))
             return out
 
@@ -296,6 +297,7 @@ def _reference_chain(y, cfg, spec):
                 y, mu, precision, mixture, jump_size, jump_prob
             )
             jump_ind = conditionals.apply_jump_threshold(probs, cfg.jump_threshold)
+            assert jump_ind.dtype == np.int64
             jumps = jump_size * jump_ind
             jump_prob = conditionals.sample_jump_prob(jump_ind, priors, rng)
         if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
@@ -309,25 +311,91 @@ def _reference_chain(y, cfg, spec):
 @pytest.mark.parametrize("n", [2, 252, 1200])
 @pytest.mark.parametrize("omega", [0.05, 0.9, 1.0])
 @pytest.mark.parametrize("jumps_enabled", [True, False])
-def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled):
+def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatch):
     """The sweep, with its workspace arrays formed once, draws bit for bit what
-    the public stage functions draw when called in the documented order."""
+    the public stage functions draw when called in the documented order, and
+    returns no array that shares memory with the workspace."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(omega=omega, jumps_enabled=jumps_enabled)
     spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=3, seed=8, keep_latent_draws=True)
+    buffers = _spy_stage_arrays(monkeypatch)
     out = jv.run_chain(y, cfg, spec)
     rows, paths = _reference_chain(y, cfg, spec)
     assert out.n_draws == len(rows) == 9
     for name, column in out.draws.items():
         np.testing.assert_array_equal(column, [row[name] for row in rows], err_msg=name)
+        assert column.dtype == (np.int64 if name in ("chain", "iteration") else np.float64), name
     for i, want in enumerate(paths):
         for (name, rows), want_path in zip(out.latent_draws.items(), want):
             np.testing.assert_array_equal(rows[i], want_path, err_msg=name)
+            assert rows.dtype == want_path.dtype, name
+    assert out.latent_draws["jump_ind"].dtype == np.int64
+    assert all(rows.dtype == np.float64 for name, rows in out.latent_draws.items()
+               if name != "jump_ind")
+    returned = [*out.draws.values(), *out.latent_draws.values(),
+                *(getattr(out.latent, f.name) for f in dataclasses.fields(out.latent))]
+    assert buffers
+    assert not any(np.shares_memory(arr, buf) for arr in returned for buf in buffers.values())
     if jumps_enabled and n > 2 and omega > 0.05:
         # The jump block ran with declared jumps, not only the empty-set
         # branch.  (At omega = 0.05 the precision follows each observation,
         # and the short run at n = 252 declares none.)
         assert out.latent_draws["jump_ind"].any()
+
+
+def _spy_stage_arrays(monkeypatch):
+    """Record every array the sweep passes to a stage, the workspace among them."""
+    seen = {}
+
+    def spy(stage):
+        def recorded(*args):
+            for arg in args:
+                for arr in arg if isinstance(arg, tuple) else (arg,):
+                    arr = arr.b if isinstance(arr, jv.FilterState) else arr
+                    if isinstance(arr, np.ndarray):
+                        seen[id(arr)] = arr
+            return stage(*args)
+        return recorded
+
+    for name in _STAGES:
+        monkeypatch.setattr(engine, name, spy(getattr(engine, name)))
+    return seen
+
+
+@pytest.mark.parametrize("omega, paths", [(0.9, 2.0), (0.99, 0.25)])
+def test_sweep_transient_memory(omega, paths, monkeypatch):
+    """After warm-up the stages of a sweep write into the chain's workspace:
+    from the first stage of a sweep to its last, new memory at n = 5,000
+    stays below `paths` n-length float64 arrays.  At omega = 0.9 the scans
+    run in blocks, and numpy buffers their broadcast carry step (about one
+    path); at 0.99 one block covers the series and nothing path-sized is
+    allocated."""
+    n = 5000
+    y = jv.simulate(jv.SimConfig(n=n, seed=3)).returns.returns
+    monkeypatch.setattr(engine, "_HELPER_MIN_N", 10**9)  # no helper allocating beside it
+    first, last = engine.sample_mu, engine.sample_jump_prob
+    start, peaks = [], []
+
+    def spy_first(*args):
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return first(*args)
+
+    def spy_last(*args):
+        drawn = last(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
+        return drawn
+
+    monkeypatch.setattr(engine, "sample_mu", spy_first)
+    monkeypatch.setattr(engine, "sample_jump_prob", spy_last)
+    tracemalloc.start()
+    try:
+        out = jv.run_chain(y, jv.ModelConfig(omega=omega), jv.RunSpec(iterations=30, seed=2))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 30
+    assert out.latent.freq_jump.any()
+    assert max(peaks[5:]) < paths * 8 * n
 
 
 def _force_helper(monkeypatch, on: bool, chunk_variates=None):
@@ -796,44 +864,68 @@ def _innovations(plan, rng):
     return rng.gammas.standard_gamma(shapes), rng.normals.standard_normal(n_normals)
 
 
+def _stale(size, dtype=float):
+    """A workspace buffer holding what an earlier stage left: NaN, -1 or True."""
+    return np.full(size, {float: np.nan, np.int64: -1, bool: True}[dtype], dtype=dtype)
+
+
+def _work(n=300):
+    return _stale(n), _stale(n)
+
+
+def _scan(s):
+    """A scan buffer for the plan of a 300-point state."""
+    return _stale(volatility.discount_plan(s["cfg"].omega, s["cfg"].a0, 300).neg.size)
+
+
 # Arguments of each stage from a valid state and a stream: as a caller passes
 # them to the public function and, where they differ, as the sweep passes them
 # to the kernel.  The kernels of the array stages take standard variates, which
-# the sweep draws from the stream's child generators in this order.
+# the sweep draws from the stream's child generators in this order, and write
+# into workspace buffers that hold stale values.
 _STAGES = {
     "sample_mu": (conditionals, lambda s, r: (
         s["y"], s["jumps"], s["precision"], s["mixture"], s["priors"], r), lambda s, r: (
-        s["weights"], s["shifted"], s["priors"], r)),
+        s["weights"], s["shifted"], s["priors"], _stale(300), r)),
     "forward_filter": (volatility, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), lambda s, r: (
-        s["resid"], s["mixture"], s["cfg"])),
+        s["resid"], s["mixture"], s["cfg"], np.append(np.nan, _scan(s)))),
     "backward_sample": (volatility, lambda s, r: (_filtered(s), s["cfg"], r), lambda s, r: (
-        _filtered(s), s["cfg"], r, *_innovations(_filtered(s).plan, r))),
+        _filtered(s), s["cfg"], r, *_innovations(_filtered(s).plan, r), _stale(300), _scan(s))),
     "sample_mixture_path": (conditionals, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r), lambda s, r: (
         s["resid"], s["precision"], s["cfg"],
-        r.gammas.standard_gamma(0.5 * s["cfg"].nu + 0.5, len(s["y"])))),
+        r.gammas.standard_gamma(0.5 * s["cfg"].nu + 0.5, len(s["y"])), _stale(300))),
     "sample_jump_mean": (conditionals, lambda s, r: (s["observed"], 3.0, s["priors"], r)),
     "sample_jump_var": (conditionals, lambda s, r: (s["observed"], -2.0, s["priors"], r)),
     "sample_jump_sizes": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, r), lambda s, r: (
-        s["centered"], s["variance"], -2.0, 3.0, r.normals.standard_normal(len(s["y"])))),
+        s["centered"], s["variance"], -2.0, 3.0, r.normals.standard_normal(len(s["y"])),
+        _stale(300), _work())),
     "jump_indicator_probs": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05), lambda s, r: (
-        s["centered"], s["precision"], s["mixture"], s["sizes"], 0.05)),
-    "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7)),
+        s["centered"], s["precision"], s["mixture"], s["sizes"], 0.05, _stale(300), _work(),
+        _stale(300, bool))),
+    "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
+                             lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
+                                           _stale(300, np.int64), _stale(300, bool))),
     "sample_jump_prob": (conditionals, lambda s, r: (s["ind"], s["priors"], r)),
     "conditional_log_lik": (diagnostics, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["mixture"]), lambda s, r: (
-        s["y"], 0.1, s["jumps"], s["variance"])),
+        s["y"], 0.1, s["jumps"], s["variance"], _work())),
 }
+
+
+def _result(out):
+    return out.b if isinstance(out, jv.FilterState) else out
 
 
 @pytest.mark.parametrize("name", sorted(_STAGES))
 def test_sweep_kernel_matches_public_function(name):
     """The stage the sweep calls is the unchecked kernel of the public function:
     the arrays the sweep forms from the same state and the same seed give
-    bit-identical results and states of both generators."""
+    bit-identical results and states of both generators.  The public function
+    returns fresh arrays: a second call leaves the first result as it was."""
     module, args, *kernel_args = _STAGES[name]
     kernel_args = kernel_args[0] if kernel_args else args
     kernel, public = getattr(engine, name), getattr(module, name)
@@ -843,7 +935,7 @@ def test_sweep_kernel_matches_public_function(name):
     got, want = kernel(*kernel_args(state, rng_kernel)), public(*args(state, rng_public))
     if isinstance(want, jv.FilterState):
         assert got.plan is want.plan
-        got, want = got.b, want.b
+    got, want = _result(got), _result(want)
     assert type(got) is type(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype
@@ -853,3 +945,8 @@ def test_sweep_kernel_matches_public_function(name):
     assert rng_kernel.generator.random() == rng_public.generator.random()
     assert rng_kernel.gammas.random() == rng_public.gammas.random()
     assert rng_kernel.normals.random() == rng_public.normals.random()
+    first = np.copy(want)
+    again = _result(public(*args(state, jv.RngStream(5, 1))))
+    np.testing.assert_array_equal(want, first)
+    np.testing.assert_array_equal(again, first)
+    assert not np.shares_memory(again, want)

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import jumpvol as jv
+from jumpvol import volatility
 from jumpvol.errors import ParameterError, SizeError
 from jumpvol.volatility import discount_plan, discount_scan
 
@@ -178,6 +179,19 @@ def test_discount_scan_matches_loop(omega, n):
         np.testing.assert_allclose(
             discount_scan(u[:m], plan, 0.7), _loop_scan(u[:m], omega, 0.7), rtol=1e-12
         )
+
+
+def test_scan_in_a_reused_buffer_ignores_what_it_held():
+    """The sweep runs its scans in buffers it reuses: infinities that an
+    earlier use left past the increments change no value and raise no
+    warning (pytest turns one into a failure)."""
+    plan = discount_plan(0.9, 0.1, 2500)
+    assert plan.neg.size == 3 * plan.pos.size  # several blocks, the last one padded
+    u = np.random.default_rng(3).uniform(0.0, 2.0, 2400)
+    stale = np.full(plan.neg.size, np.inf)
+    stale[1::2] = -np.inf
+    got = volatility._discount_scan(u, plan, 0.7, stale)
+    np.testing.assert_array_equal(got, discount_scan(u, plan, 0.7))
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.5, 0.9, 0.999, 1.0])
