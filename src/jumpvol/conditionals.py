@@ -37,7 +37,9 @@ Conventions:
   declared jump times; the caller passes that subset.
 * The jump indicator is set by a deterministic threshold rule on the
   posterior jump probability (strict inequality: ties are non-jumps),
-  replacing a Bernoulli draw inside the sweep.
+  replacing a Bernoulli draw inside the sweep.  The sweep applies it as
+  z_t > logit(threshold) to the log-odds z_t, and forms the probabilities
+  only on retained sweeps, which read them.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ def mu_posterior(y, jumps, precision, mixture, priors: Priors) -> tuple[float, f
 def _mu_posterior(weights, shifted, priors: Priors, work) -> tuple[float, float]:
     if weights.size == 0:
         return priors.mu_mean, priors.mu_var
-    post_var = 1.0 / (1.0 / priors.mu_var + float(weights.sum()))
+    post_var = 1.0 / (1.0 / priors.mu_var + float(np.add.reduce(weights)))
     weighted = np.multiply(weights, shifted, out=work)
-    post_mean = post_var * (priors.mu_mean / priors.mu_var + float(weighted.sum()))
+    post_mean = post_var * (priors.mu_mean / priors.mu_var + float(np.add.reduce(weighted)))
     return post_mean, post_var
 
 
@@ -149,7 +151,7 @@ def _jump_mean_posterior(xi, jump_var: float, priors: Priors) -> tuple[float, fl
     if n == 0:
         return priors.jump_mean_mean, priors.jump_mean_var
     m, v = priors.jump_mean_mean, priors.jump_mean_var
-    xbar = float(xi.sum()) / n
+    xbar = float(np.add.reduce(xi)) / n
     denom = jump_var + n * v
     return (m * jump_var + v * n * xbar) / denom, v * jump_var / denom
 
@@ -173,7 +175,8 @@ def _jump_var_posterior(xi, jump_mean: float, priors: Priors) -> tuple[float, fl
     n = xi.size
     if n == 0:
         return priors.jump_var_shape, priors.jump_var_scale
-    rss = float(((xi - jump_mean) ** 2).sum())
+    dev = np.subtract(xi, jump_mean)
+    rss = float(np.add.reduce(np.square(dev, out=dev)))
     return priors.jump_var_shape + 0.5 * n, priors.jump_var_scale + 0.5 * rss
 
 
@@ -248,38 +251,44 @@ def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob
     )
     if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
-    return _jump_indicator_probs(y - mu, precision, mixture, jump_sizes, jump_prob,
+    return _jump_indicator_probs(mixture * precision, y - mu, jump_sizes, jump_prob,
                                  np.empty(y.size), np.empty((2, y.size)),
                                  np.empty(y.size, dtype=bool))
 
 
-def _jump_indicator_probs(centered, precision, mixture, jump_sizes, jump_prob: float,
-                          out, work, mask) -> np.ndarray:
+def _jump_indicator_probs(weights, centered, jump_sizes, jump_prob: float, out, work, mask):
+    """Writes the log-odds z into work[0] (-inf or +inf for rho <= 0 or >= 1) and
+    returns them, or, given out, writes 1 / (1 + exp(-z)) into it and returns out."""
+    log_odds, spread = work
     if jump_prob <= 0.0 or jump_prob >= 1.0:
+        log_odds.fill(math.inf if jump_prob >= 1.0 else -math.inf)
+        if out is None:
+            return log_odds
         out.fill(float(jump_prob >= 1.0))
         return out
-    # (c - xi)^2 - c^2 = xi (xi - 2c), without the cancellation.
-    log_odds, spread = work
-    np.multiply(0.5, mixture, out=log_odds)
-    log_odds *= precision
-    np.multiply(2.0, centered, out=spread)
-    spread -= jump_sizes
-    np.multiply(jump_sizes, spread, out=spread)
-    log_odds *= spread
-    log_odds += math.log(jump_prob) - math.log1p(-jump_prob)
-    return _logistic(log_odds, out, spread, mask)
+    # (c^2 - (c - xi)^2) w/2 = w xi (c - xi/2), without the cancellation.
+    np.multiply(0.5, jump_sizes, out=spread)
+    np.subtract(centered, spread, out=spread)
+    spread *= jump_sizes
+    np.multiply(weights, spread, out=log_odds)
+    log_odds += _logit(jump_prob)
+    return log_odds if out is None else _logistic(log_odds, out, spread, mask)
+
+
+def _logit(p: float) -> float:
+    return math.log(p) - math.log1p(-p)
 
 
 def _logistic(z: np.ndarray, out, e, mask) -> np.ndarray:
-    """1 / (1 + exp(-z)) through exp(-|z|), which cannot overflow; z is overwritten."""
-    np.greater_equal(z, 0.0, out=mask)
+    """1 / (1 + exp(-z)) through exp(-|z|), which cannot overflow; z is kept."""
+    np.less(z, 0.0, out=mask)
     np.abs(z, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    r = np.add(1.0, e, out=z)
-    np.divide(1.0, r, out=r)
-    np.multiply(e, r, out=out)
-    np.copyto(out, r, where=mask)
+    np.add(1.0, e, out=out)
+    np.divide(1.0, out, out=out)
+    np.multiply(e, out, out=e)
+    np.copyto(out, e, where=mask)
     return out
 
 
@@ -292,8 +301,9 @@ def apply_jump_threshold(probs, threshold: float) -> np.ndarray:
                                  np.empty(probs_arr.shape, dtype=bool))
 
 
-def _apply_jump_threshold(probs, threshold: float, out, mask) -> np.ndarray:
-    np.greater(probs, threshold, out=mask)
+def _apply_jump_threshold(scores, cutoff: float, out, mask) -> np.ndarray:
+    """out = 1{scores > cutoff}: probabilities and the threshold, or log-odds and its logit."""
+    np.greater(scores, cutoff, out=mask)
     np.copyto(out, mask)
     return out
 
@@ -303,17 +313,16 @@ def jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
     ind = np.asarray(jump_ind)
     if np.count_nonzero(ind == 1) + np.count_nonzero(ind == 0) != ind.size:
         raise ParameterError("jump_ind entries must be 0 or 1")
-    return _jump_prob_posterior(ind, priors)
+    return _jump_prob_posterior(np.count_nonzero(ind), ind.size, priors)
 
 
-def _jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:
-    total = float(np.count_nonzero(jump_ind))
-    return priors.jump_prob_a + total, priors.jump_prob_b + jump_ind.size - total
+def _jump_prob_posterior(declared: int, n: int, priors: Priors) -> tuple[float, float]:
+    return priors.jump_prob_a + declared, priors.jump_prob_b + n - declared
 
 
 def sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
     return rng.generator.beta(*jump_prob_posterior(jump_ind, priors))
 
 
-def _sample_jump_prob(jump_ind, priors: Priors, rng: RngStream) -> float:
-    return rng.generator.beta(*_jump_prob_posterior(jump_ind, priors))
+def _sample_jump_prob(declared: int, n: int, priors: Priors, rng: RngStream) -> float:
+    return rng.generator.beta(*_jump_prob_posterior(declared, n, priors))

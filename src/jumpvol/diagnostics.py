@@ -77,7 +77,7 @@ def _conditional_log_lik(y, mu, jumps, variance, work) -> float:
     """Unchecked kernel of :func:`conditional_log_lik`; variance is 1 / (mixture * precision)."""
     densities, mean = work
     np.add(mu, jumps, out=mean)
-    return float(_log_normal_density(y, mean, variance, densities, mean).sum())
+    return float(np.add.reduce(_log_normal_density(y, mean, variance, densities, mean)))
 
 
 def compute_bic(log_lik_hat: float, k: int, n: int) -> float:

@@ -9,7 +9,7 @@ Each iteration updates, in order:
     4. jump-size mean      given sizes at the previous sweep's jump times
     5. jump-size variance  given sizes at the previous sweep's jump times
     6. jump sizes          normal draws for the whole path
-    7. jump indicators     threshold rule on the posterior jump probability
+    7. jump indicators     threshold rule on the posterior log-odds of a jump
     8. jump probability    beta draw given the new indicators
 
 With jumps disabled, steps 4-8 are skipped and the jump path is identically
@@ -60,28 +60,35 @@ arrays they are given.  Each chain allocates, once, a workspace of every
 n-length array a sweep touches:
 
     array      holds                 written by            read by
-    precision  lambda path           backward_sample       mixture path, weights, indicators
-    mixture    gamma path            sample_mixture_path   filter, weights, indicators
+    precision  lambda path           backward_sample       mixture path, weights
+    mixture    gamma path            sample_mixture_path   filter, weights
     jump_size  xi path               sample_jump_sizes     jump mean/variance, indicators
-    jump_ind   N path (int64)        apply_jump_threshold  jumps, mask, jump_prob
-    probs      P(N_t = 1)            jump_indicator_probs  threshold
+    jump_ind   N path (int64)        apply_jump_threshold  jumps
+    declared   N path (bool)         apply_jump_threshold  next jump mean/variance, jump_prob
+    probs      P(N_t = 1)            jump_indicator_probs  (retained sweeps only)
     jumps      jump_size * jump_ind  the indicators        resid, shifted, log-likelihood
     centered   y - mu                the mu draw           jump sizes, indicators
     resid      centered - jumps      the mu draw           filter, mixture path
-    weights    mixture * precision   the mixture draw      the next mu draw
+    weights    mixture * precision   the mixture draw      the next mu draw, indicators
     variance   1 / weights           the mixture draw      jump sizes, log-likelihood
     shifted    y - jumps             the indicators        the next mu draw
     rates      b, padded for a scan  forward_filter        backward_sample
     scan       padded scratch        backward_sample       itself
-    work       two float scratches   mu draw, jump sizes, indicators, log-likelihood
-    mask       bool scratch          jump_ind == 1 (jump mean/variance), indicators, threshold
+    work       two float scratches   mu draw, jump sizes, indicators, log-likelihood;
+               work[0] also holds the indicators' log-odds for the threshold
 
-Each scratch is read only by the stage that wrote it; a retained draw reads
-the first six, and the accumulator keeps 1 / precision and its square root
-in two arrays of its own.  Every array is computed with the operations, in
-the order, that the public function of its stage uses, so the sweep draws
-bit for bit what the public functions (which allocate these arrays) draw
-when called in the order above.
+The threshold declares N_t = 1{z_t > logit(threshold)} on the log-odds
+z_t, the rule p_t > threshold without a logistic (the two disagree only
+where z_t lies within rounding of logit(threshold)).  Only a retained
+sweep, whose probabilities the accumulator reads, also writes p_t into
+probs, with declared as scratch before the threshold overwrites it.
+Every other scratch is read only by the stage that wrote it.  A retained
+draw reads precision, mixture, jump_size, jump_ind, probs and jumps, and
+the accumulator keeps 1 / precision and its square root in two arrays of
+its own.  Every array is computed with the operations, in the order, that the
+public function of its stage uses, so the sweep draws bit for bit what the
+public functions (which allocate these arrays) draw when called in the
+order above.
 """
 
 from __future__ import annotations
@@ -99,6 +106,7 @@ import numpy as np
 from .conditionals import (
     _apply_jump_threshold as apply_jump_threshold,
     _jump_indicator_probs as jump_indicator_probs,
+    _logit,
     _mixture_shape,
     _sample_jump_mean as sample_jump_mean,
     _sample_jump_prob as sample_jump_prob,
@@ -276,7 +284,7 @@ class _LatentAccumulator:
         self.sum_mixture = np.zeros(n)
         self.sum_jump = np.zeros(n)
         self.sum_prob = np.zeros(n)
-        self.sum_ind = np.zeros(n)
+        self.sum_ind = np.zeros(n, dtype=np.int64)
         self.sum_var = np.zeros(n)
         self.sum_sd = np.zeros(n)
         self.inv, self.sd = np.empty(n), np.empty(n)
@@ -496,7 +504,9 @@ def run_chain(
     weights = mixture * precision
     shifted = y_arr - jumps
     work = (np.empty(n), np.empty(n))
-    mask = np.empty(n, dtype=bool)
+    declared = np.equal(jump_ind, 1)
+    observed = jump_size[declared]
+    logit_c = _logit(cfg.jump_threshold)
     plan = discount_plan(cfg.omega, cfg.a0, n)
     rates, scan = np.empty(1 + plan.neg.size), np.empty(plan.neg.size)
 
@@ -532,6 +542,7 @@ def run_chain(
             if i == 0:
                 chunk_gammas, chunk_normals = ring.take()
             gammas, normals = chunk_gammas[i], chunk_normals[i]
+            retained = j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0
             try:
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y_arr, mu, out=centered)
@@ -542,24 +553,24 @@ def run_chain(
                 np.multiply(mixture, precision, out=weights)
                 np.divide(1.0, weights, out=variance)
                 if cfg.jumps_enabled:
-                    observed = jump_size[np.equal(jump_ind, 1, out=mask)]
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                     jump_var = sample_jump_var(observed, jump_mean, priors, rng)
                     sample_jump_sizes(centered, variance, jump_mean, jump_var, normals[tail:],
                                       jump_size, work)
-                    jump_indicator_probs(centered, precision, mixture, jump_size, jump_prob,
-                                         probs, work, mask)
-                    apply_jump_threshold(probs, cfg.jump_threshold, jump_ind, mask)
+                    jump_indicator_probs(weights, centered, jump_size, jump_prob,
+                                         probs if retained else None, work, declared)
+                    apply_jump_threshold(work[0], logit_c, jump_ind, declared)
                     np.copyto(jumps, jump_ind)  # cast first: a mixed multiply buffers a path
                     jumps *= jump_size
                     np.subtract(y_arr, jumps, out=shifted)
-                    jump_prob = sample_jump_prob(jump_ind, priors, rng)
+                    observed = jump_size[declared]
+                    jump_prob = sample_jump_prob(observed.size, n, priors, rng)
             except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
                 raise NumericalError(
                     f"chain {chain_id}: sampler failed at iteration {j}: {exc}"
                 ) from exc
 
-            if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
+            if retained:
                 ll = conditional_log_lik(y_arr, mu, jumps, variance, work)
                 if not math.isfinite(ll):
                     raise NumericalError(

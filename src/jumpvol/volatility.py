@@ -23,7 +23,9 @@ Everything that does not depend on the data is computed once per
   Gamma(1/2, rate b_t) and much cheaper than a general gamma draw;
 * the weights of a blocked first-order scan (:func:`discount_scan`), which
   runs both the rate recursion and the backward recursion with cumulative
-  sums.
+  sums, and those weights halved: the filter scans mixture_t * (y_t - mu -
+  J_t)^2 with them, and as scaling by 1/2 is exact its rates are bit for
+  bit those of halving the increments in a pass of their own.
 
 :func:`forward_filter` takes y as a ReturnsSeries or a finite 1-D array and
 aligns the other paths with it (:func:`jumpvol.model.returns_array` and
@@ -36,6 +38,8 @@ public functions allocate them on each call, the sweep once per chain.
 Each scan runs in a buffer of plan.neg.size entries (n padded to whole
 blocks), and the filter's rates are written straight into its buffer.
 The kernels keep one numerical guard: the filtered rates must be finite.
+The increments and the scan weights are non-negative, so an inf or a NaN
+at any t carries forward to b_n, and the filter checks b_n alone.
 
 The innovations' standard variates (gammas at shapes[:head], normals past
 it) do not depend on the data, so ``_backward_sample`` takes them as arrays
@@ -84,6 +88,7 @@ class DiscountPlan:
             shapes[head:] are all 1/2
     pos     scan weights omega**(j+1) for j < L, the block length
     neg     scan weights omega**-(j+1), tiled over ceil(n/L) blocks
+    half    neg / 2, the weights of the filter's scan
 
     All arrays are read-only: one plan is shared by every sweep of a fit.
     """
@@ -95,6 +100,7 @@ class DiscountPlan:
     head: int
     pos: np.ndarray
     neg: np.ndarray
+    half: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,9 +125,11 @@ def discount_plan(omega: float, a0: float, n: int) -> DiscountPlan:
     j = np.arange(1, block + 1, dtype=float)
     pos = np.power(omega, j)
     neg = np.tile(np.power(omega, -j), -(-n // block))
-    for arr in (a, shapes, pos, neg):
+    half = 0.5 * neg
+    for arr in (a, shapes, pos, neg, half):
         arr.flags.writeable = False
-    return DiscountPlan(omega=omega, n=n, a=a, shapes=shapes, head=head, pos=pos, neg=neg)
+    return DiscountPlan(omega=omega, n=n, a=a, shapes=shapes, head=head, pos=pos, neg=neg,
+                        half=half)
 
 
 def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0) -> np.ndarray:
@@ -138,16 +146,18 @@ def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0
     return _discount_scan(increments, plan, start, np.empty(plan.neg.size))
 
 
-def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray) -> np.ndarray:
+def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray,
+                   neg=None) -> np.ndarray:
     """Kernel of :func:`discount_scan`: x_1..x_m are written into out[:m].
 
     out has plan.neg.size entries (plan.n padded to whole blocks), scratch
-    past m; increments may be out[:m] itself.
+    past m; increments may be out[:m] itself.  neg weights the increments
+    (plan.neg by default; plan.half scans increments / 2).
     """
     m = len(increments)
     block = plan.pos.size
     x = out[:m]
-    np.multiply(increments, plan.neg[:m], out=x)
+    np.multiply(increments, plan.neg[:m] if neg is None else neg[:m], out=x)
     if m <= block:
         # One block: the same per-element operations without the padding,
         # the reshape and the carry loop.
@@ -229,14 +239,13 @@ def _forward_filter(resid, mixture, cfg: ModelConfig, out: np.ndarray) -> Filter
     b = out[: n + 1]
     b[0] = cfg.b0
     increments = b[1:]
-    np.multiply(0.5, mixture, out=increments)
+    np.multiply(mixture, resid, out=increments)
     increments *= resid
-    increments *= resid
-    _discount_scan(increments, plan, cfg.b0, out[1:])
+    _discount_scan(increments, plan, cfg.b0, out[1:], plan.half)
     np.maximum(b, _B_FLOOR, out=b)
     # After the floor every rate is positive unless it is inf or NaN, and
-    # the maximum is non-finite exactly when some rate is.
-    if not math.isfinite(b.max()):
+    # an inf or a NaN at any t reaches b_n (see the module notes).
+    if not math.isfinite(b[n]):
         raise ParameterError("filter parameters must be finite")
     return FilterState._trusted(plan, b)
 
@@ -294,9 +303,10 @@ def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream, gammas: 
     head = plan.head
     eta = out[: n - 1]  # eta[t-1] = eta_t
     np.divide(gammas, b[1 : head + 1], out=eta[:head])
-    twice_b = np.multiply(2.0, b[head + 1 : n], out=scan[: n - 1 - head])
-    np.multiply(normals, normals, out=eta[head:])
-    np.divide(eta[head:], twice_b, out=eta[head:])
+    if head < n - 1:
+        twice_b = np.multiply(2.0, b[head + 1 : n], out=scan[: n - 1 - head])
+        np.multiply(normals, normals, out=eta[head:])
+        np.divide(eta[head:], twice_b, out=eta[head:])
     # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal.
     out[: n - 1] = _discount_scan(eta[::-1], plan, lam_n, scan)[::-1]
     out[n - 1] = lam_n

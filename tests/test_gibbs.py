@@ -341,6 +341,9 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatc
         # branch.  (At omega = 0.05 the precision follows each observation,
         # and the short run at n = 252 declares none.)
         assert out.latent_draws["jump_ind"].any()
+    freq = out.latent_draws["jump_ind"].mean(axis=0)
+    assert out.latent.freq_jump.dtype == freq.dtype == np.float64
+    np.testing.assert_array_equal(out.latent.freq_jump, freq)
 
 
 def _spy_stage_arrays(monkeypatch):
@@ -452,6 +455,32 @@ def test_helper_thread_changes_no_draw(n, omega, jumps_enabled, monkeypatch):
                                           getattr(want.latent, field.name))
         for name, rows in want.latent_draws.items():
             np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
+
+
+@pytest.mark.parametrize("n", [252, 1200])
+@pytest.mark.parametrize("jumps_enabled", [True, False])
+@pytest.mark.parametrize("helper", [True, False])
+def test_thinning_selects_draws_and_changes_none(n, jumps_enabled, helper, monkeypatch):
+    """The work done only for retained sweeps (the jump probabilities, the
+    log-likelihood, the accumulator) never feeds back into the chain: thinned
+    by 3, a chain keeps rows 3, 6, ... of the same chain thinned by 1."""
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    cfg = jv.ModelConfig(jumps_enabled=jumps_enabled)
+    _force_helper(monkeypatch, helper)
+
+    def run(thin_lag):
+        spec = jv.RunSpec(iterations=40, burn_in=4, thin_lag=thin_lag, seed=8,
+                          keep_latent_draws=True)
+        return jv.run_chain(y, cfg, spec)
+
+    every, thinned = run(1), run(3)
+    assert thinned.n_draws == 12
+    for name, column in every.draws.items():
+        np.testing.assert_array_equal(thinned.draws[name], column[2::3], err_msg=name)
+    for name, rows in every.latent_draws.items():
+        np.testing.assert_array_equal(thinned.latent_draws[name], rows[2::3], err_msg=name)
+    if jumps_enabled:
+        assert every.latent_draws["jump_ind"].any()
 
 
 def test_helper_threads_under_stress_change_no_draw(small_sim, monkeypatch):
@@ -818,7 +847,7 @@ def test_accumulator_bands_equal_numpy_quantiles(m):
     acc = engine._LatentAccumulator(6, m)
     zeros = np.zeros(6)
     for row in precision:
-        acc.add(row, zeros, zeros, zeros, zeros)
+        acc.add(row, zeros, zeros, np.zeros(6, dtype=np.int64), zeros)
     got = acc.summary()
     want = np.quantile((1.0 / precision).astype(np.float32), [0.025, 0.975], axis=0)
     assert got.var_lo95.dtype == want.dtype
@@ -904,12 +933,13 @@ _STAGES = {
         _stale(300), _work())),
     "jump_indicator_probs": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05), lambda s, r: (
-        s["centered"], s["precision"], s["mixture"], s["sizes"], 0.05, _stale(300), _work(),
+        s["weights"], s["centered"], s["sizes"], 0.05, _stale(300), _work(),
         _stale(300, bool))),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
                              lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
                                            _stale(300, np.int64), _stale(300, bool))),
-    "sample_jump_prob": (conditionals, lambda s, r: (s["ind"], s["priors"], r)),
+    "sample_jump_prob": (conditionals, lambda s, r: (s["ind"], s["priors"], r), lambda s, r: (
+        s["observed"].size, 300, s["priors"], r)),
     "conditional_log_lik": (diagnostics, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["mixture"]), lambda s, r: (
         s["y"], 0.1, s["jumps"], s["variance"], _work())),
@@ -950,3 +980,33 @@ def test_sweep_kernel_matches_public_function(name):
     np.testing.assert_array_equal(want, first)
     np.testing.assert_array_equal(again, first)
     assert not np.shares_memory(again, want)
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_threshold_on_log_odds_declares_what_probabilities_declare(threshold):
+    """The sweep compares the log-odds with logit(threshold); the public
+    functions compare the probability with the threshold.  Both declare the
+    same points, at large log-odds of both signs, at zero jump sizes and at
+    jump probabilities near and at 0 and 1."""
+    gen = np.random.default_rng(int(threshold * 100))
+    n = 400
+    cutoff = engine._logit(threshold)
+    for rho in (0.0, 1e-12, 1e-4, 0.02, 0.3, 0.9, 1.0 - 1e-12, 1.0):
+        for scale in (0.1, 1.0, 30.0):
+            y = gen.normal(0.0, scale, n)
+            mu = float(gen.normal())
+            precision = gen.lognormal(0.0, 2.0, n)
+            mixture = gen.gamma(2.0, 0.5, n)
+            sizes = gen.normal(0.0, scale, n)
+            sizes[::7] = 0.0
+            work, mask = _work(n), _stale(n, bool)
+            log_odds = engine.jump_indicator_probs(mixture * precision, y - mu, sizes, rho,
+                                                   None, work, mask)
+            assert log_odds is work[0]
+            got = engine.apply_jump_threshold(log_odds, cutoff, _stale(n, np.int64), mask)
+            want = jv.apply_jump_threshold(
+                jv.jump_indicator_probs(y, mu, precision, mixture, sizes, rho), threshold)
+            np.testing.assert_array_equal(got, want, err_msg=f"rho={rho} scale={scale}")
+            np.testing.assert_array_equal(mask, want == 1)
+            if scale == 30.0 and 0.0 < rho < 1.0:
+                assert log_odds.min() < -1000 and log_odds.max() > 1000

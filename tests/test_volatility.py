@@ -239,3 +239,23 @@ def test_backward_innovations_past_head_are_half_shape_gammas():
     # 2 b eta ~ Gamma(1/2, rate 1/2) = chi-square with one degree of freedom.
     result = stats.kstest(np.concatenate(scaled), stats.chi2(1).cdf)
     assert result.pvalue > 0.001
+
+
+@pytest.mark.parametrize("omega, n", [(0.99, 300), (0.9, 5000)])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_filter_refuses_non_finite_increments_anywhere(omega, n, bad):
+    """The sweep's filter checks only the last rate for finiteness: the
+    increments are non-negative, so an inf or a NaN at any point, within
+    or across scan blocks, reaches it."""
+    cfg = jv.ModelConfig(omega=omega)
+    plan = discount_plan(omega, cfg.a0, n)
+    assert (plan.pos.size == n) == (omega == 0.99)
+    gen = np.random.default_rng(n)
+    resid, mixture = gen.normal(0.0, 1.0, n), gen.gamma(15.0, 1.0 / 15.0, n)
+    out = np.empty(1 + plan.neg.size)
+    assert np.isfinite(volatility._forward_filter(resid, mixture, cfg, out).b).all()
+    for t in (0, n // 2, n - 1):
+        hit = resid.copy()
+        hit[t] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            volatility._forward_filter(hit, mixture, cfg, out)
