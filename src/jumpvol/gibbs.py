@@ -27,9 +27,9 @@ are smallest and largest at each t, so a chain keeps those in a buffer of
 at most 3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
 
 Chains never share mutable state; a chain's output depends only on (seed,
-chain_id).  run_multi runs chains with helper threads (below) in turn: a
+chain_id).  run_multi runs them one after another on the calling thread: a
 sweep's short numpy calls take the interpreter lock back and ran 2.2-2.7
-times slower beside a second chain thread.  Others get a thread per CPU.
+times slower beside a second chain thread.
 
 The array draws of a sweep, the backward-sample innovations, the mixture
 path and the jump sizes, scale standard variates whose parameters do not
@@ -199,6 +199,11 @@ class RunSpec:
             )
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < _MAX_UINT64):
             raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        if self.init is not None and not (isinstance(self.init, Sequence) and all(
+                isinstance(entry, (tuple, list)) and len(entry) == 2
+                and isinstance(entry[0], StaticParams) and isinstance(entry[1], LatentPath)
+                for entry in self.init)):
+            raise ParameterError("init must be a sequence of (StaticParams, LatentPath) pairs")
 
     @property
     def n_retained(self) -> int:
@@ -363,14 +368,12 @@ def _initial_state(y_arr, cfg, spec, chain_id, rng):
             raise SizeError(
                 f"initial latent path length {len(path)} != series length {y_arr.size}"
             )
+        if not cfg.jumps_enabled and path.jump_ind.any():
+            raise ParameterError(f"chain {chain_id}: the initial path has jumps, but jumps are off")
         return params, path
     if chain_id == 0:
         return default_init(y_arr, cfg)
     return _dispersed_init(y_arr, cfg, rng)
-
-
-class _Stopped(Exception):
-    """run_chain ended early because run_multi set its stop event."""
 
 
 class _VariateRing:
@@ -390,15 +393,15 @@ class _VariateRing:
     0.4 MB of peak memory at n = 5,000.)
 
     The helper pays only while it runs beside the sweeps, not in turn with
-    them: it starts only when the process may use two CPUs, and run_multi
-    then runs its chains in turn.  A usable CPU may still be busy, so every
-    _HELPER_WINDOW_S after the first, take() adds the CPU time that the
-    sweeps' thread and the helper have used since the first window ended:
-    if together they fall short of _HELPER_MIN_BUSY times the wall time
-    (CPUs busy with other work, or slow to wake the helper), the helper is
-    joined and take() fills the rest of the chunks itself.  The totals run
-    from the first window, so that a short stall of the whole machine, which
-    slows the inline draws as much, does not end a helper that has paid so far.
+    them: it starts only when the process may use two CPUs.  A usable CPU
+    may still be busy, so every _HELPER_WINDOW_S after the first, take()
+    adds the CPU time that the sweeps' thread and the helper have used since
+    the first window ended: if together they fall short of _HELPER_MIN_BUSY
+    times the wall time (CPUs busy with other work, or slow to wake the
+    helper), the helper is joined and take() fills the rest of the chunks
+    itself.  The totals run from the first window, so that a short stall of
+    the whole machine, which slows the inline draws as much, does not end a
+    helper that has paid so far.
     """
 
     def __init__(self, rng: RngStream, shapes: np.ndarray, n_normals: int, chunk: int,
@@ -465,16 +468,12 @@ class _VariateRing:
             self._thread = None
 
 
-def run_chain(
-    y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0, *,
-    _stop: Optional[threading.Event] = None,
-) -> ChainOutput:
+def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOutput:
     """Run one chain and return its thinned draws.
 
     Fixed (spec.seed, chain_id) reproduce the output bit for bit.  A sampler
     failure mid-run surfaces as NumericalError naming the chain and the
-    iteration.  run_multi passes _stop, checked once per sweep: once it is
-    set, the chain ends early by raising _Stopped.
+    iteration.
     """
     y_arr = returns_array(y, min_len=2)
     n = y_arr.size
@@ -536,8 +535,6 @@ def run_chain(
     idx = 0
     try:
         for j in range(1, spec.iterations + 1):
-            if _stop is not None and _stop.is_set():
-                raise _Stopped
             i = (j - 1) % chunk
             if i == 0:
                 chunk_gammas, chunk_normals = ring.take()
@@ -605,11 +602,6 @@ def _helper_runs(n: int) -> bool:
     return n >= _HELPER_MIN_N and _usable_cpus() >= 2
 
 
-def _worker_count(n_chains: int, n: int) -> int:
-    """One thread if chains on n points have helpers, else one per chain and CPU."""
-    return 1 if _helper_runs(n) else min(n_chains, _usable_cpus())
-
-
 def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     """Run spec.n_chains independent chains with distinct streams and starts.
 
@@ -617,42 +609,8 @@ def run_multi(y, cfg: ModelConfig, spec: RunSpec) -> list[ChainOutput]:
     overdispersed prior draws, so multi-chain convergence checks are
     meaningful.  Results are ordered by chain id.
 
-    Of its _worker_count threads, thread w runs chains w, w + workers, ...
-    in order; the output is the same for any number of threads.  When a
-    chain fails, or the call is interrupted, the other chains stop at their
-    next sweep, and the error of the lowest failing chain id is raised.
+    The chains run one after another on the calling thread.  When a chain
+    fails, its error is raised and the later chains do not start.
     """
     y = returns_array(y, min_len=2)
-    workers = _worker_count(spec.n_chains, y.size)
-    chains: list = [None] * spec.n_chains
-    failures: dict[int, BaseException] = {}
-    stop = threading.Event()
-
-    def work(first: int) -> None:
-        try:
-            for k in range(first, spec.n_chains, workers):
-                chains[k] = run_chain(y, cfg, spec, chain_id=k, _stop=stop)
-        except _Stopped:
-            pass
-        except BaseException as exc:  # raised again in the calling thread
-            failures[k] = exc
-            stop.set()
-
-    threads = [threading.Thread(target=work, args=(w,), name=f"jumpvol-chains-{w}", daemon=True)
-               for w in range(workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        stop.set()
-        # A thread the interrupt caught in start() is not alive yet; it
-        # finds stop set and ends before its first sweep.
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-        raise
-    if failures:
-        raise failures[min(failures)]
-    return chains
+    return [run_chain(y, cfg, spec, chain_id=k) for k in range(spec.n_chains)]

@@ -245,8 +245,9 @@ class LatentSummary:
 
     var_* columns summarize 1/lambda (variance scale), sd_* columns
     lambda**-0.5.  Interval columns are numpy's linear 2.5%/97.5% quantiles
-    of every float32 variance-scale draw; summaries merged across chains
-    average them.
+    of every float32 variance-scale draw of one chain.  Summaries merged
+    across chains average each chain's quantiles, which are not the
+    quantiles of the pooled draws (ROADMAP item 1).
     """
 
     var_mean: np.ndarray

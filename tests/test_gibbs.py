@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import signal
 import sys
 import threading
-import time
 import tracemalloc
 import types
 
@@ -16,6 +14,10 @@ import jumpvol as jv
 import jumpvol.gibbs as engine
 from jumpvol import conditionals, diagnostics, volatility
 from jumpvol.errors import NumericalError, ParameterError, SizeError
+
+_PARAMS = jv.StaticParams(mu=0.0, jump_prob=0.1, jump_mean=0.0, jump_var=1.0)
+_PATH = jv.LatentPath(precision=np.ones(3), mixture=np.ones(3), jump_size=np.zeros(3),
+                      jump_ind=np.zeros(3, dtype=np.int64))
 
 
 class TestRunSpec:
@@ -39,6 +41,18 @@ class TestRunSpec:
     def test_invalid_specs_rejected_before_running(self, kwargs):
         with pytest.raises(ParameterError):
             jv.RunSpec(**kwargs)
+
+    @pytest.mark.parametrize("init", [
+        [("a", "b")],
+        5,
+        [(_PARAMS,)],
+        [(_PATH, _PARAMS)],
+        (_PARAMS, _PATH),
+        [(_PARAMS, _PATH), None],
+    ], ids=["strings", "int", "one_tuple", "swapped", "unwrapped", "none_entry"])
+    def test_init_entries_must_be_pairs(self, init):
+        with pytest.raises(ParameterError, match="init must be a sequence of"):
+            jv.RunSpec(iterations=5, init=init)
 
 
 class TestDefaultInit:
@@ -124,6 +138,22 @@ class TestRunChain:
         spec = jv.RunSpec(iterations=5, seed=1, init=[(params, path)])
         with pytest.raises(SizeError):
             jv.run_chain(small_sim.returns, jv.default_config(), spec)
+
+    def test_no_jump_fit_refuses_an_initial_jump(self, small_sim):
+        """A no-jump fit would carry a jump of its start, fixed, through every sweep."""
+        y = small_sim.returns
+        n = len(y)
+        path = jv.LatentPath(precision=np.ones(n), mixture=np.ones(n),
+                             jump_size=np.zeros(n), jump_ind=np.zeros(n, dtype=np.int64))
+        jumpy = dataclasses.replace(path, jump_size=np.full(n, 5.0),
+                                    jump_ind=np.eye(1, n, 3, dtype=np.int64)[0])
+        spec = jv.RunSpec(iterations=5, n_chains=2, seed=1,
+                          init=[(_PARAMS, path), (_PARAMS, jumpy)])
+        no_jumps = jv.ModelConfig(jumps_enabled=False)
+        assert jv.run_chain(y, no_jumps, spec).n_draws == 5
+        assert jv.run_chain(y, jv.default_config(), spec, chain_id=1).n_draws == 5
+        with pytest.raises(ParameterError, match="chain 1: the initial path has jumps"):
+            jv.run_multi(y, no_jumps, spec)
 
     def test_short_series_rejected(self):
         with pytest.raises(SizeError):
@@ -484,23 +514,24 @@ def test_thinning_selects_draws_and_changes_none(n, jumps_enabled, helper, monke
 
 
 def test_helper_threads_under_stress_change_no_draw(small_sim, monkeypatch):
-    """Three chains on three threads, each with a helper refilling its ring
-    every sweep (more threads than cores), with frequent thread switches,
-    draw what the chains draw one after another without helpers."""
+    """Three chains in turn, each with a helper refilling its ring every
+    sweep, with frequent thread switches, draw what the chains draw without
+    helpers."""
     spec = jv.RunSpec(iterations=60, burn_in=10, n_chains=3, seed=5)
-    serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
-              for k in range(3)]
+    with monkeypatch.context() as m:
+        _force_helper(m, False)
+        serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
+                  for k in range(3)]
     started = _force_helper(monkeypatch, True, chunk_variates=1)
-    monkeypatch.setattr(engine, "_worker_count", lambda n_chains, n: n_chains)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threaded = jv.run_multi(small_sim.returns, jv.default_config(), spec)
+        helped = jv.run_multi(small_sim.returns, jv.default_config(), spec)
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == 3
+    assert started == [f"jumpvol-variates-{k}" for k in range(3)]
     assert not _helpers_alive()
-    for got, want in zip(threaded, serial):
+    for got, want in zip(helped, serial):
         for name in want.draws:
             np.testing.assert_array_equal(got.draws[name], want.draws[name])
         np.testing.assert_array_equal(got.latent.var_mean, want.latent.var_mean)
@@ -626,36 +657,34 @@ class TestHelperThread:
         assert len(calls) == 5 and len(started) == 1
         assert not _helpers_alive()
 
-    def test_joined_when_run_multi_stops_on_a_failing_chain(self, small_sim, monkeypatch):
+    @staticmethod
+    def _run_multi_until_chain_1_raises(small_sim, monkeypatch, exc, raised, match=None):
+        """Three chains with helpers, chain 1 raising exc at its fifth sweep:
+        run_multi raises `raised`, chain 0 has run, chain 2 never starts and
+        no thread is left."""
         started = _force_helper(monkeypatch, True, chunk_variates=1)
 
         def fail(k, sweep):
             if k == 1 and sweep == 5:
-                raise FloatingPointError("overflow in a stage")
+                raise exc
 
-        TestRunMulti._stage_spy(monkeypatch, fail)
-        with pytest.raises(NumericalError, match="chain 1: sampler failed at iteration 5"):
-            jv.run_multi(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
-        assert len(started) == 3
+        sweeps = TestRunMulti._stage_spy(monkeypatch, fail)
+        spec = jv.RunSpec(iterations=40, n_chains=3, seed=2)
+        with pytest.raises(raised, match=match):
+            jv.run_multi(small_sim.returns, jv.default_config(), spec)
+        assert sweeps == {0: spec.iterations, 1: 5}
+        assert started == ["jumpvol-variates-0", "jumpvol-variates-1"]
         assert not _helpers_alive()
 
-    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_joined_when_run_multi_stops_on_a_failing_chain(self, small_sim, monkeypatch):
+        self._run_multi_until_chain_1_raises(small_sim, monkeypatch,
+                                             FloatingPointError("overflow in a stage"),
+                                             NumericalError, "chain 1: sampler failed at iteration 5")
+
     def test_joined_when_run_multi_is_interrupted(self, small_sim, monkeypatch):
-        _force_helper(monkeypatch, True, chunk_variates=1)
-
-        def interrupt(k, sweep):
-            if k == 0 and sweep == 5:
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-
-        TestRunMulti._stage_spy(monkeypatch, interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            jv.run_multi(small_sim.returns, jv.default_config(), TestRunMulti._LONG)
-        # As in TestRunMulti: a chain thread that the interrupt caught in
-        # start() ends on its own, before its first sweep.
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and _helpers_alive():
-            time.sleep(0.01)
-        assert not _helpers_alive()
+        """Ctrl-C in a sweep ends run_multi with the chain's helper joined."""
+        self._run_multi_until_chain_1_raises(small_sim, monkeypatch, KeyboardInterrupt(),
+                                             KeyboardInterrupt)
 
 
 class TestRunMulti:
@@ -685,88 +714,60 @@ class TestRunMulti:
             )
             assert abs(means[i] - means[j]) <= 3.0 * se
 
-    def test_worker_count_is_capped_by_usable_cpus(self, monkeypatch):
-        """Chains with helpers run on one thread; others on one thread per
-        chain, at most one per usable CPU."""
-        long_n, short_n = engine._HELPER_MIN_N, engine._HELPER_MIN_N - 1
-        # usable CPUs: threads for 1, 3 and 4 chains on a long and a short series
-        table = {1: ((1, 1, 1), (1, 1, 1)), 2: ((1, 1, 1), (1, 2, 2)),
-                 3: ((1, 1, 1), (1, 3, 3)), 4: ((1, 1, 1), (1, 3, 4)),
-                 8: ((1, 1, 1), (1, 3, 4))}
-        for cpus, want in table.items():
-            monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
-            got = tuple(tuple(engine._worker_count(chains, n) for chains in (1, 3, 4))
-                        for n in (long_n, short_n))
-            assert got == want, cpus
-
     @pytest.mark.parametrize("helpers", [True, False], ids=["helpers", "no_helpers"])
     def test_two_cpus_run_chains_with_helpers_in_turn(self, small_sim, monkeypatch, helpers):
-        """On two CPUs, chains with helpers run one after another on one
-        thread, each drawing its variates on its helper; chains without run
-        on two threads.  Either way they draw what the chains draw alone."""
-        spec = jv.RunSpec(iterations=60, burn_in=10, n_chains=3, seed=5, keep_latent_draws=True)
-        serial = [jv.run_chain(small_sim.returns, jv.default_config(), spec, chain_id=k)
-                  for k in range(3)]
-        started = _force_helper(monkeypatch, True, chunk_variates=1)
+        """On two CPUs, the chains run one after another on the calling thread,
+        each drawing its variates on its helper when its series is long
+        enough, and draw what each chain draws alone.  run_multi starts no
+        thread but the helpers."""
+        y = small_sim.returns
+        runs = [(cfg, jv.RunSpec(iterations=60, burn_in=10, thin_lag=thin_lag, n_chains=3,
+                                 seed=5, keep_latent_draws=True))
+                for cfg, thin_lag in [(jv.default_config(), 1),
+                                      (jv.ModelConfig(jumps_enabled=False), 1),
+                                      (jv.default_config(), 3)]]
+        with monkeypatch.context() as m:
+            _force_helper(m, False)
+            serial = [[jv.run_chain(y, cfg, spec, chain_id=k) for k in range(3)]
+                      for cfg, spec in runs]
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         # The series is just long enough for helpers, or one point short.
-        n = len(small_sim.returns)
-        monkeypatch.setattr(engine, "_HELPER_MIN_N", n if helpers else n + 1)
-        run_chain, chain_threads = engine.run_chain, set()
+        monkeypatch.setattr(engine, "_HELPER_MIN_N", len(y) if helpers else len(y) + 1)
+        monkeypatch.setattr(engine, "_CHUNK_VARIATES", 1)
+        run_chain, start = engine.run_chain, threading.Thread.start
+        calls, started = [], []
 
-        def spy(*args, **kwargs):
-            chain_threads.add(threading.current_thread().name)
+        def spy_chain(*args, **kwargs):
+            calls.append((threading.current_thread(), kwargs["chain_id"]))
             return run_chain(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "run_chain", spy)
-        got = jv.run_multi(small_sim.returns, jv.default_config(), spec)
-        want_threads = ["jumpvol-chains-0"] if helpers else ["jumpvol-chains-0", "jumpvol-chains-1"]
-        assert sorted(chain_threads) == want_threads
-        assert sorted(started) == ([f"jumpvol-variates-{k}" for k in range(3)] if helpers else [])
-        assert not _helpers_alive()
-        for chain, want in zip(got, serial):
-            for name, column in want.draws.items():
-                np.testing.assert_array_equal(chain.draws[name], column, err_msg=name)
-            for field in dataclasses.fields(want.latent):
-                np.testing.assert_array_equal(getattr(chain.latent, field.name),
-                                              getattr(want.latent, field.name))
-            for name, rows in want.latent_draws.items():
-                np.testing.assert_array_equal(chain.latent_draws[name], rows, err_msg=name)
+        def spy_start(thread):
+            started.append(thread.name)
+            return start(thread)
 
-    @pytest.mark.parametrize("workers", [1, 3], ids=["one_thread", "three_threads"])
-    @pytest.mark.parametrize("cfg, thin_lag", [
-        (jv.default_config(), 1),
-        (jv.ModelConfig(jumps_enabled=False), 1),
-        (jv.default_config(), 3),
-    ], ids=["jump", "no_jump", "thin3"])
-    def test_threaded_chains_equal_serial_chains(self, small_sim, monkeypatch, cfg, thin_lag,
-                                                 workers):
-        spec = jv.RunSpec(iterations=60, burn_in=10, thin_lag=thin_lag, n_chains=3, seed=5)
-        serial = [jv.run_chain(small_sim.returns, cfg, spec, chain_id=k) for k in range(3)]
-        # One thread for all chains, or one per chain (more than the cores
-        # of a small machine), with frequent thread switches.
-        monkeypatch.setattr(engine, "_worker_count", lambda n_chains, n: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded = jv.run_multi(small_sim.returns, cfg, spec)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threaded) == 3
-        for got, want in zip(threaded, serial):
-            assert list(got.draws) == list(want.draws)
-            for name in want.draws:
-                np.testing.assert_array_equal(got.draws[name], want.draws[name])
-            for field in dataclasses.fields(want.latent):
-                np.testing.assert_array_equal(getattr(got.latent, field.name),
-                                              getattr(want.latent, field.name))
+        for (cfg, spec), alone in zip(runs, serial):
+            calls.clear()
+            started.clear()
+            with monkeypatch.context() as m:
+                m.setattr(engine, "run_chain", spy_chain)
+                m.setattr(threading.Thread, "start", spy_start)
+                got = jv.run_multi(y, cfg, spec)
+            assert calls == [(threading.current_thread(), k) for k in range(3)]
+            assert started == ([f"jumpvol-variates-{k}" for k in range(3)] if helpers else [])
+            assert not _helpers_alive()
+            for chain, want in zip(got, alone):
+                assert list(chain.draws) == list(want.draws)
+                for name, column in want.draws.items():
+                    np.testing.assert_array_equal(chain.draws[name], column, err_msg=name)
+                for field in dataclasses.fields(want.latent):
+                    np.testing.assert_array_equal(getattr(chain.latent, field.name),
+                                                  getattr(want.latent, field.name))
+                for name, rows in want.latent_draws.items():
+                    np.testing.assert_array_equal(chain.latent_draws[name], rows, err_msg=name)
 
     @staticmethod
-    def _stage_spy(monkeypatch, on_sweep, workers=None):
-        """Count the sweeps of each chain; on_sweep(chain_id, sweep) runs first.
-
-        The chains run on `workers` threads, one per chain by default.
-        """
+    def _stage_spy(monkeypatch, on_sweep):
+        """Count the sweeps of each chain; on_sweep(chain_id, sweep) runs first."""
         sweeps = {}
         sample_mu = engine.sample_mu
 
@@ -776,55 +777,23 @@ class TestRunMulti:
             on_sweep(k, sweeps[k])
             return sample_mu(*args)
 
-        monkeypatch.setattr(engine, "_worker_count", lambda n_chains, n: workers or n_chains)
         monkeypatch.setattr(engine, "sample_mu", spy)
         return sweeps
 
-    # Long enough that a chain that is not stopped runs for many seconds.
+    # Long enough that a chain that did not end at its failure would run for
+    # many seconds.
     _LONG = jv.RunSpec(iterations=100_000, thin_lag=1_000, n_chains=3, seed=2)
-
-    def test_failing_chain_stops_the_others(self, small_sim, monkeypatch):
-        def fail(k, sweep):
-            if k == 1 and sweep == 5:
-                raise FloatingPointError("overflow in a stage")
-
-        sweeps = self._stage_spy(monkeypatch, fail)
-        threads = threading.active_count()
-        with pytest.raises(NumericalError, match="chain 1: sampler failed at iteration 5"):
-            jv.run_multi(small_sim.returns, jv.default_config(), self._LONG)
-        assert threading.active_count() == threads
-        assert sweeps[1] == 5
-        assert all(count < self._LONG.iterations for count in sweeps.values())
 
     def test_failing_chain_on_one_thread_starts_no_later_chain(self, small_sim, monkeypatch):
         def fail(k, sweep):
             if k == 0 and sweep == 5:
                 raise FloatingPointError("overflow in a stage")
 
-        sweeps = self._stage_spy(monkeypatch, fail, workers=1)
+        sweeps = self._stage_spy(monkeypatch, fail)
         with pytest.raises(NumericalError, match="chain 0: sampler failed at iteration 5"):
             jv.run_multi(small_sim.returns, jv.default_config(), self._LONG)
         assert sweeps == {0: 5}
-
-    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
-    def test_interrupt_stops_every_chain(self, small_sim, monkeypatch):
-        def interrupt(k, sweep):
-            if k == 0 and sweep == 5:
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-
-        sweeps = self._stage_spy(monkeypatch, interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            jv.run_multi(small_sim.returns, jv.default_config(), self._LONG)
-        # A thread that the interrupt caught in start() is not joined by
-        # run_multi; it ends before its first sweep.
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and any(
-            thread.name.startswith("jumpvol-chains-") for thread in threading.enumerate()
-        ):
-            time.sleep(0.01)
-        assert not any(thread.name.startswith("jumpvol-chains-")
-                       for thread in threading.enumerate())
-        assert all(count < self._LONG.iterations for count in sweeps.values())
+        assert not _helpers_alive()
 
 
 def _band_edge_counts():
