@@ -765,6 +765,39 @@ class TestRunMulti:
                 for name, rows in want.latent_draws.items():
                     np.testing.assert_array_equal(chain.latent_draws[name], rows, err_msg=name)
 
+    @pytest.mark.parametrize("workers", [1, 3], ids=["one_thread", "three_threads"])
+    @pytest.mark.parametrize("cfg, thin_lag", [
+        (jv.default_config(), 1),
+        (jv.ModelConfig(jumps_enabled=False), 1),
+        (jv.default_config(), 3),
+    ], ids=["jump", "no_jump", "thin3"])
+    def test_threaded_chains_equal_serial_chains(self, small_sim, monkeypatch, cfg, thin_lag,
+                                                 workers):
+        """run_multi draws what run_chain draws alone on one thread, whether the
+        host runs one thread at a time (no helpers) or three (a helper beside
+        each chain), with frequent thread switches."""
+        spec = jv.RunSpec(iterations=60, burn_in=10, thin_lag=thin_lag, n_chains=3, seed=5)
+        with monkeypatch.context() as m:
+            _force_helper(m, False)
+            serial = [jv.run_chain(small_sim.returns, cfg, spec, chain_id=k) for k in range(3)]
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(engine, "_HELPER_MIN_N", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = jv.run_multi(small_sim.returns, cfg, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == 3
+        assert not _helpers_alive()
+        for got, want in zip(threaded, serial):
+            assert list(got.draws) == list(want.draws)
+            for name in want.draws:
+                np.testing.assert_array_equal(got.draws[name], want.draws[name])
+            for field in dataclasses.fields(want.latent):
+                np.testing.assert_array_equal(getattr(got.latent, field.name),
+                                              getattr(want.latent, field.name))
+
     @staticmethod
     def _stage_spy(monkeypatch, on_sweep):
         """Count the sweeps of each chain; on_sweep(chain_id, sweep) runs first."""
