@@ -26,7 +26,9 @@ workspace.
 The kernels of the two array samplers take their standard variates
 (gammas at the mixture path's common shape, normals for the jump sizes) as
 arrays, which the Gibbs sweep draws ahead of time; the public functions
-draw them from the stream's child generators (see :mod:`jumpvol.rng`).
+draw them from the stream's child generators, ``mixture_gammas`` and
+``normals`` (see :mod:`jumpvol.rng`).  The gammas are one scalar-shape
+call, cheaper per draw than a call with an array of equal shapes.
 
 Conventions:
 
@@ -125,7 +127,7 @@ def _mixture_shape(cfg: ModelConfig) -> float:
 
 def sample_mixture_path(y, mu, jumps, precision, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
     y, jumps, precision = aligned(y, jumps=jumps, precision=precision)
-    variates = rng.gammas.standard_gamma(_mixture_shape(cfg), y.size)
+    variates = rng.mixture_gammas.standard_gamma(_mixture_shape(cfg), y.size)
     return _sample_mixture_path(y - mu - jumps, precision, cfg, variates, np.empty(y.size))
 
 

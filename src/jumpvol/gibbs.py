@@ -33,12 +33,26 @@ times slower beside a second chain thread.
 
 The array draws of a sweep, the backward-sample innovations, the mixture
 path and the jump sizes, scale standard variates whose parameters do not
-depend on the chain's state.  Each chain draws those from the two child
+depend on the chain's state.  Each chain draws those from the four child
 streams of its RngStream (see :mod:`jumpvol.rng`), a chunk of sweeps at a
-time (_VariateRing): one call per stream fills the chunk's standard
-gammas, another its standard normals, and sweep i of the chunk reads row
-i.  With at least _HELPER_MIN_N points and two usable CPUs, a helper
-thread fills the next chunk while the sweeps read the current one.  Each
+time (_VariateRing).  A slot of the ring holds three arrays of `chunk`
+rows, and sweep i of the chunk reads row i of each:
+
+    array     columns          holds                          streams
+    head      plan.head        standard gammas of the         gammas, exponentials
+                               innovations' head
+    mixture   n                standard gammas of the         mixture_gammas
+                               mixture path
+    normals   n - 1 - head     standard normals of the        normals
+              (+ n with jumps) innovations past the head,
+                               then of the jump sizes
+
+The head is drawn first (volatility.innovation_variates), with the
+mixture array's first chunk * head entries as its exponentials' scratch,
+and the mixture array is filled after it: the exponentials take no memory
+of their own.  One call per stream fills a chunk.  With at least
+_HELPER_MIN_N points and two usable CPUs, a helper thread fills the next
+chunk while the sweeps read the current one.  Each
 child stream fills its chunks in the same order either way, and the chunk
 size does not depend on the helper, so the output is the same with or
 without it.  The helper is joined when run_chain returns or raises, or as
@@ -129,7 +143,7 @@ from .model import (
 from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 from .volatility import _backward_sample as backward_sample
 from .volatility import _forward_filter as forward_filter
-from .volatility import discount_plan, innovation_variates
+from .volatility import DiscountPlan, discount_plan, innovation_variates
 
 __all__ = ["RunSpec", "default_init", "run_chain", "run_multi"]
 
@@ -379,18 +393,20 @@ def _initial_state(y_arr, cfg, spec, chain_id, rng):
 class _VariateRing:
     """The standard variates of the sweeps' array draws, a chunk of sweeps per slot.
 
-    A slot is a (chunk, len(shapes)) array of standard gammas at shapes,
-    drawn from rng.gammas, and a (chunk, n_normals) array of standard
-    normals, drawn from rng.normals; row i belongs to the chunk's i-th
-    sweep.  take() returns the next chunk's slot, which the caller reads
-    until its next take().  Without a helper, take() fills the one slot
-    itself.  With one, a helper thread fills two slots in turn, one chunk
-    ahead: take() waits for chunk c, then requests chunk c + 1 in the slot
-    that held chunk c - 1.  Either way each child stream fills its arrays
-    chunk after chunk, so the variates are the same.  A failure in the
-    helper is raised by take(); close() joins the helper.  (Two queues, not
-    a concurrent.futures executor: the executor's import and machinery cost
-    0.4 MB of peak memory at n = 5,000.)
+    A slot is three arrays of chunk rows (see the module notes): head, the
+    innovations' standard gammas at plan.shapes[:head]
+    (volatility.innovation_variates); mixture, standard gammas at
+    mixture_shape, drawn from rng.mixture_gammas; and normals, n_normals
+    standard normals, drawn from rng.normals.  Row i belongs to the
+    chunk's i-th sweep.  take() returns the next chunk's slot, which the
+    caller reads until its next take().  Without a helper, take() fills the
+    one slot itself.  With one, a helper thread fills two slots in turn, one
+    chunk ahead: take() waits for chunk c, then requests chunk c + 1 in the
+    slot that held chunk c - 1.  Either way each child stream fills its
+    arrays chunk after chunk, so the variates are the same.  A failure in
+    the helper is raised by take(); close() joins the helper.  (Two queues,
+    not a concurrent.futures executor: the executor's import and machinery
+    cost 0.4 MB of peak memory at n = 5,000.)
 
     The helper pays only while it runs beside the sweeps, not in turn with
     them: it starts only when the process may use two CPUs.  A usable CPU
@@ -404,12 +420,13 @@ class _VariateRing:
     helper that has paid so far.
     """
 
-    def __init__(self, rng: RngStream, shapes: np.ndarray, n_normals: int, chunk: int,
-                 chunks: int, helper_name: Optional[str]) -> None:
+    def __init__(self, rng: RngStream, plan: DiscountPlan, mixture_shape: float, n_normals: int,
+                 chunk: int, chunks: int, helper_name: Optional[str]) -> None:
         self._rng = rng
-        self._shapes = shapes
-        self._slots = [(np.empty((chunk, shapes.size)), np.empty((chunk, n_normals)))
-                       for _ in range(2 if helper_name else 1)]
+        self._plan = plan
+        self._mixture_shape = mixture_shape
+        self._slots = [(np.empty((chunk, plan.head)), np.empty((chunk, plan.n)),
+                        np.empty((chunk, n_normals))) for _ in range(2 if helper_name else 1)]
         self._chunks = chunks
         self._taken = 0
         self._thread = None
@@ -423,8 +440,12 @@ class _VariateRing:
             self._requests.put(self._slots[0])
 
     def _fill(self, slot):
-        self._rng.gammas.standard_gamma(self._shapes, out=slot[0])
-        self._rng.normals.standard_normal(out=slot[1])
+        head, mixture, normals = slot
+        # The head's exponentials go into the mixture array, filled next.
+        scratch = mixture.reshape(-1)[: head.size].reshape(head.shape)
+        innovation_variates(self._plan, self._rng, head, scratch)
+        self._rng.mixture_gammas.standard_gamma(self._mixture_shape, out=mixture)
+        self._rng.normals.standard_normal(out=normals)
         return slot
 
     def _serve(self) -> None:
@@ -520,16 +541,14 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     kept = {f.name: np.empty((n_ret, n), dtype=np.int64 if f.name == "jump_ind" else float)
             for f in fields(LatentPath)} if spec.keep_latent_draws else None
 
-    # Each sweep reads one row of standard gammas (the innovations' head,
-    # then the mixture path) and one row of standard normals (the other
-    # innovations, then the jump sizes): the variates of the public stages.
-    innovation_shapes, tail = innovation_variates(plan)
-    head = innovation_shapes.size
-    shapes = np.concatenate([innovation_shapes, np.full(n, _mixture_shape(cfg))])
+    # Each sweep reads one row of each slot array (see the module notes):
+    # the variates of the public stages.
+    tail = n - 1 - plan.head
     n_normals = tail + (n if cfg.jumps_enabled else 0)
-    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (shapes.size + n_normals)))
+    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (plan.head + n + n_normals)))
     helper = _helper_runs(n)
-    ring = _VariateRing(rng, shapes, n_normals, chunk, -(-spec.iterations // chunk),
+    ring = _VariateRing(rng, plan, _mixture_shape(cfg), n_normals, chunk,
+                        -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
 
     idx = 0
@@ -537,16 +556,16 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
         for j in range(1, spec.iterations + 1):
             i = (j - 1) % chunk
             if i == 0:
-                chunk_gammas, chunk_normals = ring.take()
-            gammas, normals = chunk_gammas[i], chunk_normals[i]
+                chunk_head, chunk_mixture, chunk_normals = ring.take()
+            normals = chunk_normals[i]
             retained = j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0
             try:
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y_arr, mu, out=centered)
                 np.subtract(centered, jumps, out=resid)
                 fs = forward_filter(resid, mixture, cfg, rates)
-                backward_sample(fs, cfg, rng, gammas[:head], normals[:tail], precision, scan)
-                sample_mixture_path(resid, precision, cfg, gammas[head:], mixture)
+                backward_sample(fs, cfg, rng, chunk_head[i], normals[:tail], precision, scan)
+                sample_mixture_path(resid, precision, cfg, chunk_mixture[i], mixture)
                 np.multiply(mixture, precision, out=weights)
                 np.divide(1.0, weights, out=variance)
                 if cfg.jumps_enabled:

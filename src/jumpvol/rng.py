@@ -16,20 +16,30 @@ broadcast like numpy.  Given the same (seed, stream_id) and the same call
 sequence, draws are reproducible bit for bit; distinct stream ids give
 statistically independent streams.
 
-An :class:`RngStream` holds three generators seeded from one SeedSequence:
+An :class:`RngStream` holds five generators seeded from one SeedSequence:
 
 * ``generator`` makes every scalar draw: the four static parameters of a
   Gibbs sweep, the terminal precision lambda_n, the dispersed starts of
   later chains and everything :mod:`jumpvol.synthetic` draws.
-* ``gammas`` (spawn key ``(stream_id, 0)``) and ``normals`` (spawn key
-  ``(stream_id, 1)``), the child streams, make the sweep's array draws,
-  whose parameters do not depend on the chain's state.  ``gammas`` draws
-  the standard gammas of the backward-sample innovations (at the plan's
-  leading shapes) and then of the mixture path; ``normals`` draws the
-  standard normals of the remaining innovations and then of the jump
-  sizes.  Each child stream draws one kind of variate in a fixed order, so
-  several sweeps' worth can be drawn in one call, ahead of the sweeps and
-  on another thread, without changing any draw (see :mod:`jumpvol.gibbs`).
+* Four child streams, ``SeedSequence(seed, spawn_key=(stream_id,))``'s
+  children 0-3 (spawn keys ``(stream_id, 0)`` to ``(stream_id, 3)``), make
+  the sweep's array draws, whose parameters do not depend on the chain's
+  state:
+
+      stream          spawn key  draws
+      gammas          (k, 0)     the backward-sample innovations' head:
+                                 gammas at the lifted shapes alpha + 1
+      normals         (k, 1)     standard normals of the innovations past
+                                 the head, then of the jump sizes
+      exponentials    (k, 2)     the head's standard exponentials, which
+                                 turn Gamma(alpha + 1) into Gamma(alpha)
+      mixture_gammas  (k, 3)     the mixture path's standard gammas, all
+                                 at one shape
+
+  (k is the stream id; see :func:`jumpvol.volatility.innovation_variates`.)
+  Each child stream draws one kind of variate in a fixed order, so several
+  sweeps' worth can be drawn in one call, ahead of the sweeps and on
+  another thread, without changing any draw (see :mod:`jumpvol.gibbs`).
 """
 
 from __future__ import annotations
@@ -65,8 +75,10 @@ class RngStream:
     """One independently seeded stream of random draws (one per chain).
 
     Identical (seed, stream_id) always reproduce the same draw sequence.
-    ``generator`` makes the scalar draws, and ``gammas`` and ``normals``
-    the sweep's array draws (see the module notes).
+    ``generator`` makes the scalar draws, and the four child streams
+    ``gammas``, ``normals``, ``exponentials`` and ``mixture_gammas`` (the
+    children 0-3 of ``SeedSequence(seed, spawn_key=(stream_id,))``, in that
+    order) the sweep's array draws (see the module notes).
     """
 
     seed: int
@@ -74,6 +86,8 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
     gammas: np.random.Generator = field(init=False, repr=False, compare=False)
     normals: np.random.Generator = field(init=False, repr=False, compare=False)
+    exponentials: np.random.Generator = field(init=False, repr=False, compare=False)
+    mixture_gammas: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
@@ -83,7 +97,8 @@ class RngStream:
                 raise ParameterError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
         root = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         self.generator = np.random.default_rng(root)
-        self.gammas, self.normals = map(np.random.default_rng, root.spawn(2))
+        self.gammas, self.normals, self.exponentials, self.mixture_gammas = map(
+            np.random.default_rng, root.spawn(4))
 
 
 def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False):

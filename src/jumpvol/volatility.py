@@ -20,7 +20,16 @@ Everything that does not depend on the data is computed once per
 * the innovation shapes (1-omega) a_t = 1/2 + omega^t ((1-omega) a0 - 1/2),
   which equal 1/2 exactly in floating point from an index ``head`` on.
   Past it the innovations are drawn as Z^2/(2 b_t), which is exactly
-  Gamma(1/2, rate b_t) and much cheaper than a general gamma draw;
+  Gamma(1/2, rate b_t) and much cheaper than a general gamma draw.  In
+  the head the shapes lie below 1 (from 0.059 to 1/2 at the default
+  omega = 0.9, a0 = 0.1), where numpy's gamma sampler runs a rejection
+  loop around ``pow`` that is about three times slower than its sampler
+  for shapes of at least 1.  So the head's standard gammas are drawn by
+  the exact identity Gamma(alpha) = Gamma(alpha + 1) U^(1/alpha) of
+  Marsaglia and Tsang (2000), with U uniform and independent: the plan
+  keeps the lifted shapes alpha + 1 and the factors -1/alpha, and
+  U^(1/alpha) = exp(-E/alpha) with E = -log(1 - U) a standard exponential
+  (:func:`innovation_variates`);
 * the weights of a blocked first-order scan (:func:`discount_scan`), which
   runs both the rate recursion and the backward recursion with cumulative
   sums, and those weights halved: the filter scans mixture_t * (y_t - mu -
@@ -43,8 +52,11 @@ at any t carries forward to b_n, and the filter checks b_n alone.
 
 The innovations' standard variates (gammas at shapes[:head], normals past
 it) do not depend on the data, so ``_backward_sample`` takes them as arrays
-and the Gibbs sweep draws them ahead of time; :func:`backward_sample` draws
-them from the stream's child generators (see :mod:`jumpvol.rng`).
+and the Gibbs sweep draws them ahead of time, a chunk of sweeps at a time.
+Both it and :func:`backward_sample` draw the gammas with
+:func:`innovation_variates` from the stream's ``gammas`` and
+``exponentials`` children, and the normals from its ``normals`` child
+(see :mod:`jumpvol.rng`).
 """
 
 from __future__ import annotations
@@ -86,8 +98,12 @@ class DiscountPlan:
     shapes  innovation shapes (1-omega) a_t for t = 1..n-1
     head    number of leading innovation shapes that are not exactly 1/2;
             shapes[head:] are all 1/2
-    pos     scan weights omega**(j+1) for j < L, the block length
-    neg     scan weights omega**-(j+1), tiled over ceil(n/L) blocks
+    lift    shapes[:head] + 1, the shapes of the head's gamma draws
+    decay   -1 / shapes[:head], the exponent per standard exponential
+            (0 at omega = 1, where every innovation shape is 0)
+    block   L, the length of a scan block
+    pos     scan weights omega**(j+1) for j < L, tiled over ceil(n/L) blocks
+    neg     scan weights omega**-(j+1), tiled like pos
     half    neg / 2, the weights of the filter's scan
 
     All arrays are read-only: one plan is shared by every sweep of a fit.
@@ -98,6 +114,9 @@ class DiscountPlan:
     a: np.ndarray
     shapes: np.ndarray
     head: int
+    lift: np.ndarray
+    decay: np.ndarray
+    block: int
     pos: np.ndarray
     neg: np.ndarray
     half: np.ndarray
@@ -122,14 +141,18 @@ def discount_plan(omega: float, a0: float, n: int) -> DiscountPlan:
     shapes = 0.5 + pw[1:n] * ((1.0 - omega) * a0 - 0.5)
     off_half = np.flatnonzero(shapes != 0.5)
     head = int(off_half[-1]) + 1 if off_half.size else 0
+    lift = shapes[:head] + 1.0
+    # Every shape is 0 at omega = 1, where the head draws nothing.
+    decay = np.divide(-1.0, shapes[:head], out=np.zeros(head), where=shapes[:head] > 0.0)
     j = np.arange(1, block + 1, dtype=float)
-    pos = np.power(omega, j)
-    neg = np.tile(np.power(omega, -j), -(-n // block))
+    blocks = -(-n // block)
+    pos = np.tile(np.power(omega, j), blocks)
+    neg = np.tile(np.power(omega, -j), blocks)
     half = 0.5 * neg
-    for arr in (a, shapes, pos, neg, half):
+    for arr in (a, shapes, lift, decay, pos, neg, half):
         arr.flags.writeable = False
-    return DiscountPlan(omega=omega, n=n, a=a, shapes=shapes, head=head, pos=pos, neg=neg,
-                        half=half)
+    return DiscountPlan(omega=omega, n=n, a=a, shapes=shapes, head=head, lift=lift, decay=decay,
+                        block=block, pos=pos, neg=neg, half=half)
 
 
 def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0) -> np.ndarray:
@@ -155,7 +178,7 @@ def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray
     (plan.neg by default; plan.half scans increments / 2).
     """
     m = len(increments)
-    block = plan.pos.size
+    block = plan.block
     x = out[:m]
     np.multiply(increments, plan.neg[:m] if neg is None else neg[:m], out=x)
     if m <= block:
@@ -170,12 +193,12 @@ def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray
     np.add.accumulate(rows, axis=1, out=rows)
     carries = []
     carry = float(start)
-    last = float(plan.pos[-1])
+    last = float(plan.pos[block - 1])
     for row_sum in rows[:, -1].tolist():
         carries.append(carry)
         carry = last * (carry + row_sum)
     rows += np.array(carries)[:, None]
-    rows *= plan.pos
+    out *= plan.pos  # the weights are tiled: one flat multiply, no broadcast
     return x
 
 
@@ -262,30 +285,47 @@ def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nda
         raise ParameterError(
             f"filter state was built with omega={fs.plan.omega}, cfg has omega={cfg.omega}"
         )
-    shapes, n_normals = innovation_variates(fs.plan)
-    gammas = rng.gammas.standard_gamma(shapes)
-    normals = rng.normals.standard_normal(n_normals)
-    return _backward_sample(fs, cfg, rng, gammas, normals, np.empty(fs.plan.n),
-                            np.empty(fs.plan.neg.size))
+    plan = fs.plan
+    gammas = innovation_variates(plan, rng, np.empty(plan.head), np.empty(plan.head))
+    normals = rng.normals.standard_normal(plan.n - 1 - plan.head)
+    return _backward_sample(fs, cfg, rng, gammas, normals, np.empty(plan.n),
+                            np.empty(plan.neg.size))
 
 
-def innovation_variates(plan: DiscountPlan) -> tuple[np.ndarray, int]:
-    """The standard variates of the backward-sample innovations.
+def innovation_variates(plan: DiscountPlan, rng: RngStream, out: np.ndarray,
+                        scratch: np.ndarray) -> np.ndarray:
+    """Draw the standard gammas of the innovations' head into out and return it.
 
-    Returns the shapes of the standard gammas (plan.shapes[:head]; a shape
-    of 0 draws exactly 0), drawn from rng.gammas, and the number of standard
-    normals past the head (n - 1 - head), drawn from rng.normals.
+    out and scratch are C-contiguous, of shape (plan.head,) or (rows,
+    plan.head); each row gets standard gammas at plan.shapes[:head], drawn
+    as G exp(E decay) with G ~ Gamma(lift) from rng.gammas and E ~ Exp(1)
+    from rng.exponentials (written into scratch), which is
+    Gamma(alpha + 1) U^(1/alpha) ~ Gamma(alpha) (see the module notes).
+    Each stream fills its array row after row, so one call for several rows
+    draws what one call per row draws.  At omega = 1 every shape is 0
+    (below 1 none is): the head is exactly 0 and nothing is drawn.  The
+    remaining n - 1 - head innovations take standard normals from
+    rng.normals.
     """
-    return plan.shapes[: plan.head], plan.n - 1 - plan.head
+    if plan.omega == 1.0:
+        out.fill(0.0)
+        return out
+    rng.gammas.standard_gamma(plan.lift, out=out)
+    rng.exponentials.standard_exponential(out=scratch)
+    scratch *= plan.decay
+    np.exp(scratch, out=scratch)
+    out *= scratch
+    return out
 
 
 def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream, gammas: np.ndarray,
                      normals: np.ndarray, out: np.ndarray, scan: np.ndarray) -> np.ndarray:
     """Kernel of :func:`backward_sample`; cfg is unused once omega is checked.
 
-    gammas and normals are the variates of :func:`innovation_variates`:
-    eta_t = gamma/b_t in the head, Z^2/(2 b_t) past it.  The path is
-    written into out; the scan runs in scan (plan.neg.size entries).
+    gammas are the head's standard gammas (:func:`innovation_variates`) and
+    normals the n - 1 - head standard normals past it: eta_t = gamma/b_t in
+    the head, Z^2/(2 b_t) past it.  The path is written into out; the scan
+    runs in scan (plan.neg.size entries).
     """
     plan = fs.plan
     n = plan.n

@@ -613,7 +613,8 @@ class TestHelperThread:
             perf_counter=lambda: clock["wall"], thread_time=lambda: clock["cpu"]))
         monkeypatch.setattr(engine, "_HELPER_WINDOW_S", 0.25)
         monkeypatch.setattr(engine, "_HELPER_MIN_BUSY", 1.5)
-        ring = engine._VariateRing(jv.RngStream(1), np.ones(3), 2, 1, 10, "jumpvol-variates-t")
+        ring = engine._VariateRing(jv.RngStream(1), volatility.discount_plan(0.9, 0.1, 3), 15.5,
+                                   2, 1, 10, "jumpvol-variates-t")
         ring.close()  # the check reads only the clocks and the helper's CPU time
         for wall, cpu, helper_cpu, pays in [
             (0.125, 0.0, 0.0, True),  # before the first check
@@ -891,8 +892,8 @@ def _filtered(s):
 
 
 def _innovations(plan, rng):
-    shapes, n_normals = volatility.innovation_variates(plan)
-    return rng.gammas.standard_gamma(shapes), rng.normals.standard_normal(n_normals)
+    head = volatility.innovation_variates(plan, rng, _stale(plan.head), _stale(plan.head))
+    return head, rng.normals.standard_normal(plan.n - 1 - plan.head)
 
 
 def _stale(size, dtype=float):
@@ -926,7 +927,7 @@ _STAGES = {
     "sample_mixture_path": (conditionals, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r), lambda s, r: (
         s["resid"], s["precision"], s["cfg"],
-        r.gammas.standard_gamma(0.5 * s["cfg"].nu + 0.5, len(s["y"])), _stale(300))),
+        r.mixture_gammas.standard_gamma(0.5 * s["cfg"].nu + 0.5, len(s["y"])), _stale(300))),
     "sample_jump_mean": (conditionals, lambda s, r: (s["observed"], 3.0, s["priors"], r)),
     "sample_jump_var": (conditionals, lambda s, r: (s["observed"], -2.0, s["priors"], r)),
     "sample_jump_sizes": (conditionals, lambda s, r: (
@@ -974,9 +975,8 @@ def test_sweep_kernel_matches_public_function(name):
         np.testing.assert_array_equal(got, want)
     else:
         assert got == want
-    assert rng_kernel.generator.random() == rng_public.generator.random()
-    assert rng_kernel.gammas.random() == rng_public.gammas.random()
-    assert rng_kernel.normals.random() == rng_public.normals.random()
+    for child in ("generator", "gammas", "normals", "exponentials", "mixture_gammas"):
+        assert getattr(rng_kernel, child).random() == getattr(rng_public, child).random(), child
     first = np.copy(want)
     again = _result(public(*args(state, jv.RngStream(5, 1))))
     np.testing.assert_array_equal(want, first)

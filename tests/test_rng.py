@@ -189,20 +189,41 @@ def test_generator_keeps_its_stream(seed, stream_id):
     assert stream.generator.standard_normal() == normal
 
 
+_CHILDREN = ("gammas", "normals", "exponentials", "mixture_gammas")
+
+
+def _first(gen):
+    return tuple(gen.bit_generator.random_raw(4).tolist())
+
+
 @pytest.mark.parametrize("seed", [0, 42, 20230817])
 def test_child_streams_differ_from_every_generator(seed):
-    """gammas and normals are streams of their own: their first outputs match
-    neither each other nor the generator of any stream id tried."""
-    def first(gen):
-        return tuple(gen.bit_generator.random_raw(4).tolist())
-
+    """The four child streams are streams of their own: their first outputs
+    match neither each other nor the generator of any stream id tried."""
     streams = [jv.RngStream(seed, k) for k in range(8)]
-    generators = {first(jv.RngStream(seed, k).generator) for k in range(8)}
-    children = [first(getattr(s, name)) for s in streams for name in ("gammas", "normals")]
+    generators = {_first(jv.RngStream(seed, k).generator) for k in range(8)}
+    children = [_first(getattr(s, name)) for s in streams for name in _CHILDREN]
     assert len(set(children)) == len(children)
     assert not generators & set(children)
-    assert [first(jv.RngStream(seed, 3).gammas), first(jv.RngStream(seed, 3).normals)] == \
-        children[6:8]
+    assert [_first(getattr(jv.RngStream(seed, 3), name)) for name in _CHILDREN] == \
+        children[12:16]
+
+
+@pytest.mark.parametrize("seed,stream_id", sorted(_GENERATOR_PINS))
+def test_child_streams_keep_their_spawn_keys(seed, stream_id):
+    """Child i of RngStream(seed, k) is child i of SeedSequence(seed,
+    spawn_key=(k,)), spawn key (k, i), in the order gammas, normals,
+    exponentials, mixture_gammas.  normals kept its key (k, 1) when the
+    exponentials and mixture_gammas streams were added, so the standard
+    normals of the innovations' tail and of the jump sizes are unchanged."""
+    stream = jv.RngStream(seed, stream_id)
+    for i, name in enumerate(_CHILDREN):
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, i)))
+        assert _first(getattr(stream, name)) == _first(want), name
+    normals = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(stream_id,)).spawn(4)[1])
+    np.testing.assert_array_equal(jv.RngStream(seed, stream_id).normals.standard_normal(50),
+                                  normals.standard_normal(50))
 
 
 def test_gamma_shape_zero_is_point_mass(rng):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import stats
 
 import jumpvol as jv
+import jumpvol.gibbs as engine
 from jumpvol import volatility
 from jumpvol.errors import ParameterError, SizeError
 from jumpvol.volatility import discount_plan, discount_scan
@@ -169,7 +171,7 @@ def test_discount_scan_matches_loop(omega, n):
     if isinstance(n, str):
         # Around the block length L of a long series, where the scan switches
         # between one block and several.
-        n = discount_plan(omega, 0.1, 200_000).pos.size + int(n[1:] or 0)
+        n = discount_plan(omega, 0.1, 200_000).block + int(n[1:] or 0)
     gen = np.random.default_rng(n)
     u = gen.uniform(0.0, 2.0, n)
     for first in range(0, n, max(n // 5, 1)):
@@ -186,7 +188,7 @@ def test_scan_in_a_reused_buffer_ignores_what_it_held():
     earlier use left past the increments change no value and raise no
     warning (pytest turns one into a failure)."""
     plan = discount_plan(0.9, 0.1, 2500)
-    assert plan.neg.size == 3 * plan.pos.size  # several blocks, the last one padded
+    assert plan.neg.size == 3 * plan.block  # several blocks, the last one padded
     u = np.random.default_rng(3).uniform(0.0, 2.0, 2400)
     stale = np.full(plan.neg.size, np.inf)
     stale[1::2] = -np.inf
@@ -216,6 +218,12 @@ def test_plan_shapes_and_head(omega, a0):
     # head is the first (0-based, t = head + 1) innovation from which (1-omega) a_t == 1/2.
     assert plan.head == head
     assert np.all(plan.shapes[plan.head :] == 0.5)
+    # The head's gammas are drawn at lift with exponent decay; every shape is
+    # positive below omega = 1 and 0 at it, where the head draws nothing.
+    assert (plan.shapes.min() > 0.0) == (omega < 1.0)
+    np.testing.assert_array_equal(plan.lift, plan.shapes[: plan.head] + 1.0)
+    np.testing.assert_array_equal(plan.decay, -1.0 / plan.shapes[: plan.head] if omega < 1.0
+                                  else np.zeros(plan.head))
     if omega < 0.999:
         assert plan.head < n // 5
     with pytest.raises(ValueError):
@@ -241,6 +249,70 @@ def test_backward_innovations_past_head_are_half_shape_gammas():
     assert result.pvalue > 0.001
 
 
+def _head_draws_by_backward_sample(plan, rng, rows, monkeypatch):
+    """Rows of head gammas that the public backward_sample passes to its kernel."""
+    cfg = jv.ModelConfig(omega=plan.omega)
+    y = np.sin(np.arange(plan.n, dtype=float))
+    fs = jv.forward_filter(y, 0.0, np.zeros(plan.n), np.ones(plan.n), cfg)
+    kernel, drawn = volatility._backward_sample, []
+
+    def spy(fs, cfg, rng, gammas, *args):
+        drawn.append(gammas.copy())
+        return kernel(fs, cfg, rng, gammas, *args)
+
+    monkeypatch.setattr(volatility, "_backward_sample", spy)
+    for _ in range(rows):
+        jv.backward_sample(fs, cfg, rng)
+    return np.array(drawn)
+
+
+def _head_draws_by_ring(plan, rng, rows, monkeypatch):
+    """Rows of head gammas from the Gibbs sweep's variate ring, two rows a chunk."""
+    ring = engine._VariateRing(rng, plan, 15.5, 3, 2, -(-rows // 2), None)
+    return np.concatenate([ring.take()[0].copy() for _ in range(-(-rows // 2))])[:rows]
+
+
+@pytest.mark.parametrize("draw", [_head_draws_by_backward_sample, _head_draws_by_ring],
+                         ids=["backward_sample", "ring"])
+@pytest.mark.parametrize("omega", [0.9, 0.99])
+def test_head_innovations_are_gammas_at_the_plan_shapes(omega, draw, monkeypatch):
+    """The head's standard gammas, drawn as Gamma(alpha + 1) U^(1/alpha), follow
+    Gamma(alpha) at every shape of the plan (0.059 to 1/2 at omega = 0.9,
+    0.006 to 1/2 at 0.99): their gamma CDF values are uniform, pooled over
+    about 400,000 draws, and so are the draws at the smallest shape alone."""
+    plan = discount_plan(omega, 0.1, 4000)
+    assert 0 < plan.head < plan.n - 1 and plan.shapes[0] < 0.06
+    rows = -(-400_000 // plan.head)
+    draws = draw(plan, jv.RngStream(11, 2), rows, monkeypatch)
+    assert draws.shape == (rows, plan.head)
+    assert np.all(draws >= 0.0)
+    cdf = stats.gamma.cdf(draws, plan.shapes[: plan.head])
+    assert stats.kstest(cdf.ravel(), "uniform").pvalue > 0.001
+    assert stats.kstest(draws[:, 0], stats.gamma(plan.shapes[0]).cdf).pvalue > 0.001
+
+
+def test_zero_innovation_shapes_draw_exact_zeros():
+    """At omega = 1 every innovation shape is 0: the head's variates are exact
+    zeros, from the kernel and from the ring, with no warning of any kind,
+    and the public backward_sample returns a constant path."""
+    n = 600
+    plan = discount_plan(1.0, 0.1, n)
+    assert plan.head == n - 1 and not plan.shapes.any()
+    cfg = jv.ModelConfig(omega=1.0)
+    y = np.sin(np.arange(n, dtype=float))
+    fs = jv.forward_filter(y, 0.0, np.zeros(n), np.ones(n), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        head = volatility.innovation_variates(plan, jv.RngStream(3), np.full(plan.head, np.nan),
+                                              np.full(plan.head, np.nan))
+        ring = engine._VariateRing(jv.RngStream(3), plan, 15.5, 0, 4, 3, None)
+        slots = [ring.take()[0].copy() for _ in range(3)]
+        lam = jv.backward_sample(fs, cfg, jv.RngStream(3))
+    assert np.all(head == 0.0)
+    assert all(np.all(slot == 0.0) for slot in slots)
+    assert np.all(lam == lam[-1]) and lam[-1] > 0.0
+
+
 @pytest.mark.parametrize("omega, n", [(0.99, 300), (0.9, 5000)])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_filter_refuses_non_finite_increments_anywhere(omega, n, bad):
@@ -249,7 +321,7 @@ def test_filter_refuses_non_finite_increments_anywhere(omega, n, bad):
     or across scan blocks, reaches it."""
     cfg = jv.ModelConfig(omega=omega)
     plan = discount_plan(omega, cfg.a0, n)
-    assert (plan.pos.size == n) == (omega == 0.99)
+    assert (plan.block == n) == (omega == 0.99)
     gen = np.random.default_rng(n)
     resid, mixture = gen.normal(0.0, 1.0, n), gen.gamma(15.0, 1.0 / 15.0, n)
     out = np.empty(1 + plan.neg.size)
