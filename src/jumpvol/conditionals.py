@@ -299,15 +299,15 @@ def apply_jump_threshold(probs, threshold: float) -> np.ndarray:
     probs_arr = np.asarray(probs, dtype=float)
     if not math.isfinite(threshold):
         raise ParameterError(f"threshold must be finite, got {threshold}")
-    return _apply_jump_threshold(probs_arr, threshold, np.empty(probs_arr.shape, dtype=np.int64),
-                                 np.empty(probs_arr.shape, dtype=bool))
+    return _apply_jump_threshold(probs_arr, threshold, np.empty(probs_arr.shape, dtype=np.int64))
 
 
-def _apply_jump_threshold(scores, cutoff: float, out, mask) -> np.ndarray:
-    """out = 1{scores > cutoff}: probabilities and the threshold, or log-odds and its logit."""
-    np.greater(scores, cutoff, out=mask)
-    np.copyto(out, mask)
-    return out
+def _apply_jump_threshold(scores, cutoff: float, out) -> np.ndarray:
+    """out = 1{scores > cutoff}: probabilities and the threshold, or log-odds and its logit.
+
+    out is int64 for the public function and the sweep's bool mask of declared jumps.
+    """
+    return np.greater(scores, cutoff, out=out)
 
 
 def jump_prob_posterior(jump_ind, priors: Priors) -> tuple[float, float]:

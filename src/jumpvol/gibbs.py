@@ -77,10 +77,9 @@ n-length array a sweep touches:
     precision  lambda path           backward_sample       mixture path, weights
     mixture    gamma path            sample_mixture_path   filter, weights
     jump_size  xi path               sample_jump_sizes     jump mean/variance, indicators
-    jump_ind   N path (int64)        apply_jump_threshold  jumps
-    declared   N path (bool)         apply_jump_threshold  next jump mean/variance, jump_prob
+    declared   N path (bool)         apply_jump_threshold  jumps, next jump mean/var, jump_prob
     probs      P(N_t = 1)            jump_indicator_probs  (retained sweeps only)
-    jumps      jump_size * jump_ind  the indicators        resid, shifted, log-likelihood
+    jumps      jump_size * declared  the indicators        resid, shifted, log-likelihood
     centered   y - mu                the mu draw           jump sizes, indicators
     resid      centered - jumps      the mu draw           filter, mixture path
     weights    mixture * precision   the mixture draw      the next mu draw, indicators
@@ -97,12 +96,13 @@ where z_t lies within rounding of logit(threshold)).  Only a retained
 sweep, whose probabilities the accumulator reads, also writes p_t into
 probs, with declared as scratch before the threshold overwrites it.
 Every other scratch is read only by the stage that wrote it.  A retained
-draw reads precision, mixture, jump_size, jump_ind, probs and jumps, and
-the accumulator keeps 1 / precision and its square root in two arrays of
-its own.  Every array is computed with the operations, in the order, that the
-public function of its stage uses, so the sweep draws bit for bit what the
-public functions (which allocate these arrays) draw when called in the
-order above.
+draw reads precision, mixture, jump_size, declared, probs and jumps: the
+accumulator's jump counts and the kept jump_ind rows stay int64 and take
+declared as 0 and 1, and the accumulator keeps 1 / precision and its
+square root in two arrays of its own.  Every array is computed with the
+operations, in the order, that the public function of its stage uses, so
+the sweep draws bit for bit what the public functions (which allocate
+these arrays) draw when called in the order above.
 """
 
 from __future__ import annotations
@@ -517,14 +517,13 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     precision = np.array(path0.precision, dtype=float)
     mixture = np.array(path0.mixture, dtype=float)
     jump_size = np.array(path0.jump_size, dtype=float)
-    jump_ind = np.array(path0.jump_ind, dtype=np.int64)
-    jumps = jump_size * jump_ind
+    declared = path0.jump_ind == 1
+    jumps = jump_size * declared
     probs = np.zeros(n)
     centered, resid, variance = np.empty(n), np.empty(n), np.empty(n)
     weights = mixture * precision
     shifted = y_arr - jumps
     work = (np.empty(n), np.empty(n))
-    declared = np.equal(jump_ind, 1)
     observed = jump_size[declared]
     logit_c = _logit(cfg.jump_threshold)
     plan = discount_plan(cfg.omega, cfg.a0, n)
@@ -563,8 +562,8 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y_arr, mu, out=centered)
                 np.subtract(centered, jumps, out=resid)
-                fs = forward_filter(resid, mixture, cfg, rates)
-                backward_sample(fs, cfg, rng, chunk_head[i], normals[:tail], precision, scan)
+                b = forward_filter(resid, mixture, plan, cfg.b0, rates)
+                backward_sample(plan, b, rng, chunk_head[i], normals[:tail], precision, scan)
                 sample_mixture_path(resid, precision, cfg, chunk_mixture[i], mixture)
                 np.multiply(mixture, precision, out=weights)
                 np.divide(1.0, weights, out=variance)
@@ -575,8 +574,8 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                                       jump_size, work)
                     jump_indicator_probs(weights, centered, jump_size, jump_prob,
                                          probs if retained else None, work, declared)
-                    apply_jump_threshold(work[0], logit_c, jump_ind, declared)
-                    np.copyto(jumps, jump_ind)  # cast first: a mixed multiply buffers a path
+                    apply_jump_threshold(work[0], logit_c, declared)
+                    np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
                     jumps *= jump_size
                     np.subtract(y_arr, jumps, out=shifted)
                     observed = jump_size[declared]
@@ -596,10 +595,10 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                            jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
                 for name, column in draws.items():
                     column[idx] = row[name]
-                acc.add(precision, mixture, jumps, jump_ind, probs)
+                acc.add(precision, mixture, jumps, declared, probs)
                 if kept is not None:
                     path = dict(precision=precision, mixture=mixture, jump_size=jump_size,
-                                jump_ind=jump_ind)
+                                jump_ind=declared)
                     for name, rows in kept.items():
                         rows[idx] = path[name]
                 idx += 1

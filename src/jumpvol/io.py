@@ -356,13 +356,8 @@ def read_sim_csv(path) -> dict:
     return _read_columns(path, SIM_COLUMNS)
 
 
-def report_payload(
-    report: DiagnosticsReport,
-    cfg: Optional[ModelConfig] = None,
-    spec: Optional[RunSpec] = None,
-    data_stats: Optional[dict] = None,
-    files: Optional[dict] = None,
-) -> dict:
+def report_payload(report: DiagnosticsReport, cfg: ModelConfig, spec: RunSpec, data_stats: dict,
+                   files: dict) -> dict:
     """Build the JSON-ready report structure.
 
     Deliberately contains nothing non-deterministic (no timings, no
@@ -371,19 +366,14 @@ def report_payload(
     diagnostics = {
         f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("params", "latent")
     }
-    payload: dict = {
+    return {
         "diagnostics": diagnostics,
         "params": [asdict(p) for p in report.params],
+        "model": asdict(cfg),
+        "run": {name: getattr(spec, name) for name in _RUN_ECHO},
+        "data": data_stats,
+        "files": files,
     }
-    if cfg is not None:
-        payload["model"] = asdict(cfg)
-    if spec is not None:
-        payload["run"] = {name: getattr(spec, name) for name in _RUN_ECHO}
-    if data_stats is not None:
-        payload["data"] = data_stats
-    if files is not None:
-        payload["files"] = files
-    return payload
 
 
 def write_report_json(path, payload: dict) -> None:

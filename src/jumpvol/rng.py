@@ -7,9 +7,11 @@ Conventions used everywhere in this package:
   posterior mean of a precision is shape/rate.
 * Inverse-gamma draws are shape and scale (mean = scale/(shape - 1)); the
   conversion happens inside :func:`sample_inverse_gamma`, never at call sites.
-* A gamma shape of exactly zero denotes the point mass at zero.  It shows up
-  in the backward volatility recursion when the discount factor reaches one,
-  and returning 0.0 keeps that recursion well defined.
+* A gamma shape of exactly zero denotes the point mass at zero, for which
+  :func:`sample_gamma` returns 0.0.  The package draws at no such shape: its
+  shapes are a_n >= a0 > 0 and nu/2, and at a discount factor of one
+  :func:`jumpvol.volatility.innovation_variates` writes the zero
+  innovations without a draw.
 
 All functions accept scalars or arrays for the distribution parameters and
 broadcast like numpy.  Given the same (seed, stream_id) and the same call

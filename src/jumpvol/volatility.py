@@ -38,12 +38,15 @@ Everything that does not depend on the data is computed once per
 
 :func:`forward_filter` takes y as a ReturnsSeries or a finite 1-D array and
 aligns the other paths with it (:func:`jumpvol.model.returns_array` and
-:func:`jumpvol.model.aligned`); :func:`backward_sample` checks that the
-filter state matches cfg.  Both then call the unchecked kernels
-``_forward_filter``, which reads the residuals y - mu - jumps that the
-Gibbs sweep has already formed, and ``_backward_sample``; the sweep calls
-them directly.  The kernels write into the arrays they are given: the
-public functions allocate them on each call, the sweep once per chain.
+:func:`jumpvol.model.aligned`), and wraps the rates in a checked
+:class:`FilterState`; :func:`backward_sample` checks that the filter state
+matches cfg.  Both then call the unchecked kernels, which the Gibbs sweep
+calls directly with the plan it holds for the fit:
+``_forward_filter(resid, mixture, plan, b0, out)`` reads the residuals
+y - mu - jumps that the sweep has already formed and returns the rates b,
+and ``_backward_sample(plan, b, rng, gammas, normals, out, scan)`` reads
+them.  The kernels write into the arrays they are given: the public
+functions allocate them on each call, the sweep once per chain.
 Each scan runs in a buffer of plan.neg.size entries (n padded to whole
 blocks), and the filter's rates are written straight into its buffer.
 The kernels keep one numerical guard: the filtered rates must be finite.
@@ -207,7 +210,8 @@ class FilterState:
     """Filtering parameters; index 0 of ``a`` and ``b`` holds the initial (a0, b0).
 
     The shapes come from the plan; the rates are the data-dependent part and
-    are checked here, once per sweep.
+    are checked here, once per :func:`forward_filter` call.  The Gibbs sweep
+    builds none: it hands the kernels the plan and the rates.
     """
 
     plan: DiscountPlan
@@ -223,14 +227,6 @@ class FilterState:
             raise ParameterError("filter parameters must be finite")
         if not np.all(self.b > 0):
             raise ParameterError("filter parameters must be > 0")
-
-    @classmethod
-    def _trusted(cls, plan: DiscountPlan, b: np.ndarray) -> FilterState:
-        """Wrap rates that :func:`_forward_filter` built and checked itself."""
-        fs = object.__new__(cls)
-        fs.plan = plan
-        fs.b = b
-        return fs
 
     @property
     def a(self) -> np.ndarray:
@@ -252,25 +248,25 @@ def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterStat
     if not np.all(mix_arr > 0):
         raise ParameterError("mixture entries must be > 0")
     plan = discount_plan(cfg.omega, cfg.a0, y_arr.size)
-    return _forward_filter(y_arr - mu - jumps_arr, mix_arr, cfg, np.empty(1 + plan.neg.size))
+    b = _forward_filter(y_arr - mu - jumps_arr, mix_arr, plan, cfg.b0, np.empty(1 + plan.neg.size))
+    return FilterState(plan, b)
 
 
-def _forward_filter(resid, mixture, cfg: ModelConfig, out: np.ndarray) -> FilterState:
-    """The rates b are out[:n+1], and the scan runs in out[1:] (plan.neg.size entries)."""
-    n = resid.size
-    plan = discount_plan(cfg.omega, cfg.a0, n)
+def _forward_filter(resid, mixture, plan: DiscountPlan, b0: float, out: np.ndarray) -> np.ndarray:
+    """Return the rates b, written into out[:n+1]; the scan runs in out[1:]."""
+    n = plan.n
     b = out[: n + 1]
-    b[0] = cfg.b0
+    b[0] = b0
     increments = b[1:]
     np.multiply(mixture, resid, out=increments)
     increments *= resid
-    _discount_scan(increments, plan, cfg.b0, out[1:], plan.half)
+    _discount_scan(increments, plan, b0, out[1:], plan.half)
     np.maximum(b, _B_FLOOR, out=b)
     # After the floor every rate is positive unless it is inf or NaN, and
     # an inf or a NaN at any t reaches b_n (see the module notes).
     if not math.isfinite(b[n]):
         raise ParameterError("filter parameters must be finite")
-    return FilterState._trusted(plan, b)
+    return b
 
 
 def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.ndarray:
@@ -288,7 +284,7 @@ def backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream) -> np.nda
     plan = fs.plan
     gammas = innovation_variates(plan, rng, np.empty(plan.head), np.empty(plan.head))
     normals = rng.normals.standard_normal(plan.n - 1 - plan.head)
-    return _backward_sample(fs, cfg, rng, gammas, normals, np.empty(plan.n),
+    return _backward_sample(plan, fs.b, rng, gammas, normals, np.empty(plan.n),
                             np.empty(plan.neg.size))
 
 
@@ -318,18 +314,16 @@ def innovation_variates(plan: DiscountPlan, rng: RngStream, out: np.ndarray,
     return out
 
 
-def _backward_sample(fs: FilterState, cfg: ModelConfig, rng: RngStream, gammas: np.ndarray,
+def _backward_sample(plan: DiscountPlan, b: np.ndarray, rng: RngStream, gammas: np.ndarray,
                      normals: np.ndarray, out: np.ndarray, scan: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`backward_sample`; cfg is unused once omega is checked.
+    """Kernel of :func:`backward_sample`: b are the rates of :func:`_forward_filter`.
 
     gammas are the head's standard gammas (:func:`innovation_variates`) and
     normals the n - 1 - head standard normals past it: eta_t = gamma/b_t in
     the head, Z^2/(2 b_t) past it.  The path is written into out; the scan
     runs in scan (plan.neg.size entries).
     """
-    plan = fs.plan
     n = plan.n
-    b = fs.b
     # The one checked scalar draw of a sweep: bench/tracing.py times the
     # rng layer through this call (rng.gamma).
     lam_n = sample_gamma(plan.a[n], b[n], rng)

@@ -243,10 +243,10 @@ class TestSweepOrder:
             log["mu_out"].append(out)
             return out
 
-        def spy_forward(resid, mixture, cfg, rates):
+        def spy_forward(resid, mixture, plan, b0, rates):
             log["filter_resid"].append(np.array(resid, copy=True))
             log["filter_mixture"].append(np.array(mixture, copy=True))
-            return real_forward(resid, mixture, cfg, rates)
+            return real_forward(resid, mixture, plan, b0, rates)
 
         def spy_mixture(resid, precision, cfg, variates, path):
             out = real_mixture(resid, precision, cfg, variates, path)
@@ -262,8 +262,8 @@ class TestSweepOrder:
             log["jump_mean_sizes_in"].append(np.array(sizes, copy=True))
             return real_jump_mean(sizes, jump_var, priors, rng)
 
-        def spy_threshold(probs, threshold, ind, mask):
-            out = real_threshold(probs, threshold, ind, mask)
+        def spy_threshold(probs, threshold, mask):
+            out = real_threshold(probs, threshold, mask)
             log["ind_out"].append(np.array(out, copy=True))
             return out
 
@@ -384,7 +384,6 @@ def _spy_stage_arrays(monkeypatch):
         def recorded(*args):
             for arg in args:
                 for arr in arg if isinstance(arg, tuple) else (arg,):
-                    arr = arr.b if isinstance(arr, jv.FilterState) else arr
                     if isinstance(arr, np.ndarray):
                         seen[id(arr)] = arr
             return stage(*args)
@@ -905,9 +904,14 @@ def _work(n=300):
     return _stale(n), _stale(n)
 
 
+def _plan(s):
+    """The plan the sweep holds for a 300-point state."""
+    return volatility.discount_plan(s["cfg"].omega, s["cfg"].a0, 300)
+
+
 def _scan(s):
     """A scan buffer for the plan of a 300-point state."""
-    return _stale(volatility.discount_plan(s["cfg"].omega, s["cfg"].a0, 300).neg.size)
+    return _stale(_plan(s).neg.size)
 
 
 # Arguments of each stage from a valid state and a stream: as a caller passes
@@ -921,9 +925,9 @@ _STAGES = {
         s["weights"], s["shifted"], s["priors"], _stale(300), r)),
     "forward_filter": (volatility, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), lambda s, r: (
-        s["resid"], s["mixture"], s["cfg"], np.append(np.nan, _scan(s)))),
+        s["resid"], s["mixture"], _plan(s), s["cfg"].b0, np.append(np.nan, _scan(s)))),
     "backward_sample": (volatility, lambda s, r: (_filtered(s), s["cfg"], r), lambda s, r: (
-        _filtered(s), s["cfg"], r, *_innovations(_filtered(s).plan, r), _stale(300), _scan(s))),
+        _plan(s), _filtered(s).b, r, *_innovations(_plan(s), r), _stale(300), _scan(s))),
     "sample_mixture_path": (conditionals, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["cfg"], r), lambda s, r: (
         s["resid"], s["precision"], s["cfg"],
@@ -940,7 +944,7 @@ _STAGES = {
         _stale(300, bool))),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
                              lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
-                                           _stale(300, np.int64), _stale(300, bool))),
+                                           _stale(300, np.int64))),
     "sample_jump_prob": (conditionals, lambda s, r: (s["ind"], s["priors"], r), lambda s, r: (
         s["observed"].size, 300, s["priors"], r)),
     "conditional_log_lik": (diagnostics, lambda s, r: (
@@ -967,7 +971,7 @@ def test_sweep_kernel_matches_public_function(name):
     rng_kernel, rng_public = jv.RngStream(5, 1), jv.RngStream(5, 1)
     got, want = kernel(*kernel_args(state, rng_kernel)), public(*args(state, rng_public))
     if isinstance(want, jv.FilterState):
-        assert got.plan is want.plan
+        assert want.plan is _plan(state)  # the plan the kernel was given
     got, want = _result(got), _result(want)
     assert type(got) is type(want)
     if isinstance(want, np.ndarray):
@@ -1005,7 +1009,8 @@ def test_threshold_on_log_odds_declares_what_probabilities_declare(threshold):
             log_odds = engine.jump_indicator_probs(mixture * precision, y - mu, sizes, rho,
                                                    None, work, mask)
             assert log_odds is work[0]
-            got = engine.apply_jump_threshold(log_odds, cutoff, _stale(n, np.int64), mask)
+            got = engine.apply_jump_threshold(log_odds, cutoff, mask)
+            assert got is mask
             want = jv.apply_jump_threshold(
                 jv.jump_indicator_probs(y, mu, precision, mixture, sizes, rho), threshold)
             np.testing.assert_array_equal(got, want, err_msg=f"rho={rho} scale={scale}")

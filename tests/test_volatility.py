@@ -84,6 +84,28 @@ def test_nonpositive_mixture_rejected():
         jv.forward_filter(np.zeros(3), 0.0, np.zeros(3), np.array([1.0, 0.0, 1.0]), cfg)
 
 
+def test_backward_sample_refuses_a_state_from_another_omega(rng):
+    fs = jv.forward_filter(np.array([1.0, -2.0, 0.5]), 0.0, np.zeros(3), np.ones(3),
+                           jv.ModelConfig(omega=0.9))
+    with pytest.raises(ParameterError, match="omega"):
+        jv.backward_sample(fs, jv.ModelConfig(omega=0.95), rng)
+
+
+@pytest.mark.parametrize("b, error, match", [
+    (np.ones(3), SizeError, "shape"),
+    (np.array([1.0, np.inf, 1.0, 1.0]), ParameterError, "finite"),
+    (np.array([1.0, 1.0, np.nan, 1.0]), ParameterError, "finite"),
+    (np.array([1.0, 1.0, 0.0, 1.0]), ParameterError, "> 0"),
+    (np.array([1.0, 1.0, 1.0, -2.0]), ParameterError, "> 0"),
+], ids=["length", "inf", "nan", "zero", "negative"])
+def test_filter_state_refuses_bad_rates(b, error, match):
+    """The public FilterState checks the rates the sweep's kernels take unchecked."""
+    plan = discount_plan(0.9, 0.1, 3)
+    assert jv.FilterState(plan, np.ones(4)).n == 3
+    with pytest.raises(error, match=match):
+        jv.FilterState(plan, b)
+
+
 def test_rate_floor_with_long_zero_stretch():
     cfg = jv.ModelConfig(omega=0.9, a0=0.1, b0=1e-250)
     n = 900
@@ -256,9 +278,9 @@ def _head_draws_by_backward_sample(plan, rng, rows, monkeypatch):
     fs = jv.forward_filter(y, 0.0, np.zeros(plan.n), np.ones(plan.n), cfg)
     kernel, drawn = volatility._backward_sample, []
 
-    def spy(fs, cfg, rng, gammas, *args):
+    def spy(plan, b, rng, gammas, *args):
         drawn.append(gammas.copy())
-        return kernel(fs, cfg, rng, gammas, *args)
+        return kernel(plan, b, rng, gammas, *args)
 
     monkeypatch.setattr(volatility, "_backward_sample", spy)
     for _ in range(rows):
@@ -325,9 +347,9 @@ def test_filter_refuses_non_finite_increments_anywhere(omega, n, bad):
     gen = np.random.default_rng(n)
     resid, mixture = gen.normal(0.0, 1.0, n), gen.gamma(15.0, 1.0 / 15.0, n)
     out = np.empty(1 + plan.neg.size)
-    assert np.isfinite(volatility._forward_filter(resid, mixture, cfg, out).b).all()
+    assert np.isfinite(volatility._forward_filter(resid, mixture, plan, cfg.b0, out)).all()
     for t in (0, n // 2, n - 1):
         hit = resid.copy()
         hit[t] = bad
         with pytest.raises(ParameterError, match="finite"):
-            volatility._forward_filter(hit, mixture, cfg, out)
+            volatility._forward_filter(hit, mixture, plan, cfg.b0, out)
