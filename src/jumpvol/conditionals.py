@@ -17,11 +17,12 @@ Gibbs sweep calls them directly: its inputs are checked once, when the fit
 starts, and every state it produces is valid by construction.  The sweep
 forms each array that several stages read once (see :mod:`jumpvol.gibbs`),
 so the kernels take them ready-made: ``weights`` = mixture * precision,
-``shifted`` = y - jumps, ``centered`` = y - mu, ``resid`` = y - mu - jumps
-and ``variance`` = 1 / weights.  The array kernels write into the arrays
-they are given (``out`` for the result, ``work`` and ``mask`` for scratch):
-the public functions allocate them on each call, and the sweep passes its
-workspace.
+the conditional precision of each observation, ``shifted`` = y - jumps,
+``centered`` = y - mu and ``resid`` = y - mu - jumps.  No kernel reads the
+variance 1 / weights, which saves the sweep a division pass.  The array
+kernels write into the arrays they are given (``out`` for the result,
+``work`` for scratch): the public functions allocate them on each call,
+and the sweep passes its workspace.
 
 The kernels of the two array samplers take their standard variates
 (gammas at the mixture path's common shape, normals for the jump sizes) as
@@ -198,25 +199,28 @@ def jump_size_posterior(y, mu: float, precision, mixture, jump_mean: float, jump
     """Normal posterior (means, variances) for the full jump-size path.
 
     Precision-weighted average of the prior jump-size mean and the centered
-    observation; as jump_var -> 0 the posterior collapses onto jump_mean.
+    observation c_t: with w_t = mixture_t * precision_t the means are
+    (jump_mean + c_t jump_var w_t) / (1 + jump_var w_t) and the variances
+    jump_var / (1 + jump_var w_t).  As jump_var -> 0 the posterior collapses
+    onto jump_mean; at jump_var = 0 it is jump_mean and 0 exactly.
     """
     y, precision, mixture = aligned(y, precision=precision, mixture=mixture)
     if not (math.isfinite(jump_var) and jump_var >= 0):
         raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
-    return _jump_size_posterior(y - mu, 1.0 / (mixture * precision), jump_mean, jump_var,
+    return _jump_size_posterior(y - mu, mixture * precision, jump_mean, jump_var,
                                 np.empty(y.size), np.empty((2, y.size)))
 
 
-def _jump_size_posterior(centered, variance, jump_mean: float, jump_var: float, out, work):
+def _jump_size_posterior(centered, weights, jump_mean: float, jump_var: float, out, work):
     """The means are written into out and the variances into work[1]."""
     denom, variances = work
-    np.add(jump_var, variance, out=denom)
-    np.multiply(jump_mean, variance, out=out)
-    np.multiply(centered, jump_var, out=variances)
-    out += variances
+    np.multiply(jump_var, weights, out=denom)
+    denom += 1.0
+    np.multiply(centered, weights, out=out)
+    out *= jump_var
+    out += jump_mean
     out /= denom
-    np.multiply(jump_var, variance, out=variances)
-    variances /= denom
+    np.divide(jump_var, denom, out=variances)
     return out, variances
 
 
@@ -225,9 +229,9 @@ def sample_jump_sizes(y, mu, precision, mixture, jump_mean, jump_var, rng: RngSt
     return _normal_path(means, variances, rng.normals.standard_normal(means.shape))
 
 
-def _sample_jump_sizes(centered, variance, jump_mean, jump_var, variates, out, work) -> np.ndarray:
+def _sample_jump_sizes(centered, weights, jump_mean, jump_var, variates, out, work) -> np.ndarray:
     """variates: standard normals, one per observation."""
-    return _normal_path(*_jump_size_posterior(centered, variance, jump_mean, jump_var, out, work),
+    return _normal_path(*_jump_size_posterior(centered, weights, jump_mean, jump_var, out, work),
                         variates)
 
 
@@ -254,11 +258,10 @@ def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob
     if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
     return _jump_indicator_probs(mixture * precision, y - mu, jump_sizes, jump_prob,
-                                 np.empty(y.size), np.empty((2, y.size)),
-                                 np.empty(y.size, dtype=bool))
+                                 np.empty(y.size), np.empty((2, y.size)))
 
 
-def _jump_indicator_probs(weights, centered, jump_sizes, jump_prob: float, out, work, mask):
+def _jump_indicator_probs(weights, centered, jump_sizes, jump_prob: float, out, work):
     """Writes the log-odds z into work[0] (-inf or +inf for rho <= 0 or >= 1) and
     returns them, or, given out, writes 1 / (1 + exp(-z)) into it and returns out."""
     log_odds, spread = work
@@ -274,24 +277,25 @@ def _jump_indicator_probs(weights, centered, jump_sizes, jump_prob: float, out, 
     spread *= jump_sizes
     np.multiply(weights, spread, out=log_odds)
     log_odds += _logit(jump_prob)
-    return log_odds if out is None else _logistic(log_odds, out, spread, mask)
+    return log_odds if out is None else _logistic(log_odds, out)
 
 
 def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
-def _logistic(z: np.ndarray, out, e, mask) -> np.ndarray:
-    """1 / (1 + exp(-z)) through exp(-|z|), which cannot overflow; z is kept."""
-    np.less(z, 0.0, out=mask)
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.add(1.0, e, out=out)
-    np.divide(1.0, out, out=out)
-    np.multiply(e, out, out=e)
-    np.copyto(out, e, where=mask)
-    return out
+def _logistic(z: np.ndarray, out) -> np.ndarray:
+    """1 / (1 + exp(min(-z, 700))), written into out; z is kept.
+
+    The exponent is capped where exp is still finite (e^700 ~ 1.0e304), so
+    no z overflows or warns: for z <= -700, where 1 / (1 + e^-z) would
+    underflow towards 0, p bottoms out at 1 / (1 + e^700) ~ 9.9e-305.
+    """
+    np.negative(z, out=out)
+    np.minimum(out, 700.0, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def apply_jump_threshold(probs, threshold: float) -> np.ndarray:

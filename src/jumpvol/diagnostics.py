@@ -29,7 +29,7 @@ from .errors import ParameterError, SizeError
 from .model import (
     LATENT_FIELDS, STATIC_NAMES, ChainOutput, LatentSummary, aligned, returns_array,
 )
-from .rng import _as_param, _log_normal_density
+from .rng import LOG_TWO_PI, _as_param
 
 __all__ = [
     "conditional_log_lik",
@@ -69,15 +69,20 @@ def conditional_log_lik(y, mu: float, jumps, precision, mixture) -> float:
     weights = mix_arr * prec_arr
     if not np.all(weights > 0):
         raise ParameterError("mixture * precision must be > 0 everywhere")
-    variance = _as_param("variance", 1.0 / weights, positive=True)
-    return _conditional_log_lik(y_arr, mu, jumps_arr, variance, np.empty((2, y_arr.size)))
+    _as_param("variance", 1.0 / weights, positive=True)
+    return _conditional_log_lik(y_arr - jumps_arr, mu, weights, np.empty(y_arr.size))
 
 
-def _conditional_log_lik(y, mu, jumps, variance, work) -> float:
-    """Unchecked kernel of :func:`conditional_log_lik`; variance is 1 / (mixture * precision)."""
-    densities, mean = work
-    np.add(mu, jumps, out=mean)
-    return float(np.add.reduce(_log_normal_density(y, mean, variance, densities, mean)))
+def _conditional_log_lik(shifted, mu, weights, work) -> float:
+    """Unchecked kernel of :func:`conditional_log_lik`, shifted = y - jumps and weights =
+    mixture * precision: -(n log 2 pi + sum w (shifted - mu)^2 - sum log w) / 2.  The sums
+    are np.add.reduce, not a BLAS dot, whose order may change with the CPUs it uses."""
+    np.subtract(shifted, mu, out=work)
+    np.square(work, out=work)
+    work *= weights
+    quad = float(np.add.reduce(work))
+    log_w = float(np.add.reduce(np.log(weights, out=work)))
+    return -0.5 * (shifted.size * LOG_TWO_PI + quad - log_w)
 
 
 def compute_bic(log_lik_hat: float, k: int, n: int) -> float:

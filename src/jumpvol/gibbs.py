@@ -82,9 +82,9 @@ n-length array a sweep touches:
     jumps      jump_size * declared  the indicators        resid, shifted, log-likelihood
     centered   y - mu                the mu draw           jump sizes, indicators
     resid      centered - jumps      the mu draw           filter, mixture path
-    weights    mixture * precision   the mixture draw      the next mu draw, indicators
-    variance   1 / weights           the mixture draw      jump sizes, log-likelihood
-    shifted    y - jumps             the indicators        the next mu draw
+    weights    mixture * precision   the mixture draw      the next mu draw, jump sizes,
+                                                           indicators, log-likelihood
+    shifted    y - jumps             the indicators        the next mu draw, log-likelihood
     rates      b, padded for a scan  forward_filter        backward_sample
     scan       padded scratch        backward_sample       itself
     work       two float scratches   mu draw, jump sizes, indicators, log-likelihood;
@@ -94,8 +94,8 @@ The threshold declares N_t = 1{z_t > logit(threshold)} on the log-odds
 z_t, the rule p_t > threshold without a logistic (the two disagree only
 where z_t lies within rounding of logit(threshold)).  Only a retained
 sweep, whose probabilities the accumulator reads, also writes p_t into
-probs, with declared as scratch before the threshold overwrites it.
-Every other scratch is read only by the stage that wrote it.  A retained
+probs; the logistic needs no scratch.  Every other scratch is read only
+by the stage that wrote it.  A retained
 draw reads precision, mixture, jump_size, declared, probs and jumps: the
 accumulator's jump counts and the kept jump_ind rows stay int64 and take
 declared as 0 and 1, and the accumulator keeps 1 / precision and its
@@ -520,7 +520,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     declared = path0.jump_ind == 1
     jumps = jump_size * declared
     probs = np.zeros(n)
-    centered, resid, variance = np.empty(n), np.empty(n), np.empty(n)
+    centered, resid = np.empty(n), np.empty(n)
     weights = mixture * precision
     shifted = y_arr - jumps
     work = (np.empty(n), np.empty(n))
@@ -566,14 +566,13 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 backward_sample(plan, b, rng, chunk_head[i], normals[:tail], precision, scan)
                 sample_mixture_path(resid, precision, cfg, chunk_mixture[i], mixture)
                 np.multiply(mixture, precision, out=weights)
-                np.divide(1.0, weights, out=variance)
                 if cfg.jumps_enabled:
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                     jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                    sample_jump_sizes(centered, variance, jump_mean, jump_var, normals[tail:],
+                    sample_jump_sizes(centered, weights, jump_mean, jump_var, normals[tail:],
                                       jump_size, work)
                     jump_indicator_probs(weights, centered, jump_size, jump_prob,
-                                         probs if retained else None, work, declared)
+                                         probs if retained else None, work)
                     apply_jump_threshold(work[0], logit_c, declared)
                     np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
                     jumps *= jump_size
@@ -586,7 +585,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 ) from exc
 
             if retained:
-                ll = conditional_log_lik(y_arr, mu, jumps, variance, work)
+                ll = conditional_log_lik(shifted, mu, weights, work[0])
                 if not math.isfinite(ll):
                     raise NumericalError(
                         f"chain {chain_id}: non-finite log-likelihood at iteration {j}"

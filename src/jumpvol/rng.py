@@ -42,6 +42,10 @@ An :class:`RngStream` holds five generators seeded from one SeedSequence:
   Each child stream draws one kind of variate in a fixed order, so several
   sweeps' worth can be drawn in one call, ahead of the sweeps and on
   another thread, without changing any draw (see :mod:`jumpvol.gibbs`).
+
+The child streams draw almost every variate of a long fit, on SFC64 bit
+generators, which draw them 10-20% cheaper than PCG64; ``generator`` stays
+PCG64, so the scalar draws and :mod:`jumpvol.synthetic` keep their stream.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class RngStream:
     ``generator`` makes the scalar draws, and the four child streams
     ``gammas``, ``normals``, ``exponentials`` and ``mixture_gammas`` (the
     children 0-3 of ``SeedSequence(seed, spawn_key=(stream_id,))``, in that
-    order) the sweep's array draws (see the module notes).
+    order, on SFC64) the sweep's array draws (see the module notes).
     """
 
     seed: int
@@ -99,8 +103,8 @@ class RngStream:
                 raise ParameterError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
         root = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         self.generator = np.random.default_rng(root)
-        self.gammas, self.normals, self.exponentials, self.mixture_gammas = map(
-            np.random.default_rng, root.spawn(4))
+        self.gammas, self.normals, self.exponentials, self.mixture_gammas = (
+            np.random.Generator(np.random.SFC64(child)) for child in root.spawn(4))
 
 
 def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False):
@@ -194,20 +198,5 @@ def log_normal_density(y, mean, variance):
     y_arr = np.asarray(y, dtype=float)
     mean_arr = np.asarray(mean, dtype=float)
     var_arr = _as_param("variance", variance, positive=True)
-    shape = np.broadcast_shapes(y_arr.shape, mean_arr.shape, np.shape(var_arr))
-    out = _log_normal_density(y_arr, mean_arr, var_arr, np.empty(shape), np.empty(shape))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _log_normal_density(y, mean, variance, out, work):
-    """Unchecked kernel of :func:`log_normal_density`, written into out; work may be mean."""
-    np.subtract(y, mean, out=work)
-    np.square(work, out=work)
-    work /= variance
-    np.log(variance, out=out)
-    np.add(LOG_TWO_PI, out, out=out)
-    out += work
-    out *= -0.5
-    return out
+    out = -0.5 * ((LOG_TWO_PI + np.log(var_arr)) + np.square(y_arr - mean_arr) / var_arr)
+    return float(out) if out.ndim == 0 else out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import jumpvol as jv
 from jumpvol.conditionals import (
+    _logistic,
     jump_mean_posterior,
     jump_prob_posterior,
     jump_size_posterior,
@@ -126,6 +128,28 @@ class TestJumpSizePosterior:
         )
         np.testing.assert_array_equal(draws, [-2.5, -2.5])
 
+    def test_zero_jump_var_gives_jump_mean_exactly(self):
+        gen = np.random.default_rng(11)
+        y, lam = gen.normal(0.0, 5.0, 400), gen.lognormal(0.0, 2.0, 400)
+        gam = gen.gamma(2.0, 1.0, 400)
+        for jump_mean in (-2.5, 0.0, 3.7e-3):
+            means, variances = jump_size_posterior(y, 0.3, lam, gam, jump_mean, 0.0)
+            assert np.all(means == jump_mean) and np.all(variances == 0.0)
+
+    def test_matches_variance_form(self):
+        """The weights form agrees with (m s + c v) / (v + s) and v s / (v + s),
+        s = 1 / (mixture * precision)."""
+        gen = np.random.default_rng(12)
+        for scale in (1e-3, 1.0, 50.0):
+            y, mu = gen.normal(0.0, scale, 500), float(gen.normal(0.0, scale))
+            lam, gam = gen.lognormal(0.0, 3.0, 500), gen.gamma(2.0, 0.5, 500)
+            jump_mean, jump_var = float(gen.normal(0.0, scale)), float(gen.gamma(1.0, scale ** 2))
+            means, variances = jump_size_posterior(y, mu, lam, gam, jump_mean, jump_var)
+            s, c = 1.0 / (gam * lam), y - mu
+            np.testing.assert_allclose(means, (jump_mean * s + c * jump_var) / (jump_var + s),
+                                       rtol=1e-12, atol=1e-14 * scale)
+            np.testing.assert_allclose(variances, jump_var * s / (jump_var + s), rtol=1e-12)
+
     def test_hand_oracle(self):
         # jump_mean -2.5, jump_var 16, obs var 4, centered obs -10
         means, variances = jump_size_posterior(
@@ -179,6 +203,23 @@ class TestJumpIndicatorProbs:
             np.array([500.0]), 0.0, np.ones(1), np.ones(1), np.array([500.0]), 0.015
         )
         assert p[0] == pytest.approx(1.0)
+
+    def test_logistic_never_warns_and_saturates(self):
+        z = np.array([-1e300, -800.0, -700.0, -40.0, 0.0, 40.0, 800.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = _logistic(z, np.empty_like(z))
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert p[4] == 0.5
+        np.testing.assert_array_equal(p[5:], 1.0)
+        assert p[0] == p[1] == p[2] == pytest.approx(1.0 / (1.0 + math.exp(700.0)), rel=1e-12)
+
+    def test_logistic_matches_abs_form(self):
+        """exp(-|z|) / (1 + exp(-|z|)) below zero and 1 / (1 + exp(-|z|)) above."""
+        z = np.linspace(-700.0, 700.0, 20001)
+        e = np.exp(-np.abs(z))
+        want = np.where(z < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+        np.testing.assert_array_max_ulp(_logistic(z, np.empty_like(z)), want, maxulp=4)
 
 
 class TestThreshold:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import jumpvol as jv
-from jumpvol.diagnostics import merge_latent
+from jumpvol.diagnostics import _conditional_log_lik, merge_latent
 from jumpvol.errors import ParameterError, SizeError
 
 
@@ -54,6 +54,16 @@ class TestConditionalLogLik:
             np.sum(jv.log_normal_density(y, 0.05, 1.0 / (gam * lam)))
         )
         assert jv.conditional_log_lik(y, 0.05, np.zeros(2), lam, gam) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", [2, 252, 6241])
+    def test_kernel_matches_summed_densities(self, n):
+        """The six-pass kernel the sweep calls against the summed log densities."""
+        gen = np.random.default_rng(n)
+        y, jumps = gen.standard_t(4.0, n), gen.normal(-2.0, 3.0, n) * (gen.random(n) < 0.05)
+        weights = gen.gamma(4.0, 0.25, n) * gen.gamma(15.0, 1.0 / 15.0, n)
+        expected = float(np.add.reduce(jv.log_normal_density(y, 0.1 + jumps, 1.0 / weights)))
+        got = _conditional_log_lik(y - jumps, 0.1, weights, np.empty(n))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(SizeError):

@@ -253,8 +253,8 @@ class TestSweepOrder:
             log["mixture_out"].append(np.array(out, copy=True))
             return out
 
-        def spy_sizes(centered, variance, jump_mean, jump_var, variates, path, work):
-            out = real_sizes(centered, variance, jump_mean, jump_var, variates, path, work)
+        def spy_sizes(centered, weights, jump_mean, jump_var, variates, path, work):
+            out = real_sizes(centered, weights, jump_mean, jump_var, variates, path, work)
             log["jump_sizes_out"].append(np.array(out, copy=True))
             return out
 
@@ -879,7 +879,6 @@ def _valid_state(n=300, mu=0.1):
         "observed": sizes[ind == 1],
         # the sweep's workspace arrays at this state, for mu = 0.1
         "weights": mixture * precision,
-        "variance": 1.0 / (mixture * precision),
         "shifted": y - jumps,
         "centered": y - mu,
         "resid": y - mu - jumps,
@@ -936,12 +935,11 @@ _STAGES = {
     "sample_jump_var": (conditionals, lambda s, r: (s["observed"], -2.0, s["priors"], r)),
     "sample_jump_sizes": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, r), lambda s, r: (
-        s["centered"], s["variance"], -2.0, 3.0, r.normals.standard_normal(len(s["y"])),
+        s["centered"], s["weights"], -2.0, 3.0, r.normals.standard_normal(len(s["y"])),
         _stale(300), _work())),
     "jump_indicator_probs": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05), lambda s, r: (
-        s["weights"], s["centered"], s["sizes"], 0.05, _stale(300), _work(),
-        _stale(300, bool))),
+        s["weights"], s["centered"], s["sizes"], 0.05, _stale(300), _work())),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
                              lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
                                            _stale(300, np.int64))),
@@ -949,7 +947,7 @@ _STAGES = {
         s["observed"].size, 300, s["priors"], r)),
     "conditional_log_lik": (diagnostics, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["precision"], s["mixture"]), lambda s, r: (
-        s["y"], 0.1, s["jumps"], s["variance"], _work())),
+        s["shifted"], 0.1, s["weights"], _stale(300))),
 }
 
 
@@ -1007,7 +1005,7 @@ def test_threshold_on_log_odds_declares_what_probabilities_declare(threshold):
             sizes[::7] = 0.0
             work, mask = _work(n), _stale(n, bool)
             log_odds = engine.jump_indicator_probs(mixture * precision, y - mu, sizes, rho,
-                                                   None, work, mask)
+                                                   None, work)
             assert log_odds is work[0]
             got = engine.apply_jump_threshold(log_odds, cutoff, mask)
             assert got is mask

@@ -211,17 +211,18 @@ def test_child_streams_differ_from_every_generator(seed):
 
 @pytest.mark.parametrize("seed,stream_id", sorted(_GENERATOR_PINS))
 def test_child_streams_keep_their_spawn_keys(seed, stream_id):
-    """Child i of RngStream(seed, k) is child i of SeedSequence(seed,
-    spawn_key=(k,)), spawn key (k, i), in the order gammas, normals,
-    exponentials, mixture_gammas.  normals kept its key (k, 1) when the
-    exponentials and mixture_gammas streams were added, so the standard
-    normals of the innovations' tail and of the jump sizes are unchanged."""
+    """Child i of RngStream(seed, k) is an SFC64 generator seeded from child i
+    of SeedSequence(seed, spawn_key=(k,)), spawn key (k, i), in the order
+    gammas, normals, exponentials, mixture_gammas; generator stays PCG64."""
     stream = jv.RngStream(seed, stream_id)
+    assert type(stream.generator.bit_generator) is np.random.PCG64
     for i, name in enumerate(_CHILDREN):
-        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, i)))
+        assert type(getattr(stream, name).bit_generator) is np.random.SFC64, name
+        want = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(stream_id, i))))
         assert _first(getattr(stream, name)) == _first(want), name
-    normals = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(stream_id,)).spawn(4)[1])
+    normals = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(stream_id,)).spawn(4)[1]))
     np.testing.assert_array_equal(jv.RngStream(seed, stream_id).normals.standard_normal(50),
                                   normals.standard_normal(50))
 
