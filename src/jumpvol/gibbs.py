@@ -8,7 +8,8 @@ Each iteration updates, in order:
     3. mixture path        independent gamma draws per observation
     4. jump-size mean      given sizes at the previous sweep's jump times
     5. jump-size variance  given sizes at the previous sweep's jump times
-    6. jump sizes          normal draws for the whole path
+    6. jump sizes          normal draws for the whole path (on long series,
+                           for the candidates only unless the draw is kept)
     7. jump indicators     threshold rule on the posterior log-odds of a jump
     8. jump probability    beta draw given the new indicators
 
@@ -33,7 +34,7 @@ times slower beside a second chain thread.
 
 The array draws of a sweep, the backward-sample innovations, the mixture
 path and the jump sizes, scale standard variates whose parameters do not
-depend on the chain's state.  Each chain draws those from the four child
+depend on the chain's state.  Each chain draws those from the child
 streams of its RngStream (see :mod:`jumpvol.rng`), a chunk of sweeps at a
 time (_VariateRing).  A slot of the ring holds three arrays of `chunk`
 rows, and sweep i of the chunk reads row i of each:
@@ -44,8 +45,11 @@ rows, and sweep i of the chunk reads row i of each:
     mixture   n                standard gammas of the         mixture_gammas
                                mixture path
     normals   n - 1 - head     standard normals of the        normals
-              (+ n with jumps) innovations past the head,
+              (+ n, see below) innovations past the head,
                                then of the jump sizes
+    own       n (long jump     on a sweep that runs the       SweepStreams: sweep
+              fits only)       dense jump block, the jump     j's own stream
+                               sizes' other normals
 
 The head is drawn first (volatility.innovation_variates), with the
 mixture array's first chunk * head entries as its exponentials' scratch,
@@ -58,7 +62,36 @@ size does not depend on the helper, so the output is the same with or
 without it.  The helper is joined when run_chain returns or raises, or as
 soon as it stops paying: when the chain's two threads together are busy
 for less than _HELPER_MIN_BUSY times the wall time (a usable CPU may be
-busy with other processes).
+busy with other processes, or the host may grant the process less than
+the CPUs its affinity lists).
+
+The jump sizes' n normals are in the normals array only on series under
+_SPARSE_MIN_N points.  On longer series a sweep mostly does not need them.
+With c_t = y_t - mu and w_t = mixture_t * precision_t, the log-odds of a
+jump are logit(rho) + w_t xi_t (c_t - xi_t/2), and for any xi_t the
+bracket is at most w_t c_t^2 / 2.  So only the candidates
+
+    C = {t : w_t c_t^2 > 2 (logit(threshold) - logit(rho)) (1 - 1e-9)}
+
+can be declared (every t when that gap is <= 0): about 1.3% of t per sweep
+on the daily law at n = 5,000 and almost none on the intraday law.
+logit(threshold) is a float, so rounding the sum cannot lift the log-odds
+over it; the margin covers the few relative roundings of the products and
+of the bound, some 1e-15.  Every sweep draws |C| standard normals, in
+increasing t, from rng.jump_normals.  A sweep that keeps no draw runs the
+jump sizes, log-odds and threshold on C alone, writes xi and N back at C
+and sets N = 0 elsewhere: xi outside C is stale, and no later stage reads
+it (the next jump mean and variance read xi at declared jumps only).  A
+sweep that keeps its draw, whose probabilities and kept paths read xi
+everywhere, runs the dense block with the |C| normals at C and, elsewhere,
+normals from its own stream SeedSequence(seed, spawn_key=(k, 5, j))
+(rng.SweepStreams), so a chain thinned by 3 keeps rows 3, 6, ... of the
+unthinned chain.  Those do not depend on the state, and the ring draws them
+ahead, in the own array, for the sweeps that will keep their draw; its
+other rows are not filled.  Both blocks compute every entry at C with the
+same operations, and the dense one declares nothing outside C, so the
+chain draws the same whichever block a sweep runs (_DENSE_JUMP_BLOCK runs
+every sweep dense).
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -86,9 +119,17 @@ n-length array a sweep touches:
                                                            indicators, log-likelihood
     shifted    y - jumps             the indicators        the next mu draw, log-likelihood
     rates      b, padded for a scan  forward_filter        backward_sample
-    scan       padded scratch        backward_sample       itself
+    scan       padded scratch        forward_filter (its carries), backward_sample
     work       two float scratches   mu draw, jump sizes, indicators, log-likelihood;
                work[0] also holds the indicators' log-odds for the threshold
+
+The jump block of a long series keeps the candidates' entries at the
+front of arrays that are free at that point: their scores and then their
+c in resid (free after the mixture path), their mask and then their N in
+declared (free until the threshold writes it), their w in rates (free
+after backward_sample), their normals in jumps and their xi in shifted
+(both written again at the end of the block).  mode="clip" keeps np.take
+from buffering its output; the candidates are valid indices.
 
 The threshold declares N_t = 1{z_t > logit(threshold)} on the log-odds
 z_t, the rule p_t > threshold without a logistic (the two disagree only
@@ -140,7 +181,7 @@ from .model import (
     StaticParams,
     returns_array,
 )
-from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
+from .rng import RngStream, SweepStreams, sample_beta, sample_inverse_gamma, sample_normal
 from .volatility import _backward_sample as backward_sample
 from .volatility import _forward_filter as forward_filter
 from .volatility import DiscountPlan, discount_plan, innovation_variates
@@ -167,7 +208,28 @@ _HELPER_WINDOW_S = 0.05
 # use together for the helper to pay.  The helper's fills take 1.15-1.2
 # times the CPU of the same fills in the sweeps' thread (n = 5,000, two
 # cores), so at 1.0 the chain would run slower than with inline draws.
+# A host may list two CPUs in the process's affinity and grant it about
+# one for a while: on one 2-core host two CPU-bound processes once took
+# 0.43 s side by side against 0.20 s alone, and a thread filling 1M
+# normals beside a pure-Python thread 0.81 s against 0.73 s in turn,
+# while at other times the two processes took as long side by side as
+# alone.  While it grants one, the chain's threads read about 0.99 and the
+# helper is dropped at its first check; only drawing less on the chain's
+# thread (the sparse jump block) then makes a chain faster.
 _HELPER_MIN_BUSY = 1.2
+# Shortest series of a jump fit that draws the jump sizes' normals only where
+# a jump can be declared (see the module notes).  Against drawing all n, a
+# 1,500-sweep fit thinned by 5 on the daily law ran at 0.93-1.00 times the
+# rate at n = 600, 0.99-1.04 at 1,200, 1.07-1.08 at 2,000 and 1.15-1.16 at
+# 5,000 (medians of two sets of 10-12 alternating in-process pairs, helper
+# off, 2-core host): the series where it stops losing.
+_SPARSE_MIN_N = 1000
+# The candidates' bound 2 (logit(threshold) - logit(rho)) is scaled by this,
+# a margin far above the few relative roundings of the log-odds.
+_CANDIDATE_MARGIN = 1.0 - 1e-9
+# Runs every sweep's jump block dense, as a sweep that keeps its draw does:
+# the draws are the same (the tests compare the two).
+_DENSE_JUMP_BLOCK = False
 # Standard variates a chunk of sweeps holds (at least one sweep's worth).
 # A chunk is one numpy call per child stream and, with a helper, one
 # handover: the helper takes the interpreter lock a few times per chunk,
@@ -397,8 +459,10 @@ class _VariateRing:
     innovations' standard gammas at plan.shapes[:head]
     (volatility.innovation_variates); mixture, standard gammas at
     mixture_shape, drawn from rng.mixture_gammas; and normals, n_normals
-    standard normals, drawn from rng.normals.  Row i belongs to the
-    chunk's i-th sweep.  take() returns the next chunk's slot, which the
+    standard normals, drawn from rng.normals.  Given sweeps (rng.SweepStreams),
+    a fourth array holds n normals from sweep j's own stream in the row of
+    each sweep j for which dense(j) holds, and None without.  Row i belongs
+    to the chunk's i-th sweep.  take() returns the next chunk's slot, which the
     caller reads until its next take().  Without a helper, take() fills the
     one slot itself.  With one, a helper thread fills two slots in turn, one
     chunk ahead: take() waits for chunk c, then requests chunk c + 1 in the
@@ -421,14 +485,19 @@ class _VariateRing:
     """
 
     def __init__(self, rng: RngStream, plan: DiscountPlan, mixture_shape: float, n_normals: int,
-                 chunk: int, chunks: int, helper_name: Optional[str]) -> None:
+                 chunk: int, chunks: int, helper_name: Optional[str],
+                 sweeps: Optional[SweepStreams] = None, dense=None) -> None:
         self._rng = rng
         self._plan = plan
         self._mixture_shape = mixture_shape
+        self._sweeps, self._dense = sweeps, dense
         self._slots = [(np.empty((chunk, plan.head)), np.empty((chunk, plan.n)),
-                        np.empty((chunk, n_normals))) for _ in range(2 if helper_name else 1)]
+                        np.empty((chunk, n_normals)),
+                        np.empty((chunk, plan.n)) if sweeps else None)
+                       for _ in range(2 if helper_name else 1)]
         self._chunks = chunks
         self._taken = 0
+        self._fills = 0  # chunks filled, by the helper or inline, in order
         self._thread = None
         if helper_name:
             self._requests, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
@@ -440,12 +509,18 @@ class _VariateRing:
             self._requests.put(self._slots[0])
 
     def _fill(self, slot):
-        head, mixture, normals = slot
+        head, mixture, normals, own = slot
         # The head's exponentials go into the mixture array, filled next.
         scratch = mixture.reshape(-1)[: head.size].reshape(head.shape)
         innovation_variates(self._plan, self._rng, head, scratch)
         self._rng.mixture_gammas.standard_gamma(self._mixture_shape, out=mixture)
         self._rng.normals.standard_normal(out=normals)
+        if own is not None:
+            first = self._fills * len(own) + 1
+            for i, row in enumerate(own):
+                if self._dense(first + i):
+                    self._sweeps.at(first + i).standard_normal(out=row)
+        self._fills += 1
         return slot
 
     def _serve(self) -> None:
@@ -541,43 +616,85 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
             for f in fields(LatentPath)} if spec.keep_latent_draws else None
 
     # Each sweep reads one row of each slot array (see the module notes):
-    # the variates of the public stages.
+    # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
+    # points or more, the jump sizes' normals come from rng.jump_normals at
+    # the candidates and, on a sweep that runs the dense block, from the
+    # sweep's own stream elsewhere (the ring's fourth array).
+    sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
     tail = n - 1 - plan.head
-    n_normals = tail + (n if cfg.jumps_enabled else 0)
-    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (plan.head + n + n_normals)))
+    n_normals = tail + (n if cfg.jumps_enabled and not sparse else 0)
+    per_sweep = plan.head + n + n_normals + (n if sparse else 0)
+    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // per_sweep))
     helper = _helper_runs(n)
+
+    def retains(j: int) -> bool:
+        return j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0
+
+    def dense(j: int) -> bool:  # on a sparse fit: the jump block runs on every t
+        return _DENSE_JUMP_BLOCK or retains(j)
+
     ring = _VariateRing(rng, plan, _mixture_shape(cfg), n_normals, chunk,
                         -(-spec.iterations // chunk),
-                        f"jumpvol-variates-{chain_id}" if helper else None)
+                        f"jumpvol-variates-{chain_id}" if helper else None,
+                        SweepStreams(spec.seed, chain_id) if sparse else None, dense)
 
     idx = 0
     try:
         for j in range(1, spec.iterations + 1):
             i = (j - 1) % chunk
             if i == 0:
-                chunk_head, chunk_mixture, chunk_normals = ring.take()
+                chunk_head, chunk_mixture, chunk_normals, chunk_own = ring.take()
             normals = chunk_normals[i]
-            retained = j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0
+            retained = retains(j)
             try:
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y_arr, mu, out=centered)
                 np.subtract(centered, jumps, out=resid)
-                b = forward_filter(resid, mixture, plan, cfg.b0, rates)
+                b = forward_filter(resid, mixture, plan, cfg.b0, rates, scan)
                 backward_sample(plan, b, rng, chunk_head[i], normals[:tail], precision, scan)
                 sample_mixture_path(resid, precision, cfg, chunk_mixture[i], mixture)
                 np.multiply(mixture, precision, out=weights)
                 if cfg.jumps_enabled:
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                     jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                    sample_jump_sizes(centered, weights, jump_mean, jump_var, normals[tail:],
-                                      jump_size, work)
-                    jump_indicator_probs(weights, centered, jump_size, jump_prob,
-                                         probs if retained else None, work)
-                    apply_jump_threshold(work[0], logit_c, declared)
-                    np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
-                    jumps *= jump_size
+                    full = not sparse or dense(j)
+                    if not sparse:
+                        variates = normals[tail:]
+                    else:
+                        found = _jump_candidates(weights, centered, jump_prob, logit_c, resid,
+                                                 declared)
+                        m = found.size
+                        variates = rng.jump_normals.standard_normal(out=jumps[:m])
+                        if full:
+                            chunk_own[i, found] = variates
+                            variates = chunk_own[i]
+                    if full:
+                        sample_jump_sizes(centered, weights, jump_mean, jump_var, variates,
+                                          jump_size, work)
+                        jump_indicator_probs(weights, centered, jump_size, jump_prob,
+                                             probs if retained else None, work)
+                        apply_jump_threshold(work[0], logit_c, declared)
+                        np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
+                        jumps *= jump_size
+                        observed = jump_size[declared]
+                    else:
+                        # The same stages on the candidates alone: nothing else can be declared.
+                        sub_centered = np.take(centered, found, out=resid[:m], mode="clip")
+                        sub_weights = np.take(weights, found, out=rates[:m], mode="clip")
+                        sub_work = (work[0][:m], work[1][:m])
+                        sizes = sample_jump_sizes(sub_centered, sub_weights, jump_mean, jump_var,
+                                                  variates, shifted[:m], sub_work)
+                        jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob, None,
+                                             sub_work)
+                        hits = apply_jump_threshold(sub_work[0], logit_c, declared[:m])
+                        observed = sizes[hits]
+                        found_jumps = found[hits]
+                        jump_size[found] = sizes
+                        declared.fill(False)
+                        declared[found_jumps] = True
+                        jumps.fill(0.0)
+                        jumps[found_jumps] = observed
                     np.subtract(y_arr, jumps, out=shifted)
-                    observed = jump_size[declared]
                     jump_prob = sample_jump_prob(observed.size, n, priors, rng)
             except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
                 raise NumericalError(
@@ -605,6 +722,21 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
         ring.close()
 
     return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept)
+
+
+def _jump_candidates(weights, centered, jump_prob: float, logit_c: float, score, mask):
+    """The candidates C of a sweep's threshold rule, increasing t (see the module notes).
+
+    score and mask are n-length float and bool scratch.
+    """
+    if jump_prob <= 0.0:
+        bound = math.inf  # the log-odds are -inf: nothing is declared
+    else:
+        gap = logit_c - _logit(jump_prob) if jump_prob < 1.0 else -math.inf
+        bound = 2.0 * gap * _CANDIDATE_MARGIN if gap > 0.0 else -math.inf
+    np.multiply(weights, centered, out=score)
+    score *= centered
+    return np.flatnonzero(np.greater(score, bound, out=mask))
 
 
 def _usable_cpus() -> int:

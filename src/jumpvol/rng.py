@@ -18,13 +18,13 @@ broadcast like numpy.  Given the same (seed, stream_id) and the same call
 sequence, draws are reproducible bit for bit; distinct stream ids give
 statistically independent streams.
 
-An :class:`RngStream` holds five generators seeded from one SeedSequence:
+An :class:`RngStream` holds six generators seeded from one SeedSequence:
 
 * ``generator`` makes every scalar draw: the four static parameters of a
   Gibbs sweep, the terminal precision lambda_n, the dispersed starts of
   later chains and everything :mod:`jumpvol.synthetic` draws.
-* Four child streams, ``SeedSequence(seed, spawn_key=(stream_id,))``'s
-  children 0-3 (spawn keys ``(stream_id, 0)`` to ``(stream_id, 3)``), make
+* Five child streams, ``SeedSequence(seed, spawn_key=(stream_id,))``'s
+  children 0-4 (spawn keys ``(stream_id, 0)`` to ``(stream_id, 4)``), make
   the sweep's array draws, whose parameters do not depend on the chain's
   state:
 
@@ -32,16 +32,26 @@ An :class:`RngStream` holds five generators seeded from one SeedSequence:
       gammas          (k, 0)     the backward-sample innovations' head:
                                  gammas at the lifted shapes alpha + 1
       normals         (k, 1)     standard normals of the innovations past
-                                 the head, then of the jump sizes
+                                 the head, then (series under
+                                 gibbs._SPARSE_MIN_N points) of the jump sizes
       exponentials    (k, 2)     the head's standard exponentials, which
                                  turn Gamma(alpha + 1) into Gamma(alpha)
       mixture_gammas  (k, 3)     the mixture path's standard gammas, all
                                  at one shape
+      jump_normals    (k, 4)     on longer series, standard normals of the
+                                 jump sizes where a jump can be declared
 
   (k is the stream id; see :func:`jumpvol.volatility.innovation_variates`.)
-  Each child stream draws one kind of variate in a fixed order, so several
-  sweeps' worth can be drawn in one call, ahead of the sweeps and on
-  another thread, without changing any draw (see :mod:`jumpvol.gibbs`).
+  Each of the first four draws one kind of variate in a fixed order, so
+  several sweeps' worth can be drawn in one call, ahead of the sweeps and
+  on another thread, without changing any draw (see :mod:`jumpvol.gibbs`).
+  ``jump_normals`` draws a number per sweep that depends on the state, in
+  the sweep's own thread.
+
+:class:`SweepStreams` gives the streams ``SeedSequence(seed,
+spawn_key=(k, 5, j))``, one per sweep index j, on SFC64: on longer series
+a sweep that keeps its draw takes the jump sizes' other normals from its
+own stream, so a thinned chain keeps the draws of the unthinned one.
 
 The child streams draw almost every variate of a long fit, on SFC64 bit
 generators, which draw them 10-20% cheaper than PCG64; ``generator`` stays
@@ -70,6 +80,16 @@ __all__ = [
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MAX_UINT64 = 2**64
+_MASK32 = 2**32 - 1
+
+# The constants of numpy's SeedSequence hash (see _spawn_words).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# The spawn key entry after the stream id that marks a per-sweep stream
+# (RngStream's children use 0-4), and the sweep indices hashed at a time.
+_SWEEP_KEY = 5
+_SWEEP_BLOCK = 256
 
 # Smallest positive gamma draw we accept before inverting; draws below this
 # would overflow to inf on the inverse-gamma side.
@@ -81,10 +101,11 @@ class RngStream:
     """One independently seeded stream of random draws (one per chain).
 
     Identical (seed, stream_id) always reproduce the same draw sequence.
-    ``generator`` makes the scalar draws, and the four child streams
-    ``gammas``, ``normals``, ``exponentials`` and ``mixture_gammas`` (the
-    children 0-3 of ``SeedSequence(seed, spawn_key=(stream_id,))``, in that
-    order, on SFC64) the sweep's array draws (see the module notes).
+    ``generator`` makes the scalar draws, and the five child streams
+    ``gammas``, ``normals``, ``exponentials``, ``mixture_gammas`` and
+    ``jump_normals`` (the children 0-4 of ``SeedSequence(seed,
+    spawn_key=(stream_id,))``, in that order, on SFC64) the sweep's array
+    draws (see the module notes).
     """
 
     seed: int
@@ -94,6 +115,7 @@ class RngStream:
     normals: np.random.Generator = field(init=False, repr=False, compare=False)
     exponentials: np.random.Generator = field(init=False, repr=False, compare=False)
     mixture_gammas: np.random.Generator = field(init=False, repr=False, compare=False)
+    jump_normals: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
@@ -103,8 +125,95 @@ class RngStream:
                 raise ParameterError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
         root = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         self.generator = np.random.default_rng(root)
-        self.gammas, self.normals, self.exponentials, self.mixture_gammas = (
-            np.random.Generator(np.random.SFC64(child)) for child in root.spawn(4))
+        (self.gammas, self.normals, self.exponentials, self.mixture_gammas,
+         self.jump_normals) = (np.random.Generator(np.random.SFC64(child))
+                               for child in root.spawn(5))
+
+
+class SweepStreams:
+    """The SFC64 streams of SeedSequence(seed, spawn_key=(stream_id, 5, j)), one per sweep j.
+
+    at(j) resets one generator to the start of sweep j's stream and returns
+    it: it draws what ``np.random.Generator(np.random.SFC64(SeedSequence(seed,
+    spawn_key=(stream_id, 5, j))))`` draws.  Building that generator takes
+    about 20 us, most of it the SeedSequence hash; here the hash runs
+    vectorised over _SWEEP_BLOCK sweep indices at a time (_spawn_words),
+    and a reset sets the seeded words and runs SFC64's 12 seeding rounds.
+    """
+
+    def __init__(self, seed: int, stream_id: int) -> None:
+        self._key = (int(seed), (int(stream_id), _SWEEP_KEY))
+        self._bits = np.random.SFC64(0)
+        self._generator = np.random.Generator(self._bits)
+        self._first = 0
+        self._states = np.empty((0, 4), dtype=np.uint64)
+
+    def at(self, j: int) -> np.random.Generator:
+        row = j - self._first
+        if not 0 <= row < len(self._states):
+            self._first, row = j, 0
+            self._states = np.ones((_SWEEP_BLOCK, 4), dtype=np.uint64)  # SFC64's counter starts at 1
+            self._states[:, :3] = _spawn_words(*self._key, np.arange(j, j + _SWEEP_BLOCK))
+        self._bits.state = {"bit_generator": "SFC64", "state": {"state": self._states[row]},
+                            "has_uint32": 0, "uinteger": 0}
+        self._bits.random_raw(12)
+        return self._generator
+
+
+def _words32(value: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, low first, as SeedSequence reads it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _spawn_words(seed: int, key: tuple, last: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(*key, j)).generate_state(3, np.uint64) for each j of last.
+
+    numpy's SeedSequence hash (pool size 4): the words of seed (padded to
+    the pool size) and key mix into the same pool for every j, in Python
+    integers; the last key entry, j, turns the pool into uint32 arrays.
+    The same expressions serve both, masked to 32 bits.  Sweep indices of
+    more than 32 bits take two words each, so a block that holds one asks
+    SeedSequence itself, one index at a time.
+    """
+    if last[-1] > _MASK32:
+        return np.array([np.random.SeedSequence(seed, spawn_key=(*key, int(j))).generate_state(
+            3, np.uint64) for j in last])
+    run = _words32(seed)
+    entropy = [*run, *[0] * (4 - len(run)), *(w for k in key for w in _words32(k)),
+               last.astype(np.uint32)]
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((len(last), 6), dtype=np.uint32)
+    hash_const = _HASH_INIT_B
+    for i in range(6):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out[:, i] = value ^ (value >> 16)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False):

@@ -42,13 +42,17 @@ aligns the other paths with it (:func:`jumpvol.model.returns_array` and
 :class:`FilterState`; :func:`backward_sample` checks that the filter state
 matches cfg.  Both then call the unchecked kernels, which the Gibbs sweep
 calls directly with the plan it holds for the fit:
-``_forward_filter(resid, mixture, plan, b0, out)`` reads the residuals
+``_forward_filter(resid, mixture, plan, b0, out, scratch)`` reads the residuals
 y - mu - jumps that the sweep has already formed and returns the rates b,
 and ``_backward_sample(plan, b, rng, gammas, normals, out, scan)`` reads
 them.  The kernels write into the arrays they are given: the public
 functions allocate them on each call, the sweep once per chain.
 Each scan runs in a buffer of plan.neg.size entries (n padded to whole
-blocks), and the filter's rates are written straight into its buffer.
+blocks), and the filter's rates are written straight into its buffer.  A
+scan of several blocks also writes each block's carry across the block in
+a path-sized scratch, so that adding the carries is one same-shape pass:
+the filter takes that scratch as an argument, and the backward sample uses
+the innovations' memory, free once they are weighted into the scan.
 The kernels keep one numerical guard: the filtered rates must be finite.
 The increments and the scan weights are non-negative, so an inf or a NaN
 at any t carries forward to b_n, and the filter checks b_n alone.
@@ -169,16 +173,20 @@ def discount_scan(increments: np.ndarray, plan: DiscountPlan, start: float = 0.0
     start, and the result is then accurate to a few ulp; mixed signs could
     cancel, so callers pass only non-negative increments.
     """
-    return _discount_scan(increments, plan, start, np.empty(plan.neg.size))
+    return _discount_scan(increments, plan, start, np.empty(plan.neg.size),
+                          np.empty(len(increments)))
 
 
 def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray,
-                   neg=None) -> np.ndarray:
+                   scratch: np.ndarray, neg=None) -> np.ndarray:
     """Kernel of :func:`discount_scan`: x_1..x_m are written into out[:m].
 
     out has plan.neg.size entries (plan.n padded to whole blocks), scratch
-    past m; increments may be out[:m] itself.  neg weights the increments
-    (plan.neg by default; plan.half scans increments / 2).
+    past m; increments may be out[:m] itself.  scratch has at least m
+    entries that are free once the increments are weighted (it may be the
+    increments' own memory): the carries of several blocks are written into
+    it.  neg weights the increments (plan.neg by default; plan.half scans
+    increments / 2).
     """
     m = len(increments)
     block = plan.block
@@ -200,7 +208,13 @@ def _discount_scan(increments, plan: DiscountPlan, start: float, out: np.ndarray
     for row_sum in rows[:, -1].tolist():
         carries.append(carry)
         carry = last * (carry + row_sum)
-    rows += np.array(carries)[:, None]
+    # Each block's carry is copied across its block in scratch, then added in
+    # one same-shape pass: a broadcast add would buffer a path.
+    whole = m - m % block
+    scratch[:whole].reshape(-1, block)[...] = np.array(carries[: whole // block])[:, None]
+    if whole < m:
+        scratch[whole:m] = carries[whole // block]
+    x += scratch[:m]
     out *= plan.pos  # the weights are tiled: one flat multiply, no broadcast
     return x
 
@@ -248,19 +262,22 @@ def forward_filter(y, mu: float, jumps, mixture, cfg: ModelConfig) -> FilterStat
     if not np.all(mix_arr > 0):
         raise ParameterError("mixture entries must be > 0")
     plan = discount_plan(cfg.omega, cfg.a0, y_arr.size)
-    b = _forward_filter(y_arr - mu - jumps_arr, mix_arr, plan, cfg.b0, np.empty(1 + plan.neg.size))
+    b = _forward_filter(y_arr - mu - jumps_arr, mix_arr, plan, cfg.b0,
+                        np.empty(1 + plan.neg.size), np.empty(plan.n))
     return FilterState(plan, b)
 
 
-def _forward_filter(resid, mixture, plan: DiscountPlan, b0: float, out: np.ndarray) -> np.ndarray:
-    """Return the rates b, written into out[:n+1]; the scan runs in out[1:]."""
+def _forward_filter(resid, mixture, plan: DiscountPlan, b0: float, out: np.ndarray,
+                    scratch: np.ndarray) -> np.ndarray:
+    """Return the rates b, written into out[:n+1]; the scan runs in out[1:]
+    with scratch (n entries) for its carries."""
     n = plan.n
     b = out[: n + 1]
     b[0] = b0
     increments = b[1:]
     np.multiply(mixture, resid, out=increments)
     increments *= resid
-    _discount_scan(increments, plan, b0, out[1:], plan.half)
+    _discount_scan(increments, plan, b0, out[1:], scratch, plan.half)
     np.maximum(b, _B_FLOOR, out=b)
     # After the floor every rate is positive unless it is inf or NaN, and
     # an inf or a NaN at any t reaches b_n (see the module notes).
@@ -341,8 +358,10 @@ def _backward_sample(plan: DiscountPlan, b: np.ndarray, rng: RngStream, gammas: 
         twice_b = np.multiply(2.0, b[head + 1 : n], out=scan[: n - 1 - head])
         np.multiply(normals, normals, out=eta[head:])
         np.divide(eta[head:], twice_b, out=eta[head:])
-    # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal.
-    out[: n - 1] = _discount_scan(eta[::-1], plan, lam_n, scan)[::-1]
+    # lambda_t = omega * lambda_{t+1} + eta_t runs forward after reversal;
+    # the scan weights the innovations into scan first, so their memory
+    # holds its carries.
+    out[: n - 1] = _discount_scan(eta[::-1], plan, lam_n, scan, eta)[::-1]
     out[n - 1] = lam_n
     np.maximum(out, _B_FLOOR, out=out)
     return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -243,10 +244,10 @@ class TestSweepOrder:
             log["mu_out"].append(out)
             return out
 
-        def spy_forward(resid, mixture, plan, b0, rates):
+        def spy_forward(resid, mixture, plan, b0, rates, scratch):
             log["filter_resid"].append(np.array(resid, copy=True))
             log["filter_mixture"].append(np.array(mixture, copy=True))
-            return real_forward(resid, mixture, plan, b0, rates)
+            return real_forward(resid, mixture, plan, b0, rates, scratch)
 
         def spy_mixture(resid, precision, cfg, variates, path):
             out = real_mixture(resid, precision, cfg, variates, path)
@@ -295,14 +296,31 @@ class TestSweepOrder:
             assert all(v in previous for v in log["jump_mean_sizes_in"][j].tolist())
 
 
+def _logit(p):
+    return math.log(p) - math.log1p(-p)
+
+
+def _candidates(weights, centered, jump_prob, threshold, margin=1.0 - 1e-9):
+    """Where the threshold rule can declare a jump: w c^2 > 2 (logit(threshold) -
+    logit(rho)) margin, or every t when that gap is <= 0."""
+    gap = _logit(threshold) - _logit(jump_prob)
+    if gap <= 0.0:
+        return np.arange(weights.size)
+    return np.flatnonzero(weights * centered * centered > 2.0 * gap * margin)
+
+
 def _reference_chain(y, cfg, spec):
     """run_chain's sweep, written with the public checked stage functions.
 
     Chain 0 from the default start, every stage in the documented order,
-    drawing from an equal-seeded stream.  Returns the draws table and the
+    drawing from an equal-seeded stream.  On a jump fit of at least
+    _SPARSE_MIN_N points the jump sizes' normals are those of sweep j's own
+    stream, SeedSequence(seed, spawn_key=(0, 5, j)), with rng.jump_normals'
+    in their place at the candidates.  Returns the draws table and the
     retained latent paths.
     """
     rng = jv.RngStream(spec.seed, stream_id=0)
+    sparse = len(y) >= engine._SPARSE_MIN_N
     params, path = jv.default_init(y, cfg)
     mu, jump_prob = params.mu, params.jump_prob
     jump_mean, jump_var = params.jump_mean, params.jump_var
@@ -320,9 +338,18 @@ def _reference_chain(y, cfg, spec):
             observed = jump_size[jump_ind == 1]
             jump_mean = conditionals.sample_jump_mean(observed, jump_var, priors, rng)
             jump_var = conditionals.sample_jump_var(observed, jump_mean, priors, rng)
-            jump_size = conditionals.sample_jump_sizes(
-                y, mu, precision, mixture, jump_mean, jump_var, rng
-            )
+            if sparse:
+                means, variances = conditionals.jump_size_posterior(
+                    y, mu, precision, mixture, jump_mean, jump_var)
+                variates = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                    spec.seed, spawn_key=(0, 5, j)))).standard_normal(len(y))
+                found = _candidates(mixture * precision, y - mu, jump_prob, cfg.jump_threshold)
+                variates[found] = rng.jump_normals.standard_normal(found.size)
+                jump_size = means + np.sqrt(variances) * variates
+            else:
+                jump_size = conditionals.sample_jump_sizes(
+                    y, mu, precision, mixture, jump_mean, jump_var, rng
+                )
             probs = conditionals.jump_indicator_probs(
                 y, mu, precision, mixture, jump_size, jump_prob
             )
@@ -376,6 +403,98 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatc
     np.testing.assert_array_equal(out.latent.freq_jump, freq)
 
 
+@pytest.mark.parametrize("n", [engine._SPARSE_MIN_N, 1200])
+@pytest.mark.parametrize("thin_lag", [1, 3])
+def test_sparse_jump_block_equals_dense_block(n, thin_lag, monkeypatch):
+    """On a jump fit of at least _SPARSE_MIN_N points a sweep that keeps no
+    draw runs the jump stages on the candidates alone.  Running every
+    sweep's jump block dense instead, with the same streams, gives the same
+    draws, latent summary and kept paths bit for bit."""
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    spec = jv.RunSpec(iterations=40, burn_in=7, thin_lag=thin_lag, seed=8,
+                      keep_latent_draws=True)
+    calls = []
+    sizes = engine.sample_jump_sizes
+    monkeypatch.setattr(engine, "sample_jump_sizes",
+                        lambda centered, *args: calls.append(centered.size) or
+                        sizes(centered, *args))
+    sparse = jv.run_chain(y, jv.default_config(), spec)
+    assert 0 < min(calls) < n // 10  # the candidates of a sweep that keeps no draw
+    assert calls.count(n) == spec.n_retained
+    monkeypatch.setattr(engine, "_DENSE_JUMP_BLOCK", True)
+    calls.clear()
+    dense = jv.run_chain(y, jv.default_config(), spec)
+    assert calls == [n] * spec.iterations
+    assert sparse.latent_draws["jump_ind"].any()
+    for name, column in dense.draws.items():
+        np.testing.assert_array_equal(sparse.draws[name], column, err_msg=name)
+    for field in dataclasses.fields(dense.latent):
+        np.testing.assert_array_equal(getattr(sparse.latent, field.name),
+                                      getattr(dense.latent, field.name), err_msg=field.name)
+    for name, rows in dense.latent_draws.items():
+        np.testing.assert_array_equal(sparse.latent_draws[name], rows, err_msg=name)
+
+
+def test_fits_under_sparse_min_n_keep_the_dense_layout(monkeypatch):
+    """Under _SPARSE_MIN_N points, and without jumps, a fit takes no per-sweep
+    streams: the jump sizes' normals stay in the ring's normals array."""
+    made = []
+    monkeypatch.setattr(engine, "SweepStreams", lambda *args: made.append(args))
+    y = jv.simulate(jv.SimConfig(n=engine._SPARSE_MIN_N - 1, seed=4)).returns.returns
+    spec = jv.RunSpec(iterations=5, seed=3)
+    jv.run_chain(y, jv.default_config(), spec)
+    jv.run_chain(np.tile(y, 2), jv.ModelConfig(jumps_enabled=False), spec)
+    assert made == []
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_candidates_hold_every_declared_jump(threshold):
+    """Fuzz of the candidate rule: the dense threshold rule declares nothing
+    outside C = {w c^2 > 2 (logit(threshold) - logit(rho)) (1 - 1e-9)}, at
+    points placed within 1e-17 to 1e-1 of the bound, with xi within the
+    same relative distance of c (where the log-odds peak), w over 10
+    decades and rho in (1e-4, 0.6).  The rule is tight: with the margin
+    flipped to 1 + 1e-9 it misses declared jumps."""
+    gen = np.random.default_rng(int(threshold * 100))
+    n = 2000
+    cutoff = engine._logit(threshold)
+    score, mask, work = _stale(n), _stale(n, bool), _work(n)
+    declared_total = close_misses = 0
+    for rho in np.concatenate([gen.uniform(1e-4, 0.6, 24), [threshold, 1e-4]]):
+        gap = cutoff - engine._logit(rho)
+        weights = 10.0 ** gen.uniform(-5.0, 5.0, n)
+        near = gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-17.0, -1.0, n)
+        span = 2.0 * abs(gap) if gap else 1.0
+        centered = gen.choice([-1.0, 1.0], n) * np.sqrt(span * (1.0 + near) / weights)
+        sizes = centered * (1.0 + gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-17.0, -1.0, n))
+        found = engine._jump_candidates(weights, centered, rho, cutoff, score, mask)
+        assert np.all(np.diff(found) > 0)
+        log_odds = engine.jump_indicator_probs(weights, centered, sizes, rho, None, work)
+        declared = np.flatnonzero(engine.apply_jump_threshold(log_odds, cutoff, _stale(n, bool)))
+        assert np.isin(declared, found).all(), f"rho={rho}"
+        np.testing.assert_array_equal(found, _candidates(weights, centered, rho, threshold))
+        if gap <= 0.0:
+            np.testing.assert_array_equal(found, np.arange(n))
+        else:
+            flipped = _candidates(weights, centered, rho, threshold, margin=1.0 + 1e-9)
+            close_misses += np.setdiff1d(declared, flipped).size
+        declared_total += declared.size
+    assert declared_total > n
+    assert close_misses > 0
+
+
+def test_candidates_at_jump_probabilities_zero_and_one():
+    """rho = 0 declares nothing and makes no candidate; rho = 1 declares
+    every point and makes every point a candidate."""
+    n = 50
+    weights, centered = np.full(n, 2.0), np.linspace(-3.0, 3.0, n)
+    args = (0.0, 0.0, _stale(n), _stale(n, bool))  # jump_prob, logit(0.5), scratch
+    assert engine._jump_candidates(weights, centered, *args).size == 0
+    args = (1.0, *args[1:])
+    np.testing.assert_array_equal(engine._jump_candidates(weights, centered, *args),
+                                  np.arange(n))
+
+
 def _spy_stage_arrays(monkeypatch):
     """Record every array the sweep passes to a stage, the workspace among them."""
     seen = {}
@@ -394,16 +513,18 @@ def _spy_stage_arrays(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("omega, paths", [(0.9, 2.0), (0.99, 0.25)])
+@pytest.mark.parametrize("omega, paths", [(0.9, 0.25), (0.99, 0.25)])
 def test_sweep_transient_memory(omega, paths, monkeypatch):
     """After warm-up the stages of a sweep write into the chain's workspace:
     from the first stage of a sweep to its last, new memory at n = 5,000
-    stays below `paths` n-length float64 arrays.  At omega = 0.9 the scans
-    run in blocks, and numpy buffers their broadcast carry step (about one
-    path); at 0.99 one block covers the series and nothing path-sized is
-    allocated."""
+    stays below `paths` n-length float64 arrays, on sweeps that keep their
+    draw (the dense jump block) and on the others (the candidates alone).
+    At omega = 0.9 the scans run in blocks and add their carries from a
+    scratch array; at 0.99 one block covers the series.  Either way nothing
+    path-sized is allocated (0.04 paths measured)."""
     n = 5000
     y = jv.simulate(jv.SimConfig(n=n, seed=3)).returns.returns
+    assert n >= engine._SPARSE_MIN_N
     monkeypatch.setattr(engine, "_HELPER_MIN_N", 10**9)  # no helper allocating beside it
     first, last = engine.sample_mu, engine.sample_jump_prob
     start, peaks = [], []
@@ -422,7 +543,8 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
     monkeypatch.setattr(engine, "sample_jump_prob", spy_last)
     tracemalloc.start()
     try:
-        out = jv.run_chain(y, jv.ModelConfig(omega=omega), jv.RunSpec(iterations=30, seed=2))
+        out = jv.run_chain(y, jv.ModelConfig(omega=omega),
+                           jv.RunSpec(iterations=30, thin_lag=2, seed=2))
     finally:
         tracemalloc.stop()
     assert len(peaks) == 30
@@ -924,7 +1046,8 @@ _STAGES = {
         s["weights"], s["shifted"], s["priors"], _stale(300), r)),
     "forward_filter": (volatility, lambda s, r: (
         s["y"], 0.1, s["jumps"], s["mixture"], s["cfg"]), lambda s, r: (
-        s["resid"], s["mixture"], _plan(s), s["cfg"].b0, np.append(np.nan, _scan(s)))),
+        s["resid"], s["mixture"], _plan(s), s["cfg"].b0, np.append(np.nan, _scan(s)),
+        _stale(300))),
     "backward_sample": (volatility, lambda s, r: (_filtered(s), s["cfg"], r), lambda s, r: (
         _plan(s), _filtered(s).b, r, *_innovations(_plan(s), r), _stale(300), _scan(s))),
     "sample_mixture_path": (conditionals, lambda s, r: (
@@ -977,7 +1100,8 @@ def test_sweep_kernel_matches_public_function(name):
         np.testing.assert_array_equal(got, want)
     else:
         assert got == want
-    for child in ("generator", "gammas", "normals", "exponentials", "mixture_gammas"):
+    for child in ("generator", "gammas", "normals", "exponentials", "mixture_gammas",
+                  "jump_normals"):
         assert getattr(rng_kernel, child).random() == getattr(rng_public, child).random(), child
     first = np.copy(want)
     again = _result(public(*args(state, jv.RngStream(5, 1))))

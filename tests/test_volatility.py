@@ -207,14 +207,15 @@ def test_discount_scan_matches_loop(omega, n):
 
 def test_scan_in_a_reused_buffer_ignores_what_it_held():
     """The sweep runs its scans in buffers it reuses: infinities that an
-    earlier use left past the increments change no value and raise no
-    warning (pytest turns one into a failure)."""
+    earlier use left past the increments, or in the carries' scratch,
+    change no value and raise no warning (pytest turns one into a
+    failure)."""
     plan = discount_plan(0.9, 0.1, 2500)
     assert plan.neg.size == 3 * plan.block  # several blocks, the last one padded
     u = np.random.default_rng(3).uniform(0.0, 2.0, 2400)
     stale = np.full(plan.neg.size, np.inf)
     stale[1::2] = -np.inf
-    got = volatility._discount_scan(u, plan, 0.7, stale)
+    got = volatility._discount_scan(u, plan, 0.7, stale, stale[::-1].copy())
     np.testing.assert_array_equal(got, discount_scan(u, plan, 0.7))
 
 
@@ -346,10 +347,11 @@ def test_filter_refuses_non_finite_increments_anywhere(omega, n, bad):
     assert (plan.block == n) == (omega == 0.99)
     gen = np.random.default_rng(n)
     resid, mixture = gen.normal(0.0, 1.0, n), gen.gamma(15.0, 1.0 / 15.0, n)
-    out = np.empty(1 + plan.neg.size)
-    assert np.isfinite(volatility._forward_filter(resid, mixture, plan, cfg.b0, out)).all()
+    out, scratch = np.empty(1 + plan.neg.size), np.empty(n)
+    assert np.isfinite(volatility._forward_filter(resid, mixture, plan, cfg.b0, out,
+                                                  scratch)).all()
     for t in (0, n // 2, n - 1):
         hit = resid.copy()
         hit[t] = bad
         with pytest.raises(ParameterError, match="finite"):
-            volatility._forward_filter(hit, mixture, plan, cfg.b0, out)
+            volatility._forward_filter(hit, mixture, plan, cfg.b0, out, scratch)
