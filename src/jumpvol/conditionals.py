@@ -41,8 +41,9 @@ Conventions:
 * The jump indicator is set by a deterministic threshold rule on the
   posterior jump probability (strict inequality: ties are non-jumps),
   replacing a Bernoulli draw inside the sweep.  The sweep applies it as
-  z_t > logit(threshold) to the log-odds z_t, and forms the probabilities
-  only on retained sweeps, which read them.
+  z_t > logit(threshold) to the log-odds z_t and forms no probability
+  from them.  A retained sweep reports :func:`jump_indicator_posterior`,
+  the probability of a jump with xi_t integrated out.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "jump_size_posterior",
     "sample_jump_sizes",
     "jump_indicator_probs",
+    "jump_indicator_posterior",
     "apply_jump_threshold",
     "jump_prob_posterior",
     "sample_jump_prob",
@@ -244,7 +246,7 @@ def _normal_path(means, variances, variates) -> np.ndarray:
 
 
 def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob: float) -> np.ndarray:
-    """Posterior probability that each observation is a jump.
+    """Posterior probability that each observation is a jump, given its size.
 
     p_t = rho * phi(y_t; mu + xi_t, s_t) / (rho * phi(y_t; mu + xi_t, s_t)
           + (1 - rho) * phi(y_t; mu, s_t)) with s_t = 1/(mixture_t * precision_t).
@@ -257,27 +259,81 @@ def jump_indicator_probs(y, mu: float, precision, mixture, jump_sizes, jump_prob
     )
     if not math.isfinite(jump_prob):
         raise ParameterError(f"jump_prob must be finite, got {jump_prob}")
-    return _jump_indicator_probs(mixture * precision, y - mu, jump_sizes, jump_prob,
-                                 np.empty(y.size), np.empty((2, y.size)))
+    log_odds = _jump_indicator_probs(mixture * precision, y - mu, jump_sizes, jump_prob,
+                                     np.empty((2, y.size)))
+    return _probabilities(log_odds, jump_prob, np.empty(y.size))
 
 
-def _jump_indicator_probs(weights, centered, jump_sizes, jump_prob: float, out, work):
-    """Writes the log-odds z into work[0] (-inf or +inf for rho <= 0 or >= 1) and
-    returns them, or, given out, writes 1 / (1 + exp(-z)) into it and returns out."""
+def _jump_indicator_probs(weights, centered, jump_sizes, jump_prob: float, work):
+    """Writes the log-odds z into work[0] (-inf or +inf for rho <= 0 or >= 1) and returns them."""
     log_odds, spread = work
     if jump_prob <= 0.0 or jump_prob >= 1.0:
         log_odds.fill(math.inf if jump_prob >= 1.0 else -math.inf)
-        if out is None:
-            return log_odds
-        out.fill(float(jump_prob >= 1.0))
-        return out
+        return log_odds
     # (c^2 - (c - xi)^2) w/2 = w xi (c - xi/2), without the cancellation.
     np.multiply(0.5, jump_sizes, out=spread)
     np.subtract(centered, spread, out=spread)
     spread *= jump_sizes
     np.multiply(weights, spread, out=log_odds)
     log_odds += _logit(jump_prob)
-    return log_odds if out is None else _logistic(log_odds, out)
+    return log_odds
+
+
+def jump_indicator_posterior(y, mu: float, precision, mixture, jump_mean: float, jump_var: float,
+                             jump_prob: float) -> np.ndarray:
+    """P(N_t = 1 | mu, precision, mixture, rho, jump_mean, jump_var, y), xi_t integrated out.
+
+    With c_t = y_t - mu, w_t = mixture_t * precision_t and r_t = 1 +
+    jump_var w_t, a jump's c_t is N(jump_mean, jump_var + 1/w_t) and a
+    non-jump's N(0, 1/w_t), so the log-odds are
+
+        logit(rho) - log(r_t)/2 - w_t (c_t - jump_mean)^2 / (2 r_t) + w_t c_t^2 / 2.
+
+    Averaged over kept draws this is the Rao-Blackwell estimate of the
+    probability of a jump.  rho <= 0 and rho >= 1 give hard zeros/ones.
+    """
+    y, precision, mixture = aligned(y, precision=precision, mixture=mixture)
+    for name, value in (("jump_mean", jump_mean), ("jump_prob", jump_prob)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(jump_var) and jump_var >= 0):
+        raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
+    return _jump_indicator_posterior(mixture * precision, y - mu, jump_mean, jump_var, jump_prob,
+                                     np.empty(y.size), np.empty((2, y.size)))
+
+
+def _jump_indicator_posterior(weights, centered, jump_mean: float, jump_var: float,
+                              jump_prob: float, out, work):
+    """Writes the probabilities into out; work is two n-length scratches.
+
+    With a = jump_var w the log-odds are logit(rho) - log1p(a)/2 + (w / r)
+    (a c^2 + m (2c - m)) / 2: the w c^2 / 2 of the two densities cancel in
+    the algebra, not in floating point.
+    """
+    spread, log_odds = work
+    if 0.0 < jump_prob < 1.0:
+        np.multiply(jump_var, weights, out=spread)
+        np.multiply(spread, centered, out=log_odds)
+        log_odds *= centered
+        np.subtract(centered, 0.5 * jump_mean, out=out)
+        out *= 2.0 * jump_mean
+        log_odds += out
+        log_odds *= weights
+        np.add(spread, 1.0, out=out)
+        log_odds /= out
+        np.log1p(spread, out=spread)
+        log_odds -= spread
+        log_odds *= 0.5
+        log_odds += _logit(jump_prob)
+    return _probabilities(log_odds, jump_prob, out)
+
+
+def _probabilities(log_odds, jump_prob: float, out) -> np.ndarray:
+    """1 / (1 + exp(-z)) into out, or exact zeros/ones for rho <= 0 and rho >= 1."""
+    if jump_prob <= 0.0 or jump_prob >= 1.0:
+        out.fill(float(jump_prob >= 1.0))
+        return out
+    return _logistic(log_odds, out)
 
 
 def _logit(p: float) -> float:

@@ -9,9 +9,12 @@ Each iteration updates, in order:
     4. jump-size mean      given sizes at the previous sweep's jump times
     5. jump-size variance  given sizes at the previous sweep's jump times
     6. jump sizes          normal draws for the whole path (on long series,
-                           for the candidates only unless the draw is kept)
+                           for the candidates only)
     7. jump indicators     threshold rule on the posterior log-odds of a jump
     8. jump probability    beta draw given the new indicators
+
+A retained sweep then forms the probability of a jump at each t with xi_t
+integrated out (conditionals.jump_indicator_posterior) at its own state.
 
 With jumps disabled, steps 4-8 are skipped and the jump path is identically
 zero (the no-jump reduction of the model).
@@ -47,9 +50,6 @@ rows, and sweep i of the chunk reads row i of each:
     normals   n - 1 - head     standard normals of the        normals
               (+ n, see below) innovations past the head,
                                then of the jump sizes
-    own       n (long jump     on a sweep that runs the       SweepStreams: sweep
-              fits only)       dense jump block, the jump     j's own stream
-                               sizes' other normals
 
 The head is drawn first (volatility.innovation_variates), with the
 mixture array's first chunk * head entries as its exponentials' scratch,
@@ -66,7 +66,7 @@ busy with other processes, or the host may grant the process less than
 the CPUs its affinity lists).
 
 The jump sizes' n normals are in the normals array only on series under
-_SPARSE_MIN_N points.  On longer series a sweep mostly does not need them.
+_SPARSE_MIN_N points.  On longer series a sweep does not need them.
 With c_t = y_t - mu and w_t = mixture_t * precision_t, the log-odds of a
 jump are logit(rho) + w_t xi_t (c_t - xi_t/2), and for any xi_t the
 bracket is at most w_t c_t^2 / 2.  So only the candidates
@@ -78,20 +78,15 @@ on the daily law at n = 5,000 and almost none on the intraday law.
 logit(threshold) is a float, so rounding the sum cannot lift the log-odds
 over it; the margin covers the few relative roundings of the products and
 of the bound, some 1e-15.  Every sweep draws |C| standard normals, in
-increasing t, from rng.jump_normals.  A sweep that keeps no draw runs the
-jump sizes, log-odds and threshold on C alone, writes xi and N back at C
-and sets N = 0 elsewhere: xi outside C is stale, and no later stage reads
-it (the next jump mean and variance read xi at declared jumps only).  A
-sweep that keeps its draw, whose probabilities and kept paths read xi
-everywhere, runs the dense block with the |C| normals at C and, elsewhere,
-normals from its own stream SeedSequence(seed, spawn_key=(k, 5, j))
-(rng.SweepStreams), so a chain thinned by 3 keeps rows 3, 6, ... of the
-unthinned chain.  Those do not depend on the state, and the ring draws them
-ahead, in the own array, for the sweeps that will keep their draw; its
-other rows are not filled.  Both blocks compute every entry at C with the
-same operations, and the dense one declares nothing outside C, so the
-chain draws the same whichever block a sweep runs (_DENSE_JUMP_BLOCK runs
-every sweep dense).
+increasing t, from rng.jump_normals, runs the jump sizes, log-odds and
+threshold on C alone, and writes N and the jumps xi N back (N = 0 outside
+C).  No xi outside C is drawn: no stage reads it (the next jump mean and
+variance read xi at declared jumps only, and the reported probabilities
+integrate xi out).  Each entry at C is computed with the operations of the
+short series' dense block, which declares nothing outside C, so the chain
+draws what it would draw with every xi drawn.  Which block runs depends on
+n alone, so a chain thinned by 3 keeps rows 3, 6, ... of the unthinned
+chain.
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -109,18 +104,20 @@ n-length array a sweep touches:
     array      holds                 written by            read by
     precision  lambda path           backward_sample       mixture path, weights
     mixture    gamma path            sample_mixture_path   filter, weights
-    jump_size  xi path               sample_jump_sizes     jump mean/variance, indicators
+    jump_size  xi path (short        sample_jump_sizes     jump mean/variance, indicators
+               series only)
     declared   N path (bool)         apply_jump_threshold  jumps, next jump mean/var, jump_prob
-    probs      P(N_t = 1)            jump_indicator_probs  (retained sweeps only)
+    probs      P(N_t = 1), xi_t      jump_indicator_       the accumulator (retained sweeps)
+               integrated out        posterior
     jumps      jump_size * declared  the indicators        resid, shifted, log-likelihood
-    centered   y - mu                the mu draw           jump sizes, indicators
+    centered   y - mu                the mu draw           jump sizes, indicators, probs
     resid      centered - jumps      the mu draw           filter, mixture path
     weights    mixture * precision   the mixture draw      the next mu draw, jump sizes,
-                                                           indicators, log-likelihood
+                                                           indicators, probs, log-likelihood
     shifted    y - jumps             the indicators        the next mu draw, log-likelihood
     rates      b, padded for a scan  forward_filter        backward_sample
     scan       padded scratch        forward_filter (its carries), backward_sample
-    work       two float scratches   mu draw, jump sizes, indicators, log-likelihood;
+    work       two float scratches   mu draw, jump sizes, indicators, probs, log-likelihood;
                work[0] also holds the indicators' log-odds for the threshold
 
 The jump block of a long series keeps the candidates' entries at the
@@ -133,14 +130,12 @@ from buffering its output; the candidates are valid indices.
 
 The threshold declares N_t = 1{z_t > logit(threshold)} on the log-odds
 z_t, the rule p_t > threshold without a logistic (the two disagree only
-where z_t lies within rounding of logit(threshold)).  Only a retained
-sweep, whose probabilities the accumulator reads, also writes p_t into
-probs; the logistic needs no scratch.  Every other scratch is read only
-by the stage that wrote it.  A retained
-draw reads precision, mixture, jump_size, declared, probs and jumps: the
-accumulator's jump counts and the kept jump_ind rows stay int64 and take
-declared as 0 and 1, and the accumulator keeps 1 / precision and its
-square root in two arrays of its own.  Every array is computed with the
+where z_t lies within rounding of logit(threshold)).  Every scratch is
+read only by the stage that wrote it.  A retained draw reads precision,
+mixture, declared, probs and jumps (the kept jump_size rows are the jumps
+xi N): the accumulator's jump counts and the kept jump_ind rows stay int64
+and take declared as 0 and 1, and the accumulator keeps 1 / precision and
+its square root in two arrays of its own.  Every array is computed with the
 operations, in the order, that the public function of its stage uses, so
 the sweep draws bit for bit what the public functions (which allocate
 these arrays) draw when called in the order above.
@@ -160,6 +155,7 @@ import numpy as np
 
 from .conditionals import (
     _apply_jump_threshold as apply_jump_threshold,
+    _jump_indicator_posterior as jump_indicator_posterior,
     _jump_indicator_probs as jump_indicator_probs,
     _logit,
     _mixture_shape,
@@ -181,7 +177,7 @@ from .model import (
     StaticParams,
     returns_array,
 )
-from .rng import RngStream, SweepStreams, sample_beta, sample_inverse_gamma, sample_normal
+from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 from .volatility import _backward_sample as backward_sample
 from .volatility import _forward_filter as forward_filter
 from .volatility import DiscountPlan, discount_plan, innovation_variates
@@ -227,9 +223,6 @@ _SPARSE_MIN_N = 1000
 # The candidates' bound 2 (logit(threshold) - logit(rho)) is scaled by this,
 # a margin far above the few relative roundings of the log-odds.
 _CANDIDATE_MARGIN = 1.0 - 1e-9
-# Runs every sweep's jump block dense, as a sweep that keeps its draw does:
-# the draws are the same (the tests compare the two).
-_DENSE_JUMP_BLOCK = False
 # Standard variates a chunk of sweeps holds (at least one sweep's worth).
 # A chunk is one numpy call per child stream and, with a helper, one
 # handover: the helper takes the interpreter lock a few times per chunk,
@@ -459,10 +452,8 @@ class _VariateRing:
     innovations' standard gammas at plan.shapes[:head]
     (volatility.innovation_variates); mixture, standard gammas at
     mixture_shape, drawn from rng.mixture_gammas; and normals, n_normals
-    standard normals, drawn from rng.normals.  Given sweeps (rng.SweepStreams),
-    a fourth array holds n normals from sweep j's own stream in the row of
-    each sweep j for which dense(j) holds, and None without.  Row i belongs
-    to the chunk's i-th sweep.  take() returns the next chunk's slot, which the
+    standard normals, drawn from rng.normals.  Row i belongs to the chunk's
+    i-th sweep.  take() returns the next chunk's slot, which the
     caller reads until its next take().  Without a helper, take() fills the
     one slot itself.  With one, a helper thread fills two slots in turn, one
     chunk ahead: take() waits for chunk c, then requests chunk c + 1 in the
@@ -485,19 +476,14 @@ class _VariateRing:
     """
 
     def __init__(self, rng: RngStream, plan: DiscountPlan, mixture_shape: float, n_normals: int,
-                 chunk: int, chunks: int, helper_name: Optional[str],
-                 sweeps: Optional[SweepStreams] = None, dense=None) -> None:
+                 chunk: int, chunks: int, helper_name: Optional[str]) -> None:
         self._rng = rng
         self._plan = plan
         self._mixture_shape = mixture_shape
-        self._sweeps, self._dense = sweeps, dense
         self._slots = [(np.empty((chunk, plan.head)), np.empty((chunk, plan.n)),
-                        np.empty((chunk, n_normals)),
-                        np.empty((chunk, plan.n)) if sweeps else None)
-                       for _ in range(2 if helper_name else 1)]
+                        np.empty((chunk, n_normals))) for _ in range(2 if helper_name else 1)]
         self._chunks = chunks
         self._taken = 0
-        self._fills = 0  # chunks filled, by the helper or inline, in order
         self._thread = None
         if helper_name:
             self._requests, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
@@ -509,18 +495,12 @@ class _VariateRing:
             self._requests.put(self._slots[0])
 
     def _fill(self, slot):
-        head, mixture, normals, own = slot
+        head, mixture, normals = slot
         # The head's exponentials go into the mixture array, filled next.
         scratch = mixture.reshape(-1)[: head.size].reshape(head.shape)
         innovation_variates(self._plan, self._rng, head, scratch)
         self._rng.mixture_gammas.standard_gamma(self._mixture_shape, out=mixture)
         self._rng.normals.standard_normal(out=normals)
-        if own is not None:
-            first = self._fills * len(own) + 1
-            for i, row in enumerate(own):
-                if self._dense(first + i):
-                    self._sweeps.at(first + i).standard_normal(out=row)
-        self._fills += 1
         return slot
 
     def _serve(self) -> None:
@@ -618,34 +598,23 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     # Each sweep reads one row of each slot array (see the module notes):
     # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
     # points or more, the jump sizes' normals come from rng.jump_normals at
-    # the candidates and, on a sweep that runs the dense block, from the
-    # sweep's own stream elsewhere (the ring's fourth array).
+    # the candidates instead.
     sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
     tail = n - 1 - plan.head
     n_normals = tail + (n if cfg.jumps_enabled and not sparse else 0)
-    per_sweep = plan.head + n + n_normals + (n if sparse else 0)
-    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // per_sweep))
+    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (plan.head + n + n_normals)))
     helper = _helper_runs(n)
-
-    def retains(j: int) -> bool:
-        return j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0
-
-    def dense(j: int) -> bool:  # on a sparse fit: the jump block runs on every t
-        return _DENSE_JUMP_BLOCK or retains(j)
-
     ring = _VariateRing(rng, plan, _mixture_shape(cfg), n_normals, chunk,
                         -(-spec.iterations // chunk),
-                        f"jumpvol-variates-{chain_id}" if helper else None,
-                        SweepStreams(spec.seed, chain_id) if sparse else None, dense)
+                        f"jumpvol-variates-{chain_id}" if helper else None)
 
     idx = 0
     try:
         for j in range(1, spec.iterations + 1):
             i = (j - 1) % chunk
             if i == 0:
-                chunk_head, chunk_mixture, chunk_normals, chunk_own = ring.take()
+                chunk_head, chunk_mixture, chunk_normals = ring.take()
             normals = chunk_normals[i]
-            retained = retains(j)
             try:
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y_arr, mu, out=centered)
@@ -657,43 +626,33 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 if cfg.jumps_enabled:
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                     jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                    full = not sparse or dense(j)
-                    if not sparse:
-                        variates = normals[tail:]
-                    else:
+                    if sparse:
+                        # The stages on the candidates alone: nothing else can be declared.
                         found = _jump_candidates(weights, centered, jump_prob, logit_c, resid,
                                                  declared)
                         m = found.size
                         variates = rng.jump_normals.standard_normal(out=jumps[:m])
-                        if full:
-                            chunk_own[i, found] = variates
-                            variates = chunk_own[i]
-                    if full:
-                        sample_jump_sizes(centered, weights, jump_mean, jump_var, variates,
-                                          jump_size, work)
-                        jump_indicator_probs(weights, centered, jump_size, jump_prob,
-                                             probs if retained else None, work)
-                        apply_jump_threshold(work[0], logit_c, declared)
-                        np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
-                        jumps *= jump_size
-                        observed = jump_size[declared]
-                    else:
-                        # The same stages on the candidates alone: nothing else can be declared.
                         sub_centered = np.take(centered, found, out=resid[:m], mode="clip")
                         sub_weights = np.take(weights, found, out=rates[:m], mode="clip")
                         sub_work = (work[0][:m], work[1][:m])
                         sizes = sample_jump_sizes(sub_centered, sub_weights, jump_mean, jump_var,
                                                   variates, shifted[:m], sub_work)
-                        jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob, None,
-                                             sub_work)
+                        jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob, sub_work)
                         hits = apply_jump_threshold(sub_work[0], logit_c, declared[:m])
                         observed = sizes[hits]
                         found_jumps = found[hits]
-                        jump_size[found] = sizes
                         declared.fill(False)
                         declared[found_jumps] = True
                         jumps.fill(0.0)
                         jumps[found_jumps] = observed
+                    else:
+                        sample_jump_sizes(centered, weights, jump_mean, jump_var, normals[tail:],
+                                          jump_size, work)
+                        jump_indicator_probs(weights, centered, jump_size, jump_prob, work)
+                        apply_jump_threshold(work[0], logit_c, declared)
+                        np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
+                        jumps *= jump_size
+                        observed = jump_size[declared]
                     np.subtract(y_arr, jumps, out=shifted)
                     jump_prob = sample_jump_prob(observed.size, n, priors, rng)
             except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
@@ -701,7 +660,10 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                     f"chain {chain_id}: sampler failed at iteration {j}: {exc}"
                 ) from exc
 
-            if retained:
+            if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
+                if cfg.jumps_enabled:
+                    jump_indicator_posterior(weights, centered, jump_mean, jump_var, jump_prob,
+                                             probs, work)
                 ll = conditional_log_lik(shifted, mu, weights, work[0])
                 if not math.isfinite(ll):
                     raise NumericalError(
@@ -713,7 +675,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                     column[idx] = row[name]
                 acc.add(precision, mixture, jumps, declared, probs)
                 if kept is not None:
-                    path = dict(precision=precision, mixture=mixture, jump_size=jump_size,
+                    path = dict(precision=precision, mixture=mixture, jump_size=jumps,
                                 jump_ind=declared)
                     for name, rows in kept.items():
                         rows[idx] = path[name]

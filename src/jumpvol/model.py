@@ -245,9 +245,12 @@ class LatentSummary:
 
     var_* columns summarize 1/lambda (variance scale), sd_* columns
     lambda**-0.5.  Interval columns are numpy's linear 2.5%/97.5% quantiles
-    of every float32 variance-scale draw of one chain.  Summaries merged
-    across chains average each chain's quantiles, which are not the
-    quantiles of the pooled draws (ROADMAP item 1).
+    of every float32 variance-scale draw of one chain.  prob_jump is the
+    mean over draws of P(N_t = 1) given the draw's mu, paths and jump
+    parameters with the jump size integrated out (the Rao-Blackwell
+    estimate); freq_jump is the share of draws that declare a jump.
+    Summaries merged across chains average each chain's quantiles, which
+    are not the quantiles of the pooled draws (ROADMAP item 1).
     """
 
     var_mean: np.ndarray

@@ -48,11 +48,6 @@ An :class:`RngStream` holds six generators seeded from one SeedSequence:
   ``jump_normals`` draws a number per sweep that depends on the state, in
   the sweep's own thread.
 
-:class:`SweepStreams` gives the streams ``SeedSequence(seed,
-spawn_key=(k, 5, j))``, one per sweep index j, on SFC64: on longer series
-a sweep that keeps its draw takes the jump sizes' other normals from its
-own stream, so a thinned chain keeps the draws of the unthinned one.
-
 The child streams draw almost every variate of a long fit, on SFC64 bit
 generators, which draw them 10-20% cheaper than PCG64; ``generator`` stays
 PCG64, so the scalar draws and :mod:`jumpvol.synthetic` keep their stream.
@@ -80,16 +75,6 @@ __all__ = [
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MAX_UINT64 = 2**64
-_MASK32 = 2**32 - 1
-
-# The constants of numpy's SeedSequence hash (see _spawn_words).
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# The spawn key entry after the stream id that marks a per-sweep stream
-# (RngStream's children use 0-4), and the sweep indices hashed at a time.
-_SWEEP_KEY = 5
-_SWEEP_BLOCK = 256
 
 # Smallest positive gamma draw we accept before inverting; draws below this
 # would overflow to inf on the inverse-gamma side.
@@ -128,92 +113,6 @@ class RngStream:
         (self.gammas, self.normals, self.exponentials, self.mixture_gammas,
          self.jump_normals) = (np.random.Generator(np.random.SFC64(child))
                                for child in root.spawn(5))
-
-
-class SweepStreams:
-    """The SFC64 streams of SeedSequence(seed, spawn_key=(stream_id, 5, j)), one per sweep j.
-
-    at(j) resets one generator to the start of sweep j's stream and returns
-    it: it draws what ``np.random.Generator(np.random.SFC64(SeedSequence(seed,
-    spawn_key=(stream_id, 5, j))))`` draws.  Building that generator takes
-    about 20 us, most of it the SeedSequence hash; here the hash runs
-    vectorised over _SWEEP_BLOCK sweep indices at a time (_spawn_words),
-    and a reset sets the seeded words and runs SFC64's 12 seeding rounds.
-    """
-
-    def __init__(self, seed: int, stream_id: int) -> None:
-        self._key = (int(seed), (int(stream_id), _SWEEP_KEY))
-        self._bits = np.random.SFC64(0)
-        self._generator = np.random.Generator(self._bits)
-        self._first = 0
-        self._states = np.empty((0, 4), dtype=np.uint64)
-
-    def at(self, j: int) -> np.random.Generator:
-        row = j - self._first
-        if not 0 <= row < len(self._states):
-            self._first, row = j, 0
-            self._states = np.ones((_SWEEP_BLOCK, 4), dtype=np.uint64)  # SFC64's counter starts at 1
-            self._states[:, :3] = _spawn_words(*self._key, np.arange(j, j + _SWEEP_BLOCK))
-        self._bits.state = {"bit_generator": "SFC64", "state": {"state": self._states[row]},
-                            "has_uint32": 0, "uinteger": 0}
-        self._bits.random_raw(12)
-        return self._generator
-
-
-def _words32(value: int) -> list[int]:
-    """The 32-bit words of a non-negative integer, low first, as SeedSequence reads it."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _spawn_words(seed: int, key: tuple, last: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed, spawn_key=(*key, j)).generate_state(3, np.uint64) for each j of last.
-
-    numpy's SeedSequence hash (pool size 4): the words of seed (padded to
-    the pool size) and key mix into the same pool for every j, in Python
-    integers; the last key entry, j, turns the pool into uint32 arrays.
-    The same expressions serve both, masked to 32 bits.  Sweep indices of
-    more than 32 bits take two words each, so a block that holds one asks
-    SeedSequence itself, one index at a time.
-    """
-    if last[-1] > _MASK32:
-        return np.array([np.random.SeedSequence(seed, spawn_key=(*key, int(j))).generate_state(
-            3, np.uint64) for j in last])
-    run = _words32(seed)
-    entropy = [*run, *[0] * (4 - len(run)), *(w for k in key for w in _words32(k)),
-               last.astype(np.uint32)]
-    hash_const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _HASH_MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = np.empty((len(last), 6), dtype=np.uint32)
-    hash_const = _HASH_INIT_B
-    for i in range(6):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _HASH_MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        out[:, i] = value ^ (value >> 16)
-    return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _as_param(name: str, value, *, positive: bool = False, nonnegative: bool = False):

@@ -4,6 +4,9 @@ Each checker builds prior * likelihood pointwise on a dense grid, normalizes
 it, and compares against the closed-form posterior the package reports,
 returning the total variation distance between the two grid masses.  The
 brute-force side never reuses the package's conjugate algebra.
+
+jump_indicator_error integrates the jump size out numerically instead and
+returns the largest absolute error of the closed-form jump probabilities.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from scipy import stats
 
 import jumpvol as jv
 from jumpvol.conditionals import (
+    jump_indicator_posterior,
     jump_mean_posterior,
     jump_prob_posterior,
     jump_size_posterior,
@@ -155,6 +159,41 @@ def jump_prob_update_tv(rng: np.random.Generator) -> float:
     prior = stats.beta(priors.jump_prob_a, priors.jump_prob_b)
     log_brute = prior.logpdf(grid) + total * np.log(grid) + (n - total) * np.log1p(-grid)
     return _tv_between(grid, log_brute, closed.logpdf(grid))
+
+
+def jump_indicator_error(rng: np.random.Generator) -> float:
+    """P(N_t = 1) with xi_t integrated out, against the trapezoid rule over xi.
+
+    For each t the grid spans 40 standard deviations either side of the mode
+    of phi(y; mu + xi, s) phi(xi; m, v) in xi, at 250 points per standard
+    deviation, where the rule's error is far below rounding.  The odds are
+    rho times that integral against (1 - rho) phi(y; mu, s).
+    """
+    n = 12
+    mu = rng.normal()
+    jump_mean, jump_var = rng.normal(-2.0, 1.0), rng.uniform(0.5, 20.0)
+    lam, gam = rng.uniform(0.3, 3.0, n), rng.uniform(0.3, 3.0, n)
+    rho = rng.uniform(0.005, 0.5)
+    sd = 1.0 / np.sqrt(lam * gam)
+    jumps = np.where(rng.random(n) < 0.5, rng.normal(jump_mean, np.sqrt(jump_var), n), 0.0)
+    y = mu + jumps + sd * rng.normal(size=n)
+    closed = jump_indicator_posterior(y, mu, lam, gam, jump_mean, jump_var, rho)
+
+    worst = 0.0
+    for t in range(n):
+        curvature = 1.0 / sd[t] ** 2 + 1.0 / jump_var
+        mode = ((y[t] - mu) / sd[t] ** 2 + jump_mean / jump_var) / curvature
+        width = 40.0 / np.sqrt(curvature)
+        grid, step = np.linspace(mode - width, mode + width, GRID_POINTS, retstep=True)
+        log_f = (stats.norm.logpdf(y[t], mu + grid, sd[t])
+                 + stats.norm.logpdf(grid, jump_mean, np.sqrt(jump_var)))
+        top = np.max(log_f)
+        mass = np.exp(log_f - top)
+        log_integral = top + np.log(step * (np.sum(mass) - 0.5 * (mass[0] + mass[-1])))
+        log_odds = (np.log(rho) - np.log1p(-rho) + log_integral
+                    - stats.norm.logpdf(y[t], mu, sd[t]))
+        worst = max(worst, abs(closed[t] - 1.0 / (1.0 + np.exp(-log_odds))))
+    return worst
 
 
 ALL_CHECKS = [

@@ -10,6 +10,7 @@ import pytest
 import jumpvol as jv
 from jumpvol.conditionals import (
     _logistic,
+    jump_indicator_posterior,
     jump_mean_posterior,
     jump_prob_posterior,
     jump_size_posterior,
@@ -18,7 +19,7 @@ from jumpvol.conditionals import (
     mu_posterior,
 )
 from jumpvol.errors import SizeError
-from oracles import ALL_CHECKS
+from oracles import ALL_CHECKS, jump_indicator_error
 
 TV_TOL = 1e-4
 EMPTY = np.array([])
@@ -222,6 +223,45 @@ class TestJumpIndicatorProbs:
         np.testing.assert_array_max_ulp(_logistic(z, np.empty_like(z)), want, maxulp=4)
 
 
+class TestJumpIndicatorPosterior:
+    def test_hand_oracle(self):
+        # rho 0.5, c = jump_mean = 0, w 1, jump_var 3: the odds are
+        # phi(0; 0, 4) / phi(0; 0, 1) = 1/2, so p = 1/3.
+        p = jump_indicator_posterior(np.array([0.7]), 0.7, np.ones(1), np.ones(1), 0.0, 3.0, 0.5)
+        assert p[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    def test_matches_numerical_integration_over_the_jump_size(self):
+        gen = np.random.default_rng(zlib.crc32(b"jump_indicator_posterior"))
+        for _ in range(5):
+            assert jump_indicator_error(gen) <= 1e-10
+
+    def test_degenerate_rho(self):
+        args = (np.array([0.5, -2.0]), 0.0, np.ones(2), np.ones(2), -1.0, 2.0)
+        np.testing.assert_array_equal(jump_indicator_posterior(*args, 0.0), [0.0, 0.0])
+        np.testing.assert_array_equal(jump_indicator_posterior(*args, 1.0), [1.0, 1.0])
+
+    def test_extreme_scales_stay_finite(self):
+        """w over 10 decades, jump_var from 1e-8 to 1e4, c from a tenth of an
+        observation's sd to a huge jump: finite probabilities in [0, 1]
+        without a RuntimeWarning, exact at rho = 0 and 1."""
+        gen = np.random.default_rng(11)
+        n = 3000
+        weights = 10.0 ** gen.uniform(-5.0, 5.0, n)
+        centered = gen.normal(0.0, 1.0, n) * 10.0 ** gen.uniform(-1.0, 3.0, n) / np.sqrt(weights)
+        for jump_var in 10.0 ** np.arange(-8.0, 5.0):
+            for jump_mean in (-3.0, 0.0, 2.5):
+                for rho in (0.0, 1e-4, 0.5, 1.0):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        p = jump_indicator_posterior(centered, 0.0, weights, np.ones(n),
+                                                     jump_mean, jump_var, rho)
+                    assert np.all((p >= 0.0) & (p <= 1.0)), (jump_var, jump_mean, rho)
+                    if rho in (0.0, 1.0):
+                        np.testing.assert_array_equal(p, rho)
+                    else:
+                        assert 0.0 < p.max() and p.min() < 1.0
+
+
 class TestThreshold:
     def test_strict_inequality_at_boundary(self):
         probs = np.array([0.69, 0.70, 0.71])
@@ -276,6 +316,9 @@ _PATH_CALLS = {
     "jump_indicator_probs": (lambda p: jv.jump_indicator_probs(
         p["y"], 0.0, p["precision"], p["mixture"], p["jump_sizes"], 0.5),
         ("precision", "mixture", "jump_sizes")),
+    "jump_indicator_posterior": (lambda p: jump_indicator_posterior(
+        p["y"], 0.0, p["precision"], p["mixture"], 0.0, 1.0, 0.5),
+        ("precision", "mixture")),
     "forward_filter": (lambda p: jv.forward_filter(
         p["y"], 0.0, p["jumps"], p["mixture"], jv.default_config()),
         ("jumps", "mixture")),

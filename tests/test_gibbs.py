@@ -314,13 +314,14 @@ def _reference_chain(y, cfg, spec):
 
     Chain 0 from the default start, every stage in the documented order,
     drawing from an equal-seeded stream.  On a jump fit of at least
-    _SPARSE_MIN_N points the jump sizes' normals are those of sweep j's own
-    stream, SeedSequence(seed, spawn_key=(0, 5, j)), with rng.jump_normals'
-    in their place at the candidates.  Returns the draws table and the
-    retained latent paths.
+    _SPARSE_MIN_N points the jump sizes' normals at the candidates come from
+    rng.jump_normals and the others from an unrelated generator, which no
+    output may read.  Returns the draws table and the retained latent paths,
+    whose jump_size rows are the jumps.
     """
     rng = jv.RngStream(spec.seed, stream_id=0)
     sparse = len(y) >= engine._SPARSE_MIN_N
+    unrelated = np.random.default_rng(12345)
     params, path = jv.default_init(y, cfg)
     mu, jump_prob = params.mu, params.jump_prob
     jump_mean, jump_var = params.jump_mean, params.jump_var
@@ -341,8 +342,7 @@ def _reference_chain(y, cfg, spec):
             if sparse:
                 means, variances = conditionals.jump_size_posterior(
                     y, mu, precision, mixture, jump_mean, jump_var)
-                variates = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-                    spec.seed, spawn_key=(0, 5, j)))).standard_normal(len(y))
+                variates = unrelated.standard_normal(len(y))
                 found = _candidates(mixture * precision, y - mu, jump_prob, cfg.jump_threshold)
                 variates[found] = rng.jump_normals.standard_normal(found.size)
                 jump_size = means + np.sqrt(variances) * variates
@@ -361,90 +361,86 @@ def _reference_chain(y, cfg, spec):
             log_lik = diagnostics.conditional_log_lik(y, mu, jumps, precision, mixture)
             rows.append(dict(chain=0, iteration=j, mu=mu, jump_prob=jump_prob,
                              jump_mean=jump_mean, jump_var=jump_var, log_lik=log_lik))
-            paths.append((precision, mixture, jump_size, jump_ind))
+            paths.append((precision, mixture, jumps, jump_ind))
     return rows, paths
 
 
-@pytest.mark.parametrize("n", [2, 252, 1200])
+@pytest.mark.parametrize("n", [2, 252, 1000, 1200])
 @pytest.mark.parametrize("omega", [0.05, 0.9, 1.0])
 @pytest.mark.parametrize("jumps_enabled", [True, False])
 def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatch):
     """The sweep, with its workspace arrays formed once, draws bit for bit what
     the public stage functions draw when called in the documented order, and
-    returns no array that shares memory with the workspace."""
+    returns no array that shares memory with the workspace.  From
+    _SPARSE_MIN_N points every sweep, kept or not, runs the jump stages on
+    the candidates alone, and draws what the dense block draws."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(omega=omega, jumps_enabled=jumps_enabled)
-    spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=3, seed=8, keep_latent_draws=True)
     buffers = _spy_stage_arrays(monkeypatch)
-    out = jv.run_chain(y, cfg, spec)
-    rows, paths = _reference_chain(y, cfg, spec)
-    assert out.n_draws == len(rows) == 9
+    sizes, calls = engine.sample_jump_sizes, []
+    monkeypatch.setattr(engine, "sample_jump_sizes",
+                        lambda centered, *args: calls.append(centered.size) or
+                        sizes(centered, *args))
+    for thin_lag in (1, 3):
+        calls.clear()
+        spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=thin_lag, seed=8,
+                          keep_latent_draws=True)
+        out = jv.run_chain(y, cfg, spec)
+        _check_equals_reference(out, *_reference_chain(y, cfg, spec), buffers)
+        if jumps_enabled and n >= engine._SPARSE_MIN_N:
+            assert len(calls) == spec.iterations and max(calls) < n // 10
+        else:
+            assert calls == [n] * (spec.iterations if jumps_enabled else 0)
+        if jumps_enabled and n > 2 and omega > 0.05:
+            # The jump block ran with declared jumps, not only the empty-set
+            # branch.  (At omega = 0.05 the precision follows each observation,
+            # and the short run at n = 252 declares none.)
+            assert out.latent_draws["jump_ind"].any()
+
+
+def _check_equals_reference(out, rows, paths, buffers):
+    assert out.n_draws == len(rows)
     for name, column in out.draws.items():
         np.testing.assert_array_equal(column, [row[name] for row in rows], err_msg=name)
         assert column.dtype == (np.int64 if name in ("chain", "iteration") else np.float64), name
     for i, want in enumerate(paths):
-        for (name, rows), want_path in zip(out.latent_draws.items(), want):
-            np.testing.assert_array_equal(rows[i], want_path, err_msg=name)
-            assert rows.dtype == want_path.dtype, name
+        for (name, kept), want_path in zip(out.latent_draws.items(), want):
+            np.testing.assert_array_equal(kept[i], want_path, err_msg=name)
+            assert kept.dtype == want_path.dtype, name
     assert out.latent_draws["jump_ind"].dtype == np.int64
-    assert all(rows.dtype == np.float64 for name, rows in out.latent_draws.items()
+    assert all(kept.dtype == np.float64 for name, kept in out.latent_draws.items()
                if name != "jump_ind")
     returned = [*out.draws.values(), *out.latent_draws.values(),
                 *(getattr(out.latent, f.name) for f in dataclasses.fields(out.latent))]
     assert buffers
     assert not any(np.shares_memory(arr, buf) for arr in returned for buf in buffers.values())
-    if jumps_enabled and n > 2 and omega > 0.05:
-        # The jump block ran with declared jumps, not only the empty-set
-        # branch.  (At omega = 0.05 the precision follows each observation,
-        # and the short run at n = 252 declares none.)
-        assert out.latent_draws["jump_ind"].any()
     freq = out.latent_draws["jump_ind"].mean(axis=0)
     assert out.latent.freq_jump.dtype == freq.dtype == np.float64
     np.testing.assert_array_equal(out.latent.freq_jump, freq)
 
 
-@pytest.mark.parametrize("n", [engine._SPARSE_MIN_N, 1200])
+@pytest.mark.parametrize("n", [252, 1200])
 @pytest.mark.parametrize("thin_lag", [1, 3])
-def test_sparse_jump_block_equals_dense_block(n, thin_lag, monkeypatch):
-    """On a jump fit of at least _SPARSE_MIN_N points a sweep that keeps no
-    draw runs the jump stages on the candidates alone.  Running every
-    sweep's jump block dense instead, with the same streams, gives the same
-    draws, latent summary and kept paths bit for bit."""
+def test_prob_jump_is_the_mean_of_each_kept_rows_posterior(n, thin_lag):
+    """prob_jump is, bit for bit, the mean over kept draws of the public
+    jump_indicator_posterior evaluated at each kept row's own state: its mu,
+    jump_prob, jump_mean, jump_var, precision and mixture.  A no-jump fit
+    reports prob_jump = 0."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
-    spec = jv.RunSpec(iterations=40, burn_in=7, thin_lag=thin_lag, seed=8,
+    spec = jv.RunSpec(iterations=40, burn_in=4, thin_lag=thin_lag, seed=8,
                       keep_latent_draws=True)
-    calls = []
-    sizes = engine.sample_jump_sizes
-    monkeypatch.setattr(engine, "sample_jump_sizes",
-                        lambda centered, *args: calls.append(centered.size) or
-                        sizes(centered, *args))
-    sparse = jv.run_chain(y, jv.default_config(), spec)
-    assert 0 < min(calls) < n // 10  # the candidates of a sweep that keeps no draw
-    assert calls.count(n) == spec.n_retained
-    monkeypatch.setattr(engine, "_DENSE_JUMP_BLOCK", True)
-    calls.clear()
-    dense = jv.run_chain(y, jv.default_config(), spec)
-    assert calls == [n] * spec.iterations
-    assert sparse.latent_draws["jump_ind"].any()
-    for name, column in dense.draws.items():
-        np.testing.assert_array_equal(sparse.draws[name], column, err_msg=name)
-    for field in dataclasses.fields(dense.latent):
-        np.testing.assert_array_equal(getattr(sparse.latent, field.name),
-                                      getattr(dense.latent, field.name), err_msg=field.name)
-    for name, rows in dense.latent_draws.items():
-        np.testing.assert_array_equal(sparse.latent_draws[name], rows, err_msg=name)
-
-
-def test_fits_under_sparse_min_n_keep_the_dense_layout(monkeypatch):
-    """Under _SPARSE_MIN_N points, and without jumps, a fit takes no per-sweep
-    streams: the jump sizes' normals stay in the ring's normals array."""
-    made = []
-    monkeypatch.setattr(engine, "SweepStreams", lambda *args: made.append(args))
-    y = jv.simulate(jv.SimConfig(n=engine._SPARSE_MIN_N - 1, seed=4)).returns.returns
-    spec = jv.RunSpec(iterations=5, seed=3)
-    jv.run_chain(y, jv.default_config(), spec)
-    jv.run_chain(np.tile(y, 2), jv.ModelConfig(jumps_enabled=False), spec)
-    assert made == []
+    out = jv.run_chain(y, jv.default_config(), spec)
+    kept = out.latent_draws
+    probs = np.array([conditionals.jump_indicator_posterior(
+        y, out.mu[i], kept["precision"][i], kept["mixture"][i], out.jump_mean[i],
+        out.jump_var[i], out.jump_prob[i]) for i in range(out.n_draws)])
+    np.testing.assert_array_equal(out.latent.prob_jump, np.mean(probs, axis=0))
+    prob = out.latent.prob_jump
+    assert ((0.0 <= prob) & (prob <= 1.0)).all() and ((0.05 < prob) & (prob < 0.95)).any()
+    assert kept["jump_ind"].any()
+    np.testing.assert_array_equal(kept["jump_size"] != 0.0, kept["jump_ind"] == 1)
+    no_jumps = jv.run_chain(y, jv.ModelConfig(jumps_enabled=False), spec)
+    np.testing.assert_array_equal(no_jumps.latent.prob_jump, 0.0)
 
 
 @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.7, 0.95])
@@ -469,7 +465,7 @@ def test_candidates_hold_every_declared_jump(threshold):
         sizes = centered * (1.0 + gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-17.0, -1.0, n))
         found = engine._jump_candidates(weights, centered, rho, cutoff, score, mask)
         assert np.all(np.diff(found) > 0)
-        log_odds = engine.jump_indicator_probs(weights, centered, sizes, rho, None, work)
+        log_odds = engine.jump_indicator_probs(weights, centered, sizes, rho, work)
         declared = np.flatnonzero(engine.apply_jump_threshold(log_odds, cutoff, _stale(n, bool)))
         assert np.isin(declared, found).all(), f"rho={rho}"
         np.testing.assert_array_equal(found, _candidates(weights, centered, rho, threshold))
@@ -517,8 +513,9 @@ def _spy_stage_arrays(monkeypatch):
 def test_sweep_transient_memory(omega, paths, monkeypatch):
     """After warm-up the stages of a sweep write into the chain's workspace:
     from the first stage of a sweep to its last, new memory at n = 5,000
-    stays below `paths` n-length float64 arrays, on sweeps that keep their
-    draw (the dense jump block) and on the others (the candidates alone).
+    stays below `paths` n-length float64 arrays.  On a sweep that keeps its
+    draw the window closes after the retained step (the jump probabilities
+    and the log-likelihood), on the others after the jump probability draw.
     At omega = 0.9 the scans run in blocks and add their carries from a
     scratch array; at 0.99 one block covers the series.  Either way nothing
     path-sized is allocated (0.04 paths measured)."""
@@ -526,8 +523,8 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
     y = jv.simulate(jv.SimConfig(n=n, seed=3)).returns.returns
     assert n >= engine._SPARSE_MIN_N
     monkeypatch.setattr(engine, "_HELPER_MIN_N", 10**9)  # no helper allocating beside it
-    first, last = engine.sample_mu, engine.sample_jump_prob
-    start, peaks = [], []
+    first, last, retained = engine.sample_mu, engine.sample_jump_prob, engine.conditional_log_lik
+    start, peaks, kept = [], [], []
 
     def spy_first(*args):
         tracemalloc.reset_peak()
@@ -539,8 +536,15 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
         return drawn
 
+    def spy_retained(*args):  # the sweep's last stage when it keeps its draw
+        ll = retained(*args)
+        peaks[-1] = tracemalloc.get_traced_memory()[1] - start[-1]
+        kept.append(len(peaks))
+        return ll
+
     monkeypatch.setattr(engine, "sample_mu", spy_first)
     monkeypatch.setattr(engine, "sample_jump_prob", spy_last)
+    monkeypatch.setattr(engine, "conditional_log_lik", spy_retained)
     tracemalloc.start()
     try:
         out = jv.run_chain(y, jv.ModelConfig(omega=omega),
@@ -548,6 +552,7 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 30
+    assert kept == list(range(2, 31, 2))
     assert out.latent.freq_jump.any()
     assert max(peaks[5:]) < paths * 8 * n
 
@@ -1062,7 +1067,10 @@ _STAGES = {
         _stale(300), _work())),
     "jump_indicator_probs": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], s["sizes"], 0.05), lambda s, r: (
-        s["weights"], s["centered"], s["sizes"], 0.05, _stale(300), _work())),
+        s["weights"], s["centered"], s["sizes"], 0.05, _work())),
+    "jump_indicator_posterior": (conditionals, lambda s, r: (
+        s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, 0.05), lambda s, r: (
+        s["weights"], s["centered"], -2.0, 3.0, 0.05, _stale(300), _work())),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
                              lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
                                            _stale(300, np.int64))),
@@ -1091,6 +1099,8 @@ def test_sweep_kernel_matches_public_function(name):
     state = _valid_state()
     rng_kernel, rng_public = jv.RngStream(5, 1), jv.RngStream(5, 1)
     got, want = kernel(*kernel_args(state, rng_kernel)), public(*args(state, rng_public))
+    if name == "jump_indicator_probs":  # the kernel returns the log-odds, the public p
+        got = conditionals._logistic(got, _stale(300))
     if isinstance(want, jv.FilterState):
         assert want.plan is _plan(state)  # the plan the kernel was given
     got, want = _result(got), _result(want)
@@ -1128,8 +1138,7 @@ def test_threshold_on_log_odds_declares_what_probabilities_declare(threshold):
             sizes = gen.normal(0.0, scale, n)
             sizes[::7] = 0.0
             work, mask = _work(n), _stale(n, bool)
-            log_odds = engine.jump_indicator_probs(mixture * precision, y - mu, sizes, rho,
-                                                   None, work)
+            log_odds = engine.jump_indicator_probs(mixture * precision, y - mu, sizes, rho, work)
             assert log_odds is work[0]
             got = engine.apply_jump_threshold(log_odds, cutoff, mask)
             assert got is mask

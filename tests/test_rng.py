@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 
 import jumpvol as jv
-from jumpvol import rng as rng_mod
 from jumpvol.errors import ParameterError
 
 N_MOMENT = 1_000_000
@@ -191,10 +190,6 @@ def test_generator_keeps_its_stream(seed, stream_id):
 
 
 _CHILDREN = ("gammas", "normals", "exponentials", "mixture_gammas", "jump_normals")
-# Sweep indices whose per-sweep streams the tests pin: the first, both sides
-# of a hashed block's end, a later block, and indices of two 32-bit words.
-_SWEEPS = (1, 2, rng_mod._SWEEP_BLOCK, rng_mod._SWEEP_BLOCK + 1, 5 * rng_mod._SWEEP_BLOCK + 7,
-           2**32 - 1, 2**32, 2**40 + 3)
 
 
 def _first(gen):
@@ -203,15 +198,13 @@ def _first(gen):
 
 @pytest.mark.parametrize("seed", [0, 42, 20230817])
 def test_child_streams_differ_from_every_generator(seed):
-    """The five child streams and the per-sweep streams are streams of their
-    own: their first outputs match neither each other nor the generator of
-    any stream id tried."""
+    """The five child streams are streams of their own: their first outputs
+    match neither each other nor the generator of any stream id tried."""
     streams = [jv.RngStream(seed, k) for k in range(8)]
     generators = {_first(jv.RngStream(seed, k).generator) for k in range(8)}
     children = [_first(getattr(s, name)) for s in streams for name in _CHILDREN]
-    sweeps = [_first(rng_mod.SweepStreams(seed, k).at(j)) for k in range(8) for j in _SWEEPS]
-    assert len(set(children + sweeps)) == len(children) + len(sweeps)
-    assert not generators & set(children + sweeps)
+    assert len(set(children)) == len(children)
+    assert not generators & set(children)
     assert [_first(getattr(jv.RngStream(seed, 3), name)) for name in _CHILDREN] == \
         children[15:20]
 
@@ -221,9 +214,7 @@ def test_child_streams_keep_their_spawn_keys(seed, stream_id):
     """Child i of RngStream(seed, k) is an SFC64 generator seeded from child i
     of SeedSequence(seed, spawn_key=(k,)), spawn key (k, i), in the order
     gammas, normals, exponentials, mixture_gammas, jump_normals; generator
-    stays PCG64.  SweepStreams(seed, k).at(j) draws what an SFC64 generator
-    seeded from SeedSequence(seed, spawn_key=(k, 5, j)) draws, at any
-    sweep index and in any order of indices."""
+    stays PCG64."""
     stream = jv.RngStream(seed, stream_id)
     assert type(stream.generator.bit_generator) is np.random.PCG64
     for i, name in enumerate(_CHILDREN):
@@ -235,12 +226,6 @@ def test_child_streams_keep_their_spawn_keys(seed, stream_id):
         np.random.SeedSequence(seed, spawn_key=(stream_id,)).spawn(5)[1]))
     np.testing.assert_array_equal(jv.RngStream(seed, stream_id).normals.standard_normal(50),
                                   normals.standard_normal(50))
-    sweeps = rng_mod.SweepStreams(seed, stream_id)
-    for j in (*_SWEEPS, 3, *_SWEEPS[::-1]):
-        want = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(seed, spawn_key=(stream_id, 5, j))))
-        np.testing.assert_array_equal(sweeps.at(j).standard_normal(50),
-                                      want.standard_normal(50), err_msg=str(j))
 
 
 def test_gamma_shape_zero_is_point_mass(rng):
