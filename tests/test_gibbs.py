@@ -365,7 +365,7 @@ def _reference_chain(y, cfg, spec):
     return rows, paths
 
 
-@pytest.mark.parametrize("n", [2, 252, 1000, 1200])
+@pytest.mark.parametrize("n", [2, 252, 1200])
 @pytest.mark.parametrize("omega", [0.05, 0.9, 1.0])
 @pytest.mark.parametrize("jumps_enabled", [True, False])
 def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatch):
@@ -396,6 +396,32 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatc
             # branch.  (At omega = 0.05 the precision follows each observation,
             # and the short run at n = 252 declares none.)
             assert out.latent_draws["jump_ind"].any()
+
+
+@pytest.mark.parametrize("n", [engine._SPARSE_MIN_N, 1200])
+@pytest.mark.parametrize("thin_lag", [1, 3])
+def test_sparse_jump_block_equals_dense_block(n, thin_lag, monkeypatch):
+    """On a jump fit of at least _SPARSE_MIN_N points every sweep, kept or
+    not, runs the jump stages on the candidates alone, and gives the draws,
+    latent summary and kept paths of the dense public stage functions bit
+    for bit.  One point fewer and every sweep runs the dense block."""
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    spec = jv.RunSpec(iterations=40, burn_in=7, thin_lag=thin_lag, seed=8,
+                      keep_latent_draws=True)
+    calls = []
+    sizes = engine.sample_jump_sizes
+    monkeypatch.setattr(engine, "sample_jump_sizes",
+                        lambda centered, *args: calls.append(centered.size) or
+                        sizes(centered, *args))
+    buffers = _spy_stage_arrays(monkeypatch)
+    sparse = jv.run_chain(y, jv.default_config(), spec)
+    assert len(calls) == spec.iterations and 0 < min(calls) and max(calls) < n // 10
+    assert sparse.latent_draws["jump_ind"].any()
+    _check_equals_reference(sparse, *_reference_chain(y, jv.default_config(), spec), buffers)
+    calls.clear()
+    short = y[:engine._SPARSE_MIN_N - 1]
+    jv.run_chain(short, jv.default_config(), jv.RunSpec(iterations=5, seed=3))
+    assert calls == [short.size] * 5
 
 
 def _check_equals_reference(out, rows, paths, buffers):
