@@ -24,11 +24,16 @@ fills a row of the chain's draws table by column name: the chain id, the
 sweep index, the static parameters the model has and the conditional
 log-likelihood.  With RunSpec.keep_latent_draws it also fills the same row
 of one (draws, n) array per latent path.  Per-t latent quantities are
-accumulated into running summaries.  The credibility bands equal numpy's
-linear 2.5% and 97.5% quantiles of every float32 variance-scale draw, bit
-for bit.  Those quantiles read only the k = 2.5% of draws (plus two) that
-are smallest and largest at each t, so a chain keeps those in a buffer of
-at most 3k + 64 rows: 84 rows in place of 350 draws at n = 6,241.
+accumulated into running summaries.  The jump sizes and indicators are
+added only at the declared jumps, about 1% of t: the candidates' block of a
+long fit has their times at hand.  Everywhere else both terms are zero, and
+a sum that starts at +0.0 never holds -0.0, so adding a zero of either sign
+would not change it: the sums equal those of the whole paths bit for bit.
+The credibility bands equal numpy's linear 2.5% and 97.5% quantiles of
+every float32 variance-scale draw, bit for bit.  Those quantiles read only
+the k = 2.5% of draws (plus two) that are smallest and largest at each t,
+so a chain keeps those in a buffer of at most 3k + 64 rows: 84 rows in
+place of 350 draws at n = 6,241.
 
 Chains never share mutable state; a chain's output depends only on (seed,
 chain_id).  run_multi runs them one after another on the calling thread: a
@@ -367,13 +372,14 @@ class _LatentAccumulator:
         self.tails = np.empty((rows, n), dtype=np.float32)
         self.fill = 0
 
-    def add(self, precision, mixture, jumps, ind, probs) -> None:
+    def add(self, precision, mixture, at, sizes, probs) -> None:
+        """Add one retained draw whose jumps are declared at the distinct times at, of sizes."""
         inv = np.divide(1.0, precision, out=self.inv)
         self.sum_precision += precision
         self.sum_mixture += mixture
-        self.sum_jump += jumps
+        self.sum_jump[at] += sizes
         self.sum_prob += probs
-        self.sum_ind += ind
+        self.sum_ind[at] += 1
         self.sum_var += inv
         self.sum_sd += np.sqrt(inv, out=self.sd)
         if self.fill == len(self.tails):
@@ -673,7 +679,8 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                            jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
                 for name, column in draws.items():
                     column[idx] = row[name]
-                acc.add(precision, mixture, jumps, declared, probs)
+                acc.add(precision, mixture, found_jumps if sparse else np.flatnonzero(declared),
+                        observed, probs)
                 if kept is not None:
                     path = dict(precision=precision, mixture=mixture, jump_size=jumps,
                                 jump_ind=declared)

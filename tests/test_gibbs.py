@@ -1002,13 +1002,41 @@ def test_accumulator_bands_equal_numpy_quantiles(m):
     acc = engine._LatentAccumulator(6, m)
     zeros = np.zeros(6)
     for row in precision:
-        acc.add(row, zeros, zeros, np.zeros(6, dtype=np.int64), zeros)
+        acc.add(row, zeros, np.array([], dtype=np.intp), np.array([]), zeros)
     got = acc.summary()
     want = np.quantile((1.0 / precision).astype(np.float32), [0.025, 0.975], axis=0)
     assert got.var_lo95.dtype == want.dtype
     np.testing.assert_array_equal(got.var_lo95, want[0])
     np.testing.assert_array_equal(got.var_hi95, want[1])
     assert len(acc.tails) <= 3 * acc.keep + engine._BAND_BATCH
+
+
+@pytest.mark.parametrize("m", [1, 7, 350])
+def test_accumulator_jump_sums_equal_dense_path_sums(m):
+    """Jumps added at the declared times alone give the sums of the whole paths, bit for bit.
+
+    The dense jumps path holds -0.0 wherever a negative size is not declared,
+    as the short series' sweep writes it.
+    """
+    n = 40
+    gen = np.random.default_rng(m)
+    acc = engine._LatentAccumulator(n, m)
+    sum_jump, sum_ind = np.zeros(n), np.zeros(n, dtype=np.int64)
+    ones = np.ones(n)
+    for _ in range(m):
+        declared = gen.random(n) < 0.3
+        declared[:2] = True, False  # one time always a jump, one never
+        sizes = gen.normal(0.0, 3.0, n)
+        jumps = declared.astype(float) * sizes
+        sum_jump += jumps
+        sum_ind += declared
+        at = np.flatnonzero(declared)
+        acc.add(ones, ones, at, sizes[at], np.zeros(n))
+    assert np.any((jumps == 0) & np.signbit(jumps)) and not np.signbit(sum_jump[1])
+    got = acc.summary()
+    np.testing.assert_array_equal(got.mean_jump, sum_jump / m)
+    np.testing.assert_array_equal(got.freq_jump, sum_ind / m)
+    assert got.freq_jump.dtype == (sum_ind / m).dtype
 
 
 def _valid_state(n=300, mu=0.1):

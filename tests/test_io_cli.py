@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -66,6 +66,14 @@ class TestIngest:
     def test_missing_file(self):
         with pytest.raises(DataFormatError):
             jio.ingest_csv("/nonexistent/file.csv", "returns")
+
+    def test_bytes_that_are_not_utf8_past_the_first_read(self, tmp_path):
+        """Rows are parsed as they are read; a bad byte deep in the file is still a data error."""
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"d{i},0.5\n" for i in range(5000))
+        path.write_bytes(f"timestamp,log_return_pct\n{rows}".encode() + b"d,\xff\n")
+        with pytest.raises(DataFormatError, match="is not valid UTF-8"):
+            jio.ingest_csv(path, "returns")
 
     def test_bad_mode(self, tmp_path):
         with pytest.raises(ParameterError):
@@ -319,6 +327,112 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match=message):
             jio.read_draws_csv(path)
 
+
+
+_DRAWS_INTS = ("chain", "iteration")
+_ROWS = ["chain,iteration,mu,log_lik", "0,1,0.25,-10.5", "0,2,-1e-3,-11", "1,1,3,-9.75"]
+
+
+def _read_outcome(read, path, header=None, ints=()):
+    """A reader's columns as (name, dtype, bytes) triples, or its DataFormatError text."""
+    try:
+        columns = read(path, header, ints)
+    except DataFormatError as exc:
+        return str(exc)
+    return [(name, column.dtype, column.tobytes()) for name, column in columns.items()]
+
+
+class TestColumnReaders:
+    """numpy's reader (_load_columns) against the csv module's scanner (_scan_columns)."""
+
+    @pytest.fixture(scope="class", params=[2, 252, 1200], ids=lambda n: f"n{n}")
+    def written(self, request, tmp_path_factory):
+        """Every numeric file the package writes, for fits at one series length."""
+        n = request.param
+        out = tmp_path_factory.mktemp(f"written{n}")
+        sim = jv.simulate(jv.SimConfig(n=n, seed=4))
+        jio.write_sim_csv(out / "sim.csv", sim)
+        files = [(out / "sim.csv", jio.SIM_COLUMNS, ())]
+        spec = jv.RunSpec(iterations=30, burn_in=10, seed=6)
+        for jumps, n_chains in itertools.product([True, False], [1, 3]):
+            chains = jv.run_multi(sim.returns, jv.ModelConfig(jumps_enabled=jumps),
+                                  replace(spec, n_chains=n_chains))
+            tag = f"{'jump' if jumps else 'no_jump'}{n_chains}"
+            jio.write_draws_csv(out / f"draws_{tag}.csv", chains)
+            jio.write_latent_csv(out / f"latent_{tag}.csv", chains[0].latent)
+            files += [(out / f"draws_{tag}.csv", None, _DRAWS_INTS),
+                      (out / f"latent_{tag}.csv", jio.LATENT_COLUMNS, ())]
+        return files
+
+    def test_package_files_read_bit_for_bit_without_the_scanner(self, written):
+        for path, header, ints in written:
+            assert jio._load_columns(path, header, ints) is not None, path.name
+            got = _read_outcome(jio._read_columns, path, header, ints)
+            assert got == _read_outcome(jio._scan_columns, path, header, ints), path.name
+            assert [dtype for _, dtype, _ in got] == [
+                np.int64 if name in ints else np.float64 for name, _, _ in got]
+
+    @pytest.mark.parametrize("text", [
+        "\n".join(_ROWS[:2] + [""] + _ROWS[2:]) + "\n",
+        "\n".join(_ROWS + ["1,2,3#4,-1"]) + "\n",
+        "\n".join(_ROWS + ['"1","2","0.5",-1']) + "\n",
+        "\n".join(_ROWS + ["1,1_000,2_5.5,-1"]) + "\n",
+        *("\n".join(_ROWS + [f"1,2,0.5,{cell}"]) + "\n" for cell in ("nan", "inf", "1e999")),
+        "\n".join(_ROWS + ["1.0,2,0.5,-1"]) + "\n",
+        "\n".join(_ROWS + [f"1,{2**63},0.5,-1"]) + "\n",
+        "\r\n".join(_ROWS) + "\r\n",
+        "\n".join(_ROWS),
+        ",\n".join(_ROWS) + ",\n",
+        "\n".join(_ROWS + ["1,2,0.5"]) + "\n",
+        _ROWS[0] + "\n",
+        _ROWS[0],
+        "",
+        "\n".join(_ROWS + ["\n"]),
+        "\n".join(_ROWS + ["   "]) + "\n",
+        "\n".join(_ROWS + ["1,2,0.5\r,-1"]) + "\n",
+        "\r".join(_ROWS) + "\r",
+    ], ids=[
+        "blank_line", "hash_in_cell", "quoted_cells", "underscores", "nan", "inf", "1e999",
+        "float_in_int_column", "int_beyond_int64", "crlf", "no_final_newline", "trailing_comma",
+        "short_row", "header_only", "header_only_no_newline", "empty_file", "blank_last_line",
+        "line_of_spaces", "lone_cr_in_row", "cr_line_ends",
+    ])
+    def test_edge_files_read_as_the_scanner_reads_them(self, tmp_path, text):
+        path = tmp_path / "draws.csv"
+        path.write_bytes(text.encode())
+        want = _read_outcome(jio._scan_columns, path, None, _DRAWS_INTS)
+        assert _read_outcome(jio._read_columns, path, None, _DRAWS_INTS) == want
+
+    def test_non_utf8_bytes_read_as_the_scanner_reads_them(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        text = "".join(f"{row}\n" for row in [*_ROWS, *["0,3,0.5,-1"] * 1000]).encode()
+        for at in (0, 30, 10_000):  # in the header, the first row and past the first read
+            path.write_bytes(text[:at] + b"\xff" + text[at:])
+            want = _read_outcome(jio._scan_columns, path, None, _DRAWS_INTS)
+            assert "is not valid UTF-8" in want
+            assert _read_outcome(jio._read_columns, path, None, _DRAWS_INTS) == want
+
+    @pytest.mark.parametrize("cell", [
+        "1", " 7 ", "+7", "-0", "07", "1.0", "1e5", "1.5e", ".5", "5.", "", " ", "\t2\t",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775809", "1_000",
+        "0x10", "0x1p3", "\u0663", "7\u00a0", "\u2003" "8", "\x1c" "9", "nan", "-Infinity",
+        "1e-400", "4.9e-324", "0.1000000000000000055511151231257827021181583404541015625",
+        "1d5", "1j", "True", "\x00", "3\x005", "\x1f", "\u0968", "1\u09682",
+    ])
+    def test_every_cell_parses_as_the_scanner_parses_it(self, tmp_path, cell):
+        path = tmp_path / "draws.csv"
+        path.write_text(f"chain,mu\n0,0.5\n{cell},{cell}\n", encoding="utf-8")
+        want = _read_outcome(jio._scan_columns, path, None, ("chain",))
+        assert _read_outcome(jio._read_columns, path, None, ("chain",)) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1025])
+    def test_block_writes_equal_one_pass(self, tmp_path, n):
+        gen = np.random.default_rng(n)
+        columns = {"t": np.arange(1, n + 1), "x": gen.normal(size=n), "y": -gen.random(n)}
+        jio._write_columns(tmp_path / "x.csv", columns)
+        want = "t,x,y\n" + "".join(
+            f"{t},{x:.17g},{y:.17g}\n" for t, x, y in zip(*(c.tolist() for c in columns.values())))
+        assert (tmp_path / "x.csv").read_bytes() == want.encode()
 
 
 class TestConfigFile:
