@@ -32,8 +32,10 @@ would not change it: the sums equal those of the whole paths bit for bit.
 The credibility bands equal numpy's linear 2.5% and 97.5% quantiles of
 every float32 variance-scale draw, bit for bit.  Those quantiles read only
 the k = 2.5% of draws (plus two) that are smallest and largest at each t,
-so a chain keeps those in a buffer of at most 3k + 64 rows: 84 rows in
-place of 350 draws at n = 6,241.
+so a chain keeps those in a buffer of at most 3k + 32 rows: 52 rows in
+place of 350 draws at n = 6,241.  run_chain forms the summary only after
+the sweeps (_run_sweeps) return and their workspace and variate slots are
+freed, so the summary's arrays do not add to them at the chain's peak.
 
 Chains never share mutable state; a chain's output depends only on (seed,
 chain_id).  run_multi runs them one after another on the calling thread: a
@@ -61,14 +63,14 @@ mixture array's first chunk * head entries as its exponentials' scratch,
 and the mixture array is filled after it: the exponentials take no memory
 of their own.  One call per stream fills a chunk.  With at least
 _HELPER_MIN_N points and two usable CPUs, a helper thread fills the next
-chunk while the sweeps read the current one.  Each
-child stream fills its chunks in the same order either way, and the chunk
-size does not depend on the helper, so the output is the same with or
-without it.  The helper is joined when run_chain returns or raises, or as
-soon as it stops paying: when the chain's two threads together are busy
-for less than _HELPER_MIN_BUSY times the wall time (a usable CPU may be
-busy with other processes, or the host may grant the process less than
-the CPUs its affinity lists).
+chunk while the sweeps read the current one, in chunks twice as long.
+Each child stream fills its arrays chunk after chunk either way, so
+neither the helper nor the chunk size changes the output.  The helper is
+joined when run_chain returns or raises, or as soon as it stops paying:
+when the chain's two threads together are busy for less than
+_HELPER_MIN_BUSY times the wall time (a usable CPU may be busy with other
+processes, or the host may grant the process less than the CPUs its
+affinity lists).
 
 The jump sizes' n normals are in the normals array only on series under
 _SPARSE_MIN_N points.  On longer series a sweep does not need them.
@@ -193,8 +195,10 @@ _MAX_UINT64 = 2**64
 _BAND_QUANTILES = np.array([0.025, 0.975])
 # Fewest rows the band buffer takes between two trims.  A trim sorts the
 # whole buffer, so batches of max(_BAND_BATCH, tail rows) keep the total
-# sorting work linear in the number of draws.
-_BAND_BATCH = 64
+# sorting work linear in the number of draws.  With 32, a 200-draw chain's
+# buffer is 44 rows (0.88 MB at n = 5,000, against 76 rows with 64), and
+# sorting takes 2-5 us more per kept draw at n = 5,000-6,241 (timeit).
+_BAND_BATCH = 32
 # Shortest series whose standard variates a helper thread draws (see
 # _VariateRing).  The helper's memory (a second slot and the thread) does
 # not shrink with n, but its gain does: forced on for the 252-point fits of
@@ -228,11 +232,15 @@ _SPARSE_MIN_N = 1000
 # The candidates' bound 2 (logit(threshold) - logit(rho)) is scaled by this,
 # a margin far above the few relative roundings of the log-odds.
 _CANDIDATE_MARGIN = 1.0 - 1e-9
-# Standard variates a chunk of sweeps holds (at least one sweep's worth).
-# A chunk is one numpy call per child stream and, with a helper, one
-# handover: the helper takes the interpreter lock a few times per chunk,
-# not per sweep.  A slot is 512 kB.
-_CHUNK_VARIATES = 2**16
+# Standard variates a chunk of sweeps holds (at least one sweep's worth),
+# twice as many with a helper.  A chunk is one numpy call per child stream
+# and, with a helper, one handover: the helper takes the interpreter lock a
+# few times per chunk, not per sweep.  A slot is 256 kB, 512 kB with a
+# helper: with 256 kB slots (3 sweeps a chunk at n = 5,000) a daily_jump
+# fit ran 5-13% slower than with 512 kB while the host granted two CPUs and
+# the helper ran, probably because the helper then hands over and takes the
+# lock twice as often.
+_CHUNK_VARIATES = 2**15
 
 
 @dataclass(frozen=True)
@@ -566,6 +574,25 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     if not (isinstance(chain_id, (int, np.integer)) and chain_id >= 0):
         raise ParameterError(f"chain_id must be a non-negative integer, got {chain_id}")
 
+    n_ret = spec.n_retained
+    acc = _LatentAccumulator(n, n_ret)
+    static = STATIC_NAMES if cfg.jumps_enabled else STATIC_NAMES[:1]
+    draws = {
+        "chain": np.empty(n_ret, dtype=np.int64),
+        "iteration": np.empty(n_ret, dtype=np.int64),
+        **{name: np.empty(n_ret) for name in (*static, "log_lik")},
+    }
+    kept = {f.name: np.empty((n_ret, n), dtype=np.int64 if f.name == "jump_ind" else float)
+            for f in fields(LatentPath)} if spec.keep_latent_draws else None
+
+    _run_sweeps(y_arr, cfg, spec, chain_id, acc, draws, kept)
+    return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept)
+
+
+def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _LatentAccumulator,
+                draws: dict, kept: Optional[dict]) -> None:
+    """Run every sweep of one chain, filling draws, acc and kept with the retained ones."""
+    n = y_arr.size
     rng = RngStream(spec.seed, stream_id=int(chain_id))
     params0, path0 = _initial_state(y_arr, cfg, spec, chain_id, rng)
 
@@ -590,17 +617,6 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     plan = discount_plan(cfg.omega, cfg.a0, n)
     rates, scan = np.empty(1 + plan.neg.size), np.empty(plan.neg.size)
 
-    n_ret = spec.n_retained
-    acc = _LatentAccumulator(n, n_ret)
-    static = STATIC_NAMES if cfg.jumps_enabled else STATIC_NAMES[:1]
-    draws = {
-        "chain": np.empty(n_ret, dtype=np.int64),
-        "iteration": np.empty(n_ret, dtype=np.int64),
-        **{name: np.empty(n_ret) for name in (*static, "log_lik")},
-    }
-    kept = {f.name: np.empty((n_ret, n), dtype=np.int64 if f.name == "jump_ind" else float)
-            for f in fields(LatentPath)} if spec.keep_latent_draws else None
-
     # Each sweep reads one row of each slot array (see the module notes):
     # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
     # points or more, the jump sizes' normals come from rng.jump_normals at
@@ -608,8 +624,9 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
     sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
     tail = n - 1 - plan.head
     n_normals = tail + (n if cfg.jumps_enabled and not sparse else 0)
-    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES // (plan.head + n + n_normals)))
     helper = _helper_runs(n)
+    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES * (2 if helper else 1)
+                       // (plan.head + n + n_normals)))
     ring = _VariateRing(rng, plan, _mixture_shape(cfg), n_normals, chunk,
                         -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
@@ -689,8 +706,6 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
                 idx += 1
     finally:
         ring.close()
-
-    return ChainOutput(draws=draws, latent=acc.summary(), latent_draws=kept)
 
 
 def _jump_candidates(weights, centered, jump_prob: float, logit_c: float, score, mask):

@@ -96,17 +96,20 @@ def simulate(sc: SimConfig) -> SimOutput:
 
     e1 = sample_normal(np.zeros(n), np.ones(n), rng)
     e2 = sample_normal(np.zeros(n), np.ones(n), rng)
-    v = np.empty(n, dtype=float)
+    path = []
     prev = sc.start_variance
     drift = sc.kappa * sc.delta
     load1 = sc.corr * sc.sigma_v * math.sqrt(sc.delta)
     load2 = sc.sigma_v * math.sqrt((1.0 - sc.corr**2) * sc.delta)
-    for t in range(n):
+    # Python floats: the same double arithmetic as numpy scalars, without
+    # indexing the arrays step by step.
+    for z1, z2 in zip(e1.tolist(), e2.tolist()):
         root = math.sqrt(prev)
-        prev = prev + drift * (sc.theta - prev) + root * (load1 * e1[t] + load2 * e2[t])
+        prev = prev + drift * (sc.theta - prev) + root * (load1 * z1 + load2 * z2)
         if prev < _V_FLOOR:
             prev = _V_FLOOR
-        v[t] = prev
+        path.append(prev)
+    v = np.array(path, dtype=float)
 
     jump_times = np.atleast_1d(sample_bernoulli(np.full(n, sc.jump_prob), rng))
     jump_sizes = sample_normal(np.full(n, sc.jump_mean), np.full(n, sc.jump_sd**2), rng)

@@ -7,6 +7,7 @@ import pytest
 
 import jumpvol as jv
 from jumpvol.errors import ParameterError
+from jumpvol.rng import RngStream, sample_normal
 
 
 def test_frozen_dynamics():
@@ -53,6 +54,31 @@ def test_bit_reproducible():
     np.testing.assert_array_equal(a.true_mixture, b.true_mixture)
     c = jv.simulate(jv.SimConfig(n=300, seed=124))
     assert not np.array_equal(a.returns.returns, c.returns.returns)
+
+
+@pytest.mark.parametrize("sc", [
+    jv.SimConfig(n=6241, seed=1),
+    jv.SimConfig(n=2000, theta=0.01, kappa=0.0, sigma_v=0.5, v0=0.01, seed=2),  # floored
+], ids=["daily", "floored"])
+def test_variance_path_equals_the_array_loop(sc):
+    """The variance recursion over Python floats gives, bit for bit, the loop
+    that indexes the shock arrays step by step."""
+    rng = RngStream(sc.seed)
+    e1 = sample_normal(np.zeros(sc.n), np.ones(sc.n), rng)
+    e2 = sample_normal(np.zeros(sc.n), np.ones(sc.n), rng)
+    want = np.empty(sc.n)
+    prev = sc.start_variance
+    load1 = sc.corr * sc.sigma_v * math.sqrt(sc.delta)
+    load2 = sc.sigma_v * math.sqrt((1.0 - sc.corr**2) * sc.delta)
+    for t in range(sc.n):
+        prev = (prev + sc.kappa * sc.delta * (sc.theta - prev)
+                + math.sqrt(prev) * (load1 * e1[t] + load2 * e2[t]))
+        want[t] = max(prev, 1e-8)
+        prev = want[t]
+    got = jv.simulate(sc).true_variance
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert sc.seed == 1 or np.any(want == 1e-8)
 
 
 def test_jump_construction():
