@@ -1040,16 +1040,20 @@ class TestRunMulti:
         assert not _helpers_alive()
 
 
-def _band_edge_counts():
-    """Draw counts one short of, equal to and one past the first trim of the band buffer."""
+def _band_edge_counts(band_batch):
+    """Draw counts one short of, equal to and one past the first trim of a
+    band buffer that takes band_batch rows between trims."""
     def rows(m):
         keep = engine._tail_rows(m)
-        return 2 * keep + max(engine._BAND_BATCH, keep)
+        return 2 * keep + max(band_batch, keep)
 
     return [m for m in range(1, 500) if abs(m - rows(m)) <= 1]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 41, *_band_edge_counts(), 350, 1000,
+# The edges of the present batch, and of the 64-row batch that
+# test_band_batch_and_chunk_size_change_no_draw checks against.
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 41, *_band_edge_counts(engine._BAND_BATCH),
+                               *_band_edge_counts(64), 350, 1000,
                                1300, 1301, 2050, 4001])
 def test_accumulator_bands_equal_numpy_quantiles(m):
     """The bands equal numpy's quantiles for any draw count: past 1,300 draws
