@@ -65,12 +65,9 @@ of their own.  One call per stream fills a chunk.  With at least
 _HELPER_MIN_N points and two usable CPUs, a helper thread fills the next
 chunk while the sweeps read the current one, in chunks twice as long.
 Each child stream fills its arrays chunk after chunk either way, so
-neither the helper nor the chunk size changes the output.  The helper is
-joined when run_chain returns or raises, or as soon as it stops paying:
-when the chain's two threads together are busy for less than
-_HELPER_MIN_BUSY times the wall time (a usable CPU may be busy with other
-processes, or the host may grant the process less than the CPUs its
-affinity lists).
+neither the helper nor the chunk size changes the output.  A chain that
+starts a helper keeps it from its first chunk to its last, and joins it
+when run_chain returns or raises.
 
 The jump sizes' n normals are in the normals array only on series under
 _SPARSE_MIN_N points.  On longer series a sweep does not need them.
@@ -154,7 +151,6 @@ import math
 import os
 import queue
 import threading
-import time
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -203,25 +199,8 @@ _BAND_BATCH = 32
 # _VariateRing).  The helper's memory (a second slot and the thread) does
 # not shrink with n, but its gain does: forced on for the 252-point fits of
 # short_batch it gained 4% in sweeps per second for 0.7 MB (1.7%) of peak
-# memory, while at n = 1,000 it gained 19-25% (while a helper paid at all).
+# memory, while at n = 1,000 it gained 19-25%.
 _HELPER_MIN_N = 1000
-# Wall seconds between a chain's checks that its helper pays; the first
-# window is a warm-up (a helper that later ran 1.5-1.8 times the busy CPU
-# seconds per wall second read 1.07 over its first 50 ms).
-_HELPER_WINDOW_S = 0.05
-# CPU seconds per wall second that the sweeps' thread and the helper must
-# use together for the helper to pay.  The helper's fills take 1.15-1.2
-# times the CPU of the same fills in the sweeps' thread (n = 5,000, two
-# cores), so at 1.0 the chain would run slower than with inline draws.
-# A host may list two CPUs in the process's affinity and grant it about
-# one for a while: on one 2-core host two CPU-bound processes once took
-# 0.43 s side by side against 0.20 s alone, and a thread filling 1M
-# normals beside a pure-Python thread 0.81 s against 0.73 s in turn,
-# while at other times the two processes took as long side by side as
-# alone.  While it grants one, the chain's threads read about 0.99 and the
-# helper is dropped at its first check; only drawing less on the chain's
-# thread (the sparse jump block) then makes a chain faster.
-_HELPER_MIN_BUSY = 1.2
 # Shortest series of a jump fit that draws the jump sizes' normals only where
 # a jump can be declared (see the module notes).  Against drawing all n, a
 # 1,500-sweep fit thinned by 5 on the daily law ran at 0.93-1.00 times the
@@ -476,17 +455,6 @@ class _VariateRing:
     the helper is raised by take(); close() joins the helper.  (Two queues,
     not a concurrent.futures executor: the executor's import and machinery
     cost 0.4 MB of peak memory at n = 5,000.)
-
-    The helper pays only while it runs beside the sweeps, not in turn with
-    them: it starts only when the process may use two CPUs.  A usable CPU
-    may still be busy, so every _HELPER_WINDOW_S after the first, take()
-    adds the CPU time that the sweeps' thread and the helper have used since
-    the first window ended: if together they fall short of _HELPER_MIN_BUSY
-    times the wall time (CPUs busy with other work, or slow to wake the
-    helper), the helper is joined and take() fills the rest of the chunks
-    itself.  The totals run from the first window, so that a short stall of
-    the whole machine, which slows the inline draws as much, does not end a
-    helper that has paid so far.
     """
 
     def __init__(self, rng: RngStream, plan: DiscountPlan, mixture_shape: float, n_normals: int,
@@ -501,9 +469,6 @@ class _VariateRing:
         self._thread = None
         if helper_name:
             self._requests, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
-            self._start = None
-            self._next_check = time.perf_counter() + _HELPER_WINDOW_S
-            self._helper_cpu = 0.0
             self._thread = threading.Thread(target=self._serve, name=helper_name, daemon=True)
             self._thread.start()
             self._requests.put(self._slots[0])
@@ -520,9 +485,7 @@ class _VariateRing:
     def _serve(self) -> None:
         for slot in iter(self._requests.get, None):
             try:
-                start = time.thread_time()
                 self._fill(slot)
-                self._helper_cpu += time.thread_time() - start
             except BaseException as exc:  # raised again by take()
                 slot = exc
             self._filled.put(slot)
@@ -534,22 +497,9 @@ class _VariateRing:
         slot = self._filled.get()  # the helper is idle until the next request
         if isinstance(slot, BaseException):
             raise slot
-        if not self._helper_pays():
-            self.close()
-        elif self._taken < self._chunks:
+        if self._taken < self._chunks:
             self._requests.put(self._slots[self._taken % 2])
         return slot
-
-    def _helper_pays(self) -> bool:
-        wall, cpu = time.perf_counter(), time.thread_time()
-        if wall < self._next_check:
-            return True
-        self._next_check = wall + _HELPER_WINDOW_S
-        if self._start is None:  # the first window warms up: count from its end
-            self._start, self._helper_cpu = (wall, cpu), 0.0
-            return True
-        wall0, cpu0 = self._start
-        return cpu - cpu0 + self._helper_cpu >= _HELPER_MIN_BUSY * (wall - wall0)
 
     def close(self) -> None:
         if self._thread is not None:

@@ -5,8 +5,8 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -787,56 +787,35 @@ class TestHelperThread:
         assert len(helpers) == 1 and fills[2].startswith("jumpvol-variates-")
         assert not _helpers_alive()
 
-    def test_helper_that_does_not_pay_is_joined(self, small_sim, monkeypatch):
-        """A chain drops a helper that does not pay at its fifth chunk, joins it
-        and fills the later chunks itself, drawing what the inline chain draws."""
-        spec = jv.RunSpec(iterations=20, burn_in=4, seed=3, keep_latent_draws=True)
+    def test_helper_fills_every_chunk_to_the_end_of_a_long_fit(self, small_sim, monkeypatch):
+        """A chain keeps its helper from its first chunk to its last: with the
+        threads' CPU clocks reading 0 and each fill taking 10 ms, a fit that
+        runs well past 100 ms still fills every chunk on its helper, joins it
+        and draws what the inline chain draws."""
+        spec = jv.RunSpec(iterations=30, burn_in=4, seed=3, keep_latent_draws=True)
         with monkeypatch.context() as m:
             _force_helper(m, False)
             want = jv.run_chain(small_sim.returns, jv.default_config(), spec)
         helpers = _force_helper(monkeypatch, True, chunk_variates=1)
-        checks = []
-        monkeypatch.setattr(engine._VariateRing, "_helper_pays",
-                            lambda self: checks.append(None) or len(checks) < 5)
-        fill = engine._VariateRing._fill
-        inline = []
+        monkeypatch.setattr(time, "thread_time", lambda: 0.0)
+        fill, fillers = engine._VariateRing._fill, []
 
-        def spy(self, slot):
-            if not threading.current_thread().name.startswith("jumpvol-variates-"):
-                inline.append(_helpers_alive())
+        def slow(self, slot):
+            fillers.append(threading.current_thread().name)
+            time.sleep(0.01)
             return fill(self, slot)
 
-        monkeypatch.setattr(engine._VariateRing, "_fill", spy)
+        monkeypatch.setattr(engine._VariateRing, "_fill", slow)
+        start = time.perf_counter()
         got = jv.run_chain(small_sim.returns, jv.default_config(), spec)
-        assert len(helpers) == 1 and len(checks) == 5
-        assert inline == [[]] * (spec.iterations - 5)  # each after the helper is gone
+        assert time.perf_counter() - start > 0.25
+        assert helpers == ["jumpvol-variates-0"]
+        assert fillers == ["jumpvol-variates-0"] * spec.iterations  # one sweep a chunk
+        assert not _helpers_alive()
         for name, column in want.draws.items():
             np.testing.assert_array_equal(got.draws[name], column, err_msg=name)
         for name, rows in want.latent_draws.items():
             np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
-
-    def test_helper_pays_while_the_two_threads_are_busy_for_the_wall_time(self, monkeypatch):
-        """After a warm-up window, the helper's CPU time and the sweeps' together
-        must reach _HELPER_MIN_BUSY times the wall time, checked once per window."""
-        clock = {"wall": 10.0, "cpu": 4.0}
-        monkeypatch.setattr(engine, "time", types.SimpleNamespace(
-            perf_counter=lambda: clock["wall"], thread_time=lambda: clock["cpu"]))
-        monkeypatch.setattr(engine, "_HELPER_WINDOW_S", 0.25)
-        monkeypatch.setattr(engine, "_HELPER_MIN_BUSY", 1.5)
-        ring = engine._VariateRing(jv.RngStream(1), volatility.discount_plan(0.9, 0.1, 3), 15.5,
-                                   2, 1, 10, "jumpvol-variates-t")
-        ring.close()  # the check reads only the clocks and the helper's CPU time
-        for wall, cpu, helper_cpu, pays in [
-            (0.125, 0.0, 0.0, True),  # before the first check
-            (0.25, 0.0, 0.0, True),  # the warm-up ends: the totals start here
-            (0.5, 0.25, 0.125, True),  # 0.375 CPU seconds in 0.25 s
-            (0.625, 0.25, 0.125, True),  # short, but the next check is not due
-            (0.75, 0.5, 0.125, False),  # 0.625 CPU seconds in 0.5 s
-            (1.0, 0.5, 0.625, True),
-        ]:
-            clock.update(wall=10.0 + wall, cpu=4.0 + cpu)
-            ring._helper_cpu = helper_cpu
-            assert ring._helper_pays() is pays, wall
 
     @staticmethod
     def _fail_at_sweep(monkeypatch, sweep, exc):

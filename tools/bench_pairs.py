@@ -12,7 +12,10 @@ CPUs and about 2 while it grants one, so the time metrics of a pair can be
 read against the CPUs the host gave it.  Only `bench/run.py` of each tree is
 run; nothing under `bench/` is changed.  The output is one JSON object with
 every run, every probe, and per metric the medians, quartiles, the parent's
-interquartile range and the number of pairs the change won.
+interquartile range and the number of pairs the change won, over all pairs
+and again over the pairs whose probe read two CPUs and those that read one.
+A run that is not correct or that failed an operation is refused: no
+medians are written.
 
     python3 tools/bench_pairs.py --probe
 
@@ -47,6 +50,9 @@ print(time.perf_counter() - start, flush=True)
 """
 METRICS = ("setup_s", "total_s", "sweeps_per_s", "peak_rss_mb")
 LOWER_IS_BETTER = {"setup_s": True, "total_s": True, "sweeps_per_s": False, "peak_rss_mb": True}
+# A probe's side/alone ratio at or above this reads as one CPU granted: it
+# lies between the ~1 of two CPUs and the ~2 of one.
+ONE_CPU_RATIO = 1.5
 
 
 def _fill_seconds(count: int) -> list[float]:
@@ -94,6 +100,17 @@ def _quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict]) -> dict:
+    """Per metric: medians, quartiles, the parent's IQR and the pairs the change won.
+
+    Ties count for neither side.  Raises ValueError, naming the pair and the
+    side, if any run is not correct or failed an operation.
+    """
+    for p in pairs:
+        for side in ("parent", "change"):
+            run = p[side]
+            if not run["correct"] or run["failed"] > 0:
+                raise ValueError(f"pair {p['pair']}, {side}: correct={run['correct']}, "
+                                 f"failed={run['failed']} of {run['attempted']}")
     metrics = {}
     for name in METRICS:
         parent = [p["parent"][name] for p in pairs]
@@ -109,6 +126,18 @@ def summarize(pairs: list[dict]) -> dict:
             "change_better_in": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         }
     return metrics
+
+
+def by_cpu_grant(pairs: list[dict]) -> dict:
+    """The pairs whose probe read two CPUs granted and those that read one, with
+    summarize() of each group of at least two pairs."""
+    groups = {"two_cpus": [], "one_cpu": []}
+    for p in pairs:
+        one = p["cpu_probe"]["side_over_alone"] >= ONE_CPU_RATIO
+        groups["one_cpu" if one else "two_cpus"].append(p)
+    return {grant: {"pairs": [p["pair"] for p in group],
+                    **({"metrics": summarize(group)} if len(group) >= 2 else {})}
+            for grant, group in groups.items()}
 
 
 def main() -> int:
@@ -137,7 +166,7 @@ def main() -> int:
         print(json.dumps(pair), file=sys.stderr, flush=True)
     result = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "pairs": args.pairs, "order": "odd pairs parent first, even pairs change first",
-              "metrics": summarize(pairs), "runs": pairs}
+              "metrics": summarize(pairs), "by_cpu_grant": by_cpu_grant(pairs), "runs": pairs}
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
     return 0
