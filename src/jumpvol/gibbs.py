@@ -32,10 +32,13 @@ would not change it: the sums equal those of the whole paths bit for bit.
 The credibility bands equal numpy's linear 2.5% and 97.5% quantiles of
 every float32 variance-scale draw, bit for bit.  Those quantiles read only
 the k = 2.5% of draws (plus two) that are smallest and largest at each t,
-so a chain keeps those in a buffer of at most 3k + 32 rows: 52 rows in
-place of 350 draws at n = 6,241.  run_chain forms the summary only after
-the sweeps (_run_sweeps) return and their workspace and variate slots are
-freed, so the summary's arrays do not add to them at the chain's peak.
+so a chain keeps those in a buffer of at most 3k + 16 rows: 36 rows in
+place of 350 draws at n = 6,241.  A trim sorts each column on the int32
+view of its float32 values, which are positive or +0 (+inf among them,
+never NaN): their bit patterns order as int32 exactly as the values do.
+run_chain forms the summary only after the sweeps (_run_sweeps) return and
+their workspace and variate slots are freed, so the summary's arrays do
+not add to them at the chain's peak.
 
 Chains never share mutable state; a chain's output depends only on (seed,
 chain_id).  run_multi runs them one after another on the calling thread: a
@@ -103,16 +106,19 @@ finiteness of the filtered rates and of each retained log-likelihood.
 
 The kernels take the arrays that several stages share and write into
 arrays they are given.  Each chain allocates, once, a workspace of every
-n-length array a sweep touches:
+n-length array a sweep touches, and then lets go of its initial LatentPath:
+the workspace holds the whole state.
 
     array      holds                 written by            read by
     precision  lambda path           backward_sample       mixture path, weights
     mixture    gamma path            sample_mixture_path   filter, weights
-    jump_size  xi path (short        sample_jump_sizes     jump mean/variance, indicators
-               series only)
+    jump_size  xi path (jump fits    sample_jump_sizes     jump mean/variance, indicators
+               under _SPARSE_MIN_N
+               points only)
     declared   N path (bool)         apply_jump_threshold  jumps, next jump mean/var, jump_prob
-    probs      P(N_t = 1), xi_t      jump_indicator_       the accumulator (retained sweeps)
-               integrated out        posterior
+    probs      P(N_t = 1), xi_t      jump_indicator_       the accumulator (retained sweeps);
+               integrated out: the   posterior             zeros on a no-jump fit
+               first n of scan
     jumps      jump_size * declared  the indicators        resid, shifted, log-likelihood
     centered   y - mu                the mu draw           jump sizes, indicators, probs
     resid      centered - jumps      the mu draw           filter, mixture path
@@ -120,8 +126,10 @@ n-length array a sweep touches:
                                                            indicators, probs, log-likelihood
     shifted    y - jumps             the indicators        the next mu draw, log-likelihood
     rates      b, padded for a scan  forward_filter        backward_sample
-    scan       padded scratch        forward_filter (its carries), backward_sample
-    work       two float scratches   mu draw, jump sizes, indicators, probs, log-likelihood;
+    scan       padded scratch        forward_filter (its carries), backward_sample;
+                                     then probs on a retained sweep of a jump fit
+    work       two float scratches   mu draw, jump sizes, indicators, probs, log-likelihood,
+                                     the accumulator (1 / precision and its root);
                work[0] also holds the indicators' log-odds for the threshold
 
 The jump block of a long series keeps the candidates' entries at the
@@ -138,11 +146,12 @@ where z_t lies within rounding of logit(threshold)).  Every scratch is
 read only by the stage that wrote it.  A retained draw reads precision,
 mixture, declared, probs and jumps (the kept jump_size rows are the jumps
 xi N): the accumulator's jump counts and the kept jump_ind rows stay int64
-and take declared as 0 and 1, and the accumulator keeps 1 / precision and
-its square root in two arrays of its own.  Every array is computed with the
-operations, in the order, that the public function of its stage uses, so
-the sweep draws bit for bit what the public functions (which allocate
-these arrays) draw when called in the order above.
+and take declared as 0 and 1, and the accumulator forms 1 / precision and
+its square root in work, after the log-likelihood has read work[0].  Every
+array is computed with the operations, in the order, that the public
+function of its stage uses, so the sweep draws bit for bit what the public
+functions (which allocate these arrays) draw when called in the order
+above.
 """
 
 from __future__ import annotations
@@ -191,10 +200,13 @@ _MAX_UINT64 = 2**64
 _BAND_QUANTILES = np.array([0.025, 0.975])
 # Fewest rows the band buffer takes between two trims.  A trim sorts the
 # whole buffer, so batches of max(_BAND_BATCH, tail rows) keep the total
-# sorting work linear in the number of draws.  With 32, a 200-draw chain's
-# buffer is 44 rows (0.88 MB at n = 5,000, against 76 rows with 64), and
-# sorting takes 2-5 us more per kept draw at n = 5,000-6,241 (timeit).
-_BAND_BATCH = 32
+# sorting work linear in the number of draws.  With 16, a 200-draw chain's
+# buffer is 28 rows (0.56 MB at n = 5,000, against 44 rows with 32 and 76
+# with 64).  Sorting the int32 view took 267 us for those 28 rows against
+# 576 us for 44 float32 rows (timeit), so trimming twice as often costs
+# about the same per kept draw there (36 us); at n = 6,241 with 350 draws
+# (36 rows against 52) a kept draw costs 6-10 us more.
+_BAND_BATCH = 16
 # Shortest series whose standard variates a helper thread draws (see
 # _VariateRing).  The helper's memory (a second slot and the thread) does
 # not shrink with n, but its gain does: forced on for the 252-point fits of
@@ -353,22 +365,24 @@ class _LatentAccumulator:
         self.sum_ind = np.zeros(n, dtype=np.int64)
         self.sum_var = np.zeros(n)
         self.sum_sd = np.zeros(n)
-        self.inv, self.sd = np.empty(n), np.empty(n)
         self.keep = _tail_rows(n_draws)
         rows = min(n_draws, 2 * self.keep + max(_BAND_BATCH, self.keep))
         self.tails = np.empty((rows, n), dtype=np.float32)
         self.fill = 0
 
-    def add(self, precision, mixture, at, sizes, probs) -> None:
-        """Add one retained draw whose jumps are declared at the distinct times at, of sizes."""
-        inv = np.divide(1.0, precision, out=self.inv)
+    def add(self, precision, mixture, at, sizes, probs, work) -> None:
+        """Add one retained draw whose jumps are declared at the distinct times at, of sizes.
+
+        work is two n-length float scratches, for 1 / precision and its root.
+        """
+        inv = np.divide(1.0, precision, out=work[0])
         self.sum_precision += precision
         self.sum_mixture += mixture
         self.sum_jump[at] += sizes
         self.sum_prob += probs
         self.sum_ind[at] += 1
         self.sum_var += inv
-        self.sum_sd += np.sqrt(inv, out=self.sd)
+        self.sum_sd += np.sqrt(inv, out=work[1])
         if self.fill == len(self.tails):
             rows = self._sort_tails()
             rows[self.keep:2 * self.keep] = rows[-self.keep:]
@@ -379,7 +393,10 @@ class _LatentAccumulator:
 
     def _sort_tails(self) -> np.ndarray:
         rows = self.tails[:self.fill]
-        rows.sort(axis=0)
+        # Every value is positive or +0 (+inf among them, never NaN), and the
+        # bit patterns of such float32 values order as int32 exactly as the
+        # values do: the int32 sort puts the same bits where the float one would.
+        rows.view(np.int32).sort(axis=0)
         return rows
 
     def _bands(self) -> np.ndarray:
@@ -552,28 +569,32 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     jump_var = params0.jump_var
     priors = cfg.priors
     # The workspace: every n-length array a sweep touches (see the module notes).
+    sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
+    dense = cfg.jumps_enabled and not sparse
     precision = np.array(path0.precision, dtype=float)
     mixture = np.array(path0.mixture, dtype=float)
-    jump_size = np.array(path0.jump_size, dtype=float)
+    jump_size = np.array(path0.jump_size, dtype=float) if dense else None  # the dense block's xi
     declared = path0.jump_ind == 1
-    jumps = jump_size * declared
-    probs = np.zeros(n)
+    jumps = path0.jump_size * declared
+    observed = path0.jump_size[declared]
+    del path0  # the workspace holds the whole state from here on
     centered, resid = np.empty(n), np.empty(n)
     weights = mixture * precision
     shifted = y_arr - jumps
     work = (np.empty(n), np.empty(n))
-    observed = jump_size[declared]
     logit_c = _logit(cfg.jump_threshold)
     plan = discount_plan(cfg.omega, cfg.a0, n)
     rates, scan = np.empty(1 + plan.neg.size), np.empty(plan.neg.size)
+    # A kept sweep of a jump fit forms the probabilities in scan, free from
+    # backward_sample to the next forward_filter; a no-jump fit adds zeros.
+    probs = scan[:n] if cfg.jumps_enabled else np.zeros(n)
 
     # Each sweep reads one row of each slot array (see the module notes):
     # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
     # points or more, the jump sizes' normals come from rng.jump_normals at
     # the candidates instead.
-    sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
     tail = n - 1 - plan.head
-    n_normals = tail + (n if cfg.jumps_enabled and not sparse else 0)
+    n_normals = tail + (n if dense else 0)
     helper = _helper_runs(n)
     chunk = max(1, min(spec.iterations, _CHUNK_VARIATES * (2 if helper else 1)
                        // (plan.head + n + n_normals)))
@@ -647,7 +668,7 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
                 for name, column in draws.items():
                     column[idx] = row[name]
                 acc.add(precision, mixture, found_jumps if sparse else np.flatnonzero(declared),
-                        observed, probs)
+                        observed, probs, work)
                 if kept is not None:
                     path = dict(precision=precision, mixture=mixture, jump_size=jumps,
                                 jump_ind=declared)

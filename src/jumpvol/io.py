@@ -24,6 +24,7 @@ input, so _load_columns hands every such file back to it (see there).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -144,11 +145,11 @@ def to_json17(obj, indent: int = 0) -> str:
 def _csv_rows(path):
     """A CSV reader over a UTF-8 file, read as the rows are taken.
 
-    A file that cannot be read or decoded is a data error, wherever the
-    reading stops.
+    A leading byte-order mark (Excel's "CSV UTF-8") is skipped.  A file that
+    cannot be read or decoded is a data error, wherever the reading stops.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield csv.reader(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
@@ -173,7 +174,8 @@ def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
 def _load_columns(path: Path, header, ints) -> Optional[dict[str, np.ndarray]]:
     """The columns of path as np.loadtxt parses them, or None where the scanner must decide.
 
-    numpy is given only files of _LOADTXT_BYTES, and reads the data lines
+    numpy is given only files of _LOADTXT_BYTES after an optional leading
+    byte-order mark, which the header read skips, and reads the data lines
     from the handle the csv module read the header from, so both split the
     lines alike (given a path, numpy would pick its opener by the suffix
     and decompress a .gz).  Each cell it then parses, float() or int()
@@ -186,10 +188,12 @@ def _load_columns(path: Path, header, ints) -> Optional[dict[str, np.ndarray]]:
     """
     try:
         with open(path, "rb") as fh:
+            if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                fh.seek(0)
             while block := fh.read(1 << 16):
                 if block.translate(None, _LOADTXT_BYTES):
                     return None
-        with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        with open(path, encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             reader = csv.reader(fh)
             names = next(reader, None)
@@ -278,9 +282,10 @@ def ingest_csv(path, mode: str) -> ReturnsSeries:
     """Read a returns or price CSV into a ReturnsSeries.
 
     Expects a UTF-8 file with a header row holding ``timestamp,price``
-    (mode "prices") or ``timestamp,log_return_pct`` (mode "returns").  In
-    returns mode the ``t,return`` columns of a ``simulate`` output file are
-    accepted too.  Parse failures report the offending line number.
+    (mode "prices") or ``timestamp,log_return_pct`` (mode "returns"); a
+    leading byte-order mark is skipped.  In returns mode the ``t,return``
+    columns of a ``simulate`` output file are accepted too.  Parse failures
+    report the offending line number.
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -480,12 +485,13 @@ def read_report_json(path) -> dict:
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file.
 
-    Blank lines and '#' comments are ignored.  Values stay strings; the
-    CLI coerces them with the same rules as the matching flags.
+    Blank lines and '#' comments are ignored, and so is a leading UTF-8
+    byte-order mark.  Values stay strings; the CLI coerces them with the
+    same rules as the matching flags.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}

@@ -585,25 +585,27 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
 
 def test_chain_peak_memory():
     """run_chain's traced peak at n = 5,000 (200 kept draws, helper off) stays
-    below 2.5 MB.  The largest scratch is the band buffer (44 float32 rows,
-    0.88 MB) and the variate slot (256 kB); the summary is formed after the
-    sweeps' workspace and slot are freed.  Measured 2.26 MB, against 3.57 MB
-    with 64-row band batches, 512 kB slots and the summary formed beside the
-    workspace."""
+    at most 1.8 MB above its start.  The largest scratch is the band buffer
+    (28 float32 rows, 0.56 MB) and the variate slot (256 kB); the chain
+    holds no initial path, probabilities, accumulator scratch or (on the
+    candidates' jump block) xi path beside its workspace, and forms the
+    summary after the sweeps' workspace and slot are freed.  Measured 1.62
+    MB, against 2.26 MB with 32-row band batches and those four arrays."""
     n = 5000
     y = jv.simulate(jv.SimConfig(n=n, seed=8)).returns.returns
     cfg = jv.default_config()
     engine.discount_plan(cfg.omega, cfg.a0, n)  # the shared plan is cached: not the chain's
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         with pytest.MonkeyPatch.context() as m:
             _force_helper(m, False)
             out = jv.run_chain(y, cfg, jv.RunSpec(iterations=400, burn_in=200, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert out.n_draws == 200 and out.latent.freq_jump.any()
-    assert peak < 2.5e6
+    assert peak <= 1.8e6
 
 
 def _force_helper(monkeypatch, on: bool, chunk_variates=None):
@@ -669,9 +671,9 @@ def test_helper_thread_changes_no_draw(n, omega, jumps_enabled, monkeypatch):
 def test_band_batch_and_chunk_size_change_no_draw(n, jumps_enabled, n_chains, helper,
                                                   monkeypatch):
     """The band buffer's batch and the variate slots' size set only how much
-    scratch a chain holds: with 32-row batches and 2^15-variate chunks a fit
-    draws, keeps and summarizes what it does with 64 rows and 2^16 variates.
-    200 kept draws trim the buffer several times either way."""
+    scratch a chain holds: with 16-row or 32-row batches and 2^15-variate
+    chunks a fit draws, keeps and summarizes what it does with 64 rows and
+    2^16 variates.  200 kept draws trim the buffer several times each way."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(jumps_enabled=jumps_enabled)
     spec = jv.RunSpec(iterations=250, burn_in=50, n_chains=n_chains, seed=8,
@@ -684,17 +686,19 @@ def test_band_batch_and_chunk_size_change_no_draw(n, jumps_enabled, n_chains, he
             m.setattr(engine, "_CHUNK_VARIATES", chunk_variates)
             return jv.run_multi(y, cfg, spec)
 
-    small, large = run(32, 2**15), run(64, 2**16)
-    for got, want in zip(small, large, strict=True):
-        for name, column in want.draws.items():
-            np.testing.assert_array_equal(got.draws[name], column, err_msg=name)
-        for field in dataclasses.fields(want.latent):
-            np.testing.assert_array_equal(getattr(got.latent, field.name),
-                                          getattr(want.latent, field.name), err_msg=field.name)
-        for name, rows in want.latent_draws.items():
-            np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
+    large = run(64, 2**16)
+    for small in (run(16, 2**15), run(32, 2**15)):
+        for got, want in zip(small, large, strict=True):
+            for name, column in want.draws.items():
+                np.testing.assert_array_equal(got.draws[name], column, err_msg=name)
+            for field in dataclasses.fields(want.latent):
+                np.testing.assert_array_equal(getattr(got.latent, field.name),
+                                              getattr(want.latent, field.name),
+                                              err_msg=field.name)
+            for name, rows in want.latent_draws.items():
+                np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
     if jumps_enabled:
-        assert any(chain.latent_draws["jump_ind"].any() for chain in small)
+        assert any(chain.latent_draws["jump_ind"].any() for chain in large)
 
 
 @pytest.mark.parametrize("n", [252, 1200])
@@ -1029,27 +1033,42 @@ def _band_edge_counts(band_batch):
     return [m for m in range(1, 500) if abs(m - rows(m)) <= 1]
 
 
-# The edges of the present batch, and of the 64-row batch that
+# The edges of the present batch, and of the 32-row and 64-row batches that
 # test_band_batch_and_chunk_size_change_no_draw checks against.
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 41, *_band_edge_counts(engine._BAND_BATCH),
-                               *_band_edge_counts(64), 350, 1000,
-                               1300, 1301, 2050, 4001])
+@pytest.mark.parametrize("m", sorted({1, 2, 3, 4, 9, 41, *_band_edge_counts(engine._BAND_BATCH),
+                                      *_band_edge_counts(32), *_band_edge_counts(64), 350, 1000,
+                                      1300, 1301, 2050, 4001}))
 def test_accumulator_bands_equal_numpy_quantiles(m):
     """The bands equal numpy's quantiles for any draw count: past 1,300 draws
     the tails keep more rows than a batch, and the buffer takes `keep` rows
-    between two trims."""
+    between two trims.  The trims sort int32 keys; column 6 puts float32 +0,
+    subnormals, the largest finite values and +inf near both bands, where a
+    key that ordered otherwise than its value would move a band."""
     gen = np.random.default_rng(m)
-    precision = gen.lognormal(0.0, 1.0, (m, 6))
+    precision = gen.lognormal(0.0, 1.0, (m, 7))
     precision[:, 1] = np.round(precision[:, 1], 1) + 0.1  # ties
     precision[:, 2] = np.linspace(1.0, 5.0, m)            # extremes arrive last
     precision[:, 3] = np.linspace(5.0, 1.0, m)            # ... and first
     precision[:, 4] = 2.0
-    acc = engine._LatentAccumulator(6, m)
-    zeros = np.zeros(6)
-    for row in precision:
-        acc.add(row, zeros, np.array([], dtype=np.intp), np.array([]), zeros)
+    # Column 6's 1/precision by rank: 2% each round in float32 to +0, to
+    # subnormals, to the largest finite values and to +inf, so the bands read
+    # subnormals and large values with +0 and +inf in the trims beside them.
+    rank = gen.permutation(m) / m
+    precision[:, 6] = 1.0 / np.select(
+        [rank < 0.02, rank < 0.04, rank < 0.96, rank < 0.98],
+        [1e-300, gen.choice([1e-45, 1e-42, 1e-40, 1e-39], m), precision[:, 6],
+         gen.choice([1e38, 3e38], m)], 1e300)
+    acc = engine._LatentAccumulator(7, m)
+    zeros, work = np.zeros(7), (np.empty(7), np.empty(7))
+    with np.errstate(over="ignore"):  # 1e300 becomes +inf in float32
+        for row in precision:
+            acc.add(row, zeros, np.array([], dtype=np.intp), np.array([]), zeros, work)
+        draws = (1.0 / precision).astype(np.float32)
     got = acc.summary()
-    want = np.quantile((1.0 / precision).astype(np.float32), [0.025, 0.975], axis=0)
+    want = np.quantile(draws, [0.025, 0.975], axis=0)
+    if m >= 350:
+        assert {0.0, np.inf} <= set(draws[:, 6]) and 0.0 < want[0, 6] < np.finfo(np.float32).tiny
+        assert want[1, 6] > 1e37
     assert got.var_lo95.dtype == want.dtype
     np.testing.assert_array_equal(got.var_lo95, want[0])
     np.testing.assert_array_equal(got.var_hi95, want[1])
@@ -1069,7 +1088,7 @@ def test_accumulator_jump_sums_equal_dense_path_sums(m):
     gen = np.random.default_rng(m)
     acc = engine._LatentAccumulator(n, m)
     sum_jump, sum_ind = np.zeros(n), np.zeros(n, dtype=np.int64)
-    ones = np.ones(n)
+    ones, work = np.ones(n), (np.empty(n), np.empty(n))
     for _ in range(m):
         declared = gen.random(n) < 0.3
         declared[:2] = True, False  # one time always a jump, one never
@@ -1078,7 +1097,7 @@ def test_accumulator_jump_sums_equal_dense_path_sums(m):
         sum_jump += jumps
         sum_ind += declared
         at = np.flatnonzero(declared)
-        acc.add(ones, ones, at, sizes[at], np.zeros(n))
+        acc.add(ones, ones, at, sizes[at], np.zeros(n), work)
     assert np.any((jumps == 0) & np.signbit(jumps)) and not np.signbit(sum_jump[1])
     got = acc.summary()
     np.testing.assert_array_equal(got.mean_jump, sum_jump / m)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import os
@@ -14,6 +15,12 @@ import jumpvol as jv
 from jumpvol import io as jio
 from jumpvol.cli import main
 from jumpvol.errors import DataFormatError, ParameterError
+
+
+def _bom_copy(src, dst):
+    """dst: src's bytes after a UTF-8 byte-order mark, as Excel's "CSV UTF-8" saves them."""
+    dst.write_bytes(codecs.BOM_UTF8 + src.read_bytes())
+    return dst
 
 
 def write_returns_csv(path, values, timestamps=None):
@@ -372,6 +379,14 @@ class TestColumnReaders:
             assert [dtype for _, dtype, _ in got] == [
                 np.int64 if name in ints else np.float64 for name, _, _ in got]
 
+    def test_byte_order_mark_is_skipped_by_both_readers(self, written, tmp_path):
+        for path, header, ints in written:
+            bom = _bom_copy(path, tmp_path / path.name)
+            assert jio._load_columns(bom, header, ints) is not None, path.name
+            want = _read_outcome(jio._read_columns, path, header, ints)
+            assert _read_outcome(jio._read_columns, bom, header, ints) == want, path.name
+            assert _read_outcome(jio._scan_columns, bom, header, ints) == want, path.name
+
     @pytest.mark.parametrize("text", [
         "\n".join(_ROWS[:2] + [""] + _ROWS[2:]) + "\n",
         "\n".join(_ROWS + ["1,2,3#4,-1"]) + "\n",
@@ -612,6 +627,49 @@ class TestCliFit:
         ]) == 2
         assert main(["fit"]) == 2  # missing required flag
         assert main(["not-a-command"]) == 2
+
+
+class TestCliByteOrderMark:
+    """Input, config and fit files saved with a leading UTF-8 byte-order mark
+    give the outputs of the same files without it."""
+
+    _FIT = ["fit", "--iterations", "30", "--burn-in", "10", "--seed", "5"]
+
+    def test_fit_input(self, tmp_path, returns_file):
+        bom = _bom_copy(returns_file, tmp_path / "bom.csv")
+        for name, path in (("plain", returns_file), ("bom", bom)):
+            assert main([*self._FIT, "--input", str(path),
+                         "--output-dir", str(tmp_path / name)]) == 0
+        for name in ("draws.csv", "latent_summary.csv", "report.json"):
+            assert (tmp_path / "bom" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
+
+    def test_fit_config(self, tmp_path, returns_file):
+        plain = tmp_path / "run.cfg"
+        plain.write_text("omega = 0.8\njump_prob_prior_a = 3\n", encoding="utf-8")
+        bom = _bom_copy(plain, tmp_path / "bom.cfg")
+        assert jio.read_config_file(bom) == jio.read_config_file(plain)
+        for name, path in (("plain", plain), ("bom", bom)):
+            assert main([*self._FIT, "--input", str(returns_file), "--config", str(path),
+                         "--output-dir", str(tmp_path / name)]) == 0
+        report = (tmp_path / "bom" / "report.json").read_bytes()
+        assert report == (tmp_path / "plain" / "report.json").read_bytes()
+        assert jio.read_report_json(tmp_path / "bom" / "report.json")["model"]["omega"] == 0.8
+
+    def test_diagnose_input(self, tmp_path, returns_file):
+        fit = tmp_path / "fit"
+        assert main([*self._FIT, "--input", str(returns_file), "--output-dir", str(fit)]) == 0
+        bom = {name: _bom_copy(path, tmp_path / f"bom_{name}")
+               for name, path in (("returns.csv", returns_file), ("draws.csv", fit / "draws.csv"),
+                                  ("latent_summary.csv", fit / "latent_summary.csv"))}
+        plain = {"returns.csv": returns_file, "draws.csv": fit / "draws.csv",
+                 "latent_summary.csv": fit / "latent_summary.csv"}
+        for name, files in (("plain", plain), ("bom", bom)):
+            assert main(["diagnose", "--draws", str(files["draws.csv"]),
+                         "--input", str(files["returns.csv"]),
+                         "--latent-summary", str(files["latent_summary.csv"]),
+                         "--output", str(tmp_path / f"{name}.json")]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 class TestCliSimulate:
