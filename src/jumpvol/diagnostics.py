@@ -73,16 +73,22 @@ def conditional_log_lik(y, mu: float, jumps, precision, mixture) -> float:
     return _conditional_log_lik(y_arr - jumps_arr, mu, weights, np.empty(y_arr.size))
 
 
-def _conditional_log_lik(shifted, mu, weights, work) -> float:
+def _conditional_log_lik(shifted, mu, weights, work):
     """Unchecked kernel of :func:`conditional_log_lik`, shifted = y - jumps and weights =
     mixture * precision: -(n log 2 pi + sum w (shifted - mu)^2 - sum log w) / 2.  The sums
-    are np.add.reduce, not a BLAS dot, whose order may change with the CPUs it uses."""
+    are np.add.reduce, not a BLAS dot, whose order may change with the CPUs it uses.
+
+    The arrays are n-length with a float mu, giving a float, or (K, n) blocks of
+    K draws with mu a (K, 1) column, giving the K log-likelihoods; each row sums
+    as an n-length array does.  work is scratch and may be shifted.
+    """
     np.subtract(shifted, mu, out=work)
     np.square(work, out=work)
     work *= weights
-    quad = float(np.add.reduce(work))
-    log_w = float(np.add.reduce(np.log(weights, out=work)))
-    return -0.5 * (shifted.size * LOG_TWO_PI + quad - log_w)
+    quad = np.add.reduce(work, axis=-1)
+    log_w = np.add.reduce(np.log(weights, out=work), axis=-1)
+    log_lik = -0.5 * (shifted.shape[-1] * LOG_TWO_PI + quad - log_w)
+    return log_lik if log_lik.ndim else float(log_lik)
 
 
 def compute_bic(log_lik_hat: float, k: int, n: int) -> float:

@@ -29,6 +29,41 @@ added only at the declared jumps, about 1% of t: the candidates' block of a
 long fit has their times at hand.  Everywhere else both terms are zero, and
 a sum that starts at +0.0 never holds -0.0, so adding a zero of either sign
 would not change it: the sums equal those of the whole paths bit for bit.
+
+On short series each numpy call costs about 1 us whatever its size, so
+retained draws are summarized a block at a time (_RetainedBlock).  A block
+holds K = _BLOCK_VALUES // (6 n) draws, at least 1 and at most the chain's
+draws: 21 at n = 252, 5 at n = 1,000 and 1 from n = 2,731 up.  Its arrays
+are the accumulator's five (K + 1, n) arrays, precision, mixture, prob,
+var and sd, and a (K, n) array of shifted paths: six rows a draw, so the
+block adds at most 6 (K - 1) n <= _BLOCK_VALUES values (256 kB) to the
+chain.  Row 0 of each of the five holds a running sum.  The last rows are
+the sweep's workspace: precision, mixture, centered (prob's), the two work
+scratches (var's and sd's) and shifted.  A retained sweep records its
+scalars (iteration, mu, jump_prob, jump_mean, jump_var) and its declared
+times and sizes, and copies its precision, mixture, centered and shifted
+paths into the block's next rows, except into the last one, which they
+already are: a block of one copies nothing.  When the block is full, and
+after the last sweep, flush() runs on all its rows at once:
+
+    1. weights = mixture * precision, in var's rows;
+    2. the log-likelihoods (scratch: sd's rows) and their finiteness check;
+    3. P(N_t = 1) from the centered rows into prob's rows, overwriting the
+       weights (log-odds: sd's rows); zeros on a no-jump fit;
+    4. the accumulator: 1 / precision into var's rows and its root into
+       sd's, then one np.add.reduce along the draws axis of the five
+       arrays, which adds each array's rows to its row 0 one after another,
+       as adding each draw in turn would; np.add.at adds the jump sums over
+       the block's times in the order of its draws; the band buffer takes
+       the rows by slice and trims wherever it fills;
+    5. the draws table and the kept precision and mixture paths, by slice
+       (the kept jump paths are written at each retained sweep).
+
+The kernels take the block's (r, n) rows with a (r, 1) column per scalar;
+a block of one row runs them on n-length rows with float scalars.  A sweep
+that raises first flushes the pending block, so a retained sweep before it
+whose log-likelihood is not finite is the failure reported, as when each
+draw was summarized at once.
 The credibility bands equal numpy's linear 2.5% and 97.5% quantiles of
 every float32 variance-scale draw, bit for bit.  Those quantiles read only
 the k = 2.5% of draws (plus two) that are smallest and largest at each t,
@@ -37,8 +72,8 @@ place of 350 draws at n = 6,241.  A trim sorts each column on the int32
 view of its float32 values, which are positive or +0 (+inf among them,
 never NaN): their bit patterns order as int32 exactly as the values do.
 run_chain forms the summary only after the sweeps (_run_sweeps) return and
-their workspace and variate slots are freed, so the summary's arrays do
-not add to them at the chain's peak.
+their variate slots and the workspace arrays outside the block are freed,
+so the summary's arrays do not add to them at the chain's peak.
 
 Chains never share mutable state; a chain's output depends only on (seed,
 chain_id).  run_multi runs them one after another on the calling thread: a
@@ -107,29 +142,25 @@ finiteness of the filtered rates and of each retained log-likelihood.
 The kernels take the arrays that several stages share and write into
 arrays they are given.  Each chain allocates, once, a workspace of every
 n-length array a sweep touches, and then lets go of its initial LatentPath:
-the workspace holds the whole state.
+the workspace holds the whole state.  The arrays marked * are the last rows
+of the retained block's arrays.
 
     array      holds                 written by            read by
-    precision  lambda path           backward_sample       mixture path, weights
-    mixture    gamma path            sample_mixture_path   filter, weights
+    precision* lambda path           backward_sample       mixture path, weights, the block
+    mixture*   gamma path            sample_mixture_path   filter, weights, the block
     jump_size  xi path (jump fits    sample_jump_sizes     jump mean/variance, indicators
                under _SPARSE_MIN_N
                points only)
     declared   N path (bool)         apply_jump_threshold  jumps, next jump mean/var, jump_prob
-    probs      P(N_t = 1), xi_t      jump_indicator_       the accumulator (retained sweeps);
-               integrated out: the   posterior             zeros on a no-jump fit
-               first n of scan
-    jumps      jump_size * declared  the indicators        resid, shifted, log-likelihood
-    centered   y - mu                the mu draw           jump sizes, indicators, probs
+    jumps      jump_size * declared  the indicators        resid, shifted, kept jump paths
+    centered*  y - mu                the mu draw           jump sizes, indicators, the block
     resid      centered - jumps      the mu draw           filter, mixture path
     weights    mixture * precision   the mixture draw      the next mu draw, jump sizes,
-                                                           indicators, probs, log-likelihood
-    shifted    y - jumps             the indicators        the next mu draw, log-likelihood
+                                                           indicators
+    shifted*   y - jumps             the indicators        the next mu draw, the block
     rates      b, padded for a scan  forward_filter        backward_sample
-    scan       padded scratch        forward_filter (its carries), backward_sample;
-                                     then probs on a retained sweep of a jump fit
-    work       two float scratches   mu draw, jump sizes, indicators, probs, log-likelihood,
-                                     the accumulator (1 / precision and its root);
+    scan       padded scratch        forward_filter (its carries), backward_sample
+    work*      two float scratches   mu draw, jump sizes, indicators, then the block's flush;
                work[0] also holds the indicators' log-odds for the threshold
 
 The jump block of a long series keeps the candidates' entries at the
@@ -144,14 +175,12 @@ The threshold declares N_t = 1{z_t > logit(threshold)} on the log-odds
 z_t, the rule p_t > threshold without a logistic (the two disagree only
 where z_t lies within rounding of logit(threshold)).  Every scratch is
 read only by the stage that wrote it.  A retained draw reads precision,
-mixture, declared, probs and jumps (the kept jump_size rows are the jumps
-xi N): the accumulator's jump counts and the kept jump_ind rows stay int64
-and take declared as 0 and 1, and the accumulator forms 1 / precision and
-its square root in work, after the log-likelihood has read work[0].  Every
-array is computed with the operations, in the order, that the public
-function of its stage uses, so the sweep draws bit for bit what the public
-functions (which allocate these arrays) draw when called in the order
-above.
+mixture, centered, shifted, declared and jumps (the kept jump_size rows are
+the jumps xi N): the accumulator's jump counts and the kept jump_ind rows
+stay int64 and take declared as 0 and 1.  Every array is computed with the
+operations, in the order, that the public function of its stage uses, so
+the sweep draws bit for bit what the public functions (which allocate
+these arrays) draw when called in the order above.
 """
 
 from __future__ import annotations
@@ -232,6 +261,12 @@ _CANDIDATE_MARGIN = 1.0 - 1e-9
 # the helper ran, probably because the helper then hands over and takes the
 # lock twice as often.
 _CHUNK_VARIATES = 2**15
+# Float64 values of path rows that a chain's retained block adds to its
+# workspace (see the module notes): 256 kB, like an inline variate slot.
+_BLOCK_VALUES = 2**15
+# Paths a retained block keeps per draw: precision, mixture, shifted and
+# centered, and the scratch rows of 1 / precision and of its root.
+_BLOCK_PATHS = 6
 
 
 @dataclass(frozen=True)
@@ -347,8 +382,21 @@ def _tail_rows(n_draws: int) -> int:
     return int(max(lo + 2, n_draws - hi))
 
 
+def _block_rows(n: int, n_draws: int) -> int:
+    """Draws a chain's retained block holds: at least one, and no more than its draws."""
+    return max(1, min(n_draws, _BLOCK_VALUES // (_BLOCK_PATHS * n)))
+
+
 class _LatentAccumulator:
     """Running per-t summaries of the latent paths over n_draws retained draws.
+
+    Draws are added a block of up to `rows` at a time.  Five (rows + 1, n)
+    arrays, precision, mixture, prob, var and sd, hold a running sum in row 0
+    and the draws of a block in rows 1 to r: the caller writes the precision,
+    mixture and prob rows (P(N_t = 1)), and add() writes 1 / precision into var
+    and its root into sd.  The five are one array, so one np.add.reduce adds
+    every block's rows to its row 0; it adds them one after another, so each
+    sum equals the one that adds every draw in turn, bit for bit.
 
     Means use every draw.  For the bands, a float32 buffer holds the
     variance-scale draws.  When it is full, each column is sorted and only
@@ -356,40 +404,44 @@ class _LatentAccumulator:
     the band quantiles read is among them.
     """
 
-    def __init__(self, n: int, n_draws: int) -> None:
+    def __init__(self, n: int, n_draws: int, rows: int = 1) -> None:
         self.count = 0
-        self.sum_precision = np.zeros(n)
-        self.sum_mixture = np.zeros(n)
+        self._blocks = np.zeros((5, rows + 1, n))
+        self.precision, self.mixture, self.prob, self.var, self.sd = self._blocks
+        self._sums, self._first = self._blocks[:, 0], self._blocks[:, 1]
         self.sum_jump = np.zeros(n)
-        self.sum_prob = np.zeros(n)
         self.sum_ind = np.zeros(n, dtype=np.int64)
-        self.sum_var = np.zeros(n)
-        self.sum_sd = np.zeros(n)
         self.keep = _tail_rows(n_draws)
-        rows = min(n_draws, 2 * self.keep + max(_BAND_BATCH, self.keep))
-        self.tails = np.empty((rows, n), dtype=np.float32)
+        buffer_rows = min(n_draws, 2 * self.keep + max(_BAND_BATCH, self.keep))
+        self.tails = np.empty((buffer_rows, n), dtype=np.float32)
         self.fill = 0
 
-    def add(self, precision, mixture, at, sizes, probs, work) -> None:
-        """Add one retained draw whose jumps are declared at the distinct times at, of sizes.
+    def add(self, r: int, at, sizes) -> None:
+        """Add the draws in rows 1..r, whose jumps are declared at the times at, of sizes.
 
-        work is two n-length float scratches, for 1 / precision and its root.
+        at holds each draw's distinct times in turn, so np.add.at adds the
+        sizes at a time in the order of the draws.
         """
-        inv = np.divide(1.0, precision, out=work[0])
-        self.sum_precision += precision
-        self.sum_mixture += mixture
-        self.sum_jump[at] += sizes
-        self.sum_prob += probs
-        self.sum_ind[at] += 1
-        self.sum_var += inv
-        self.sum_sd += np.sqrt(inv, out=work[1])
-        if self.fill == len(self.tails):
-            rows = self._sort_tails()
-            rows[self.keep:2 * self.keep] = rows[-self.keep:]
-            self.fill = 2 * self.keep
-        self.tails[self.fill] = inv
-        self.fill += 1
-        self.count += 1
+        inv = np.divide(1.0, self.precision[1:r + 1], out=self.var[1:r + 1])
+        np.sqrt(inv, out=self.sd[1:r + 1])
+        if r == 1:
+            np.add(self._sums, self._first, out=self._sums)
+        else:
+            np.add.reduce(self._blocks[:, :r + 1], axis=1, out=self._sums)
+        if at.size:
+            np.add.at(self.sum_jump, at, sizes)
+            np.add.at(self.sum_ind, at, 1)
+        added = 0
+        while added < r:  # trimmed wherever the buffer fills, as draw by draw
+            if self.fill == len(self.tails):
+                kept = self._sort_tails()
+                kept[self.keep:2 * self.keep] = kept[-self.keep:]
+                self.fill = 2 * self.keep
+            rows = inv[added:added + len(self.tails) - self.fill]
+            self.tails[self.fill:self.fill + len(rows)] = rows
+            self.fill += len(rows)
+            added += len(rows)
+        self.count += r
 
     def _sort_tails(self) -> np.ndarray:
         rows = self.tails[:self.fill]
@@ -426,17 +478,17 @@ class _LatentAccumulator:
         m = self.count
         var_lo, var_hi = self._bands()
         return LatentSummary(
-            var_mean=self.sum_var / m,
+            var_mean=self.var[0] / m,
             var_lo95=var_lo,
             var_hi95=var_hi,
-            sd_mean=self.sum_sd / m,
+            sd_mean=self.sd[0] / m,
             sd_lo95=np.sqrt(var_lo),
             sd_hi95=np.sqrt(var_hi),
             mean_jump=self.sum_jump / m,
-            prob_jump=self.sum_prob / m,
+            prob_jump=self.prob[0] / m,
             freq_jump=self.sum_ind / m,
-            mean_precision=self.sum_precision / m,
-            mean_mixture=self.sum_mixture / m,
+            mean_precision=self.precision[0] / m,
+            mean_mixture=self.mixture[0] / m,
         )
 
 
@@ -525,6 +577,84 @@ class _VariateRing:
             self._thread = None
 
 
+class _RetainedBlock:
+    """The retained sweeps of a chain that are not yet summarized, up to acc's rows.
+
+    Draw r of a block (1 <= r <= rows) sits in row r of the accumulator's
+    arrays and in row r - 1 of shifted.  The last row of each array is the
+    sweep's workspace (see the module notes), so keep() copies the paths of
+    every draw but the last into its rows; a block of one row copies none.
+    flush() forms the block's log-likelihoods and jump probabilities and adds
+    the block to the accumulator, the draws table and the kept paths.
+    """
+
+    def __init__(self, y, acc: _LatentAccumulator, draws: dict, kept: Optional[dict],
+                 chain_id: int, jumps_enabled: bool) -> None:
+        self.rows = len(acc.precision) - 1
+        self.shifted = np.empty((self.rows, y.size))
+        self._y, self._acc, self._draws, self._kept = y, acc, draws, kept
+        self._chain_id, self._jumps = chain_id, jumps_enabled
+        self._scalars, self._at, self._sizes = [], [], []
+        self._idx = 0  # the draws row of the block's first draw
+
+    def keep(self, j: int, mu: float, jump_prob: float, jump_mean: float, jump_var: float,
+             at, sizes, jumps, declared) -> None:
+        """Keep sweep j, whose jumps are declared at the distinct times at, of sizes."""
+        acc, r = self._acc, len(self._scalars) + 1
+        if r < self.rows:
+            for block in (acc.precision, acc.mixture, acc.prob):
+                block[r] = block[-1]
+            self.shifted[r - 1] = self.shifted[-1]
+        self._scalars.append((j, mu, jump_prob, jump_mean, jump_var))
+        self._at.append(at)
+        self._sizes.append(sizes)
+        if self._kept is not None:
+            # The short series' jumps hold -0.0 where a negative size is not
+            # declared, so they are kept as they are, not rebuilt from at.
+            self._kept["jump_size"][self._idx + r - 1] = jumps
+            self._kept["jump_ind"][self._idx + r - 1] = declared
+        if r == self.rows:
+            self.flush()
+
+    def flush(self) -> None:
+        r = len(self._scalars)
+        if not r:
+            return
+        # A block of one row runs the kernels on n-length rows with float
+        # parameters: with a (1, n) block and (1, 1) columns its draw took
+        # about 5 us more at n = 252 and 15 us more at n = 5,000 (timeit).
+        if r == 1:
+            rows, paths, values = 1, 0, self._scalars[0]
+            mu, jump_prob, jump_mean, jump_var = values[1:]
+        else:
+            rows, paths, values = slice(1, r + 1), slice(0, r), np.array(self._scalars).T
+            mu, jump_prob, jump_mean, jump_var = values[1:, :, None]
+        at, sizes = np.concatenate(self._at), np.concatenate(self._sizes)
+        self._scalars, self._at, self._sizes = [], [], []
+        acc, first = self._acc, self._idx
+        weights = np.multiply(acc.mixture[rows], acc.precision[rows], out=acc.var[rows])
+        ll = conditional_log_lik(self.shifted[paths], mu, weights, acc.sd[rows])
+        finite = np.isfinite(ll)
+        if not finite.all():
+            raise NumericalError(f"chain {self._chain_id}: non-finite log-likelihood at "
+                                 f"iteration {int(np.atleast_1d(values[0])[np.argmin(finite)])}")
+        probs = acc.prob[rows]  # the block's centered paths, y - mu, until here
+        if self._jumps:
+            jump_indicator_posterior(weights, probs, jump_mean, jump_var, jump_prob, probs,
+                                     acc.sd[rows])
+        else:
+            probs.fill(0.0)
+        if self._kept is not None:
+            self._kept["precision"][first:first + r] = acc.precision[rows]
+            self._kept["mixture"][first:first + r] = acc.mixture[rows]
+        acc.add(r, at, sizes)
+        columns = dict(zip(("iteration", *STATIC_NAMES), values), chain=self._chain_id,
+                       log_lik=ll)
+        for name, column in self._draws.items():
+            column[first:first + r] = columns[name]
+        self._idx += r
+
+
 def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOutput:
     """Run one chain and return its thinned draws.
 
@@ -542,7 +672,7 @@ def run_chain(y, cfg: ModelConfig, spec: RunSpec, chain_id: int = 0) -> ChainOut
         raise ParameterError(f"chain_id must be a non-negative integer, got {chain_id}")
 
     n_ret = spec.n_retained
-    acc = _LatentAccumulator(n, n_ret)
+    acc = _LatentAccumulator(n, n_ret, _block_rows(n, n_ret))
     static = STATIC_NAMES if cfg.jumps_enabled else STATIC_NAMES[:1]
     draws = {
         "chain": np.empty(n_ret, dtype=np.int64),
@@ -568,26 +698,27 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     jump_mean = params0.jump_mean
     jump_var = params0.jump_var
     priors = cfg.priors
-    # The workspace: every n-length array a sweep touches (see the module notes).
+    # The workspace: every n-length array a sweep touches (see the module
+    # notes), six of them the last rows of the retained block's arrays.
+    block = _RetainedBlock(y_arr, acc, draws, kept, chain_id, cfg.jumps_enabled)
     sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
     dense = cfg.jumps_enabled and not sparse
-    precision = np.array(path0.precision, dtype=float)
-    mixture = np.array(path0.mixture, dtype=float)
+    precision, mixture, centered = acc.precision[-1], acc.mixture[-1], acc.prob[-1]
+    work, shifted = (acc.var[-1], acc.sd[-1]), block.shifted[-1]
+    precision[:] = path0.precision
+    mixture[:] = path0.mixture
     jump_size = np.array(path0.jump_size, dtype=float) if dense else None  # the dense block's xi
     declared = path0.jump_ind == 1
     jumps = path0.jump_size * declared
     observed = path0.jump_size[declared]
+    found_jumps = np.flatnonzero(declared)
     del path0  # the workspace holds the whole state from here on
-    centered, resid = np.empty(n), np.empty(n)
+    resid = np.empty(n)
     weights = mixture * precision
-    shifted = y_arr - jumps
-    work = (np.empty(n), np.empty(n))
+    np.subtract(y_arr, jumps, out=shifted)
     logit_c = _logit(cfg.jump_threshold)
     plan = discount_plan(cfg.omega, cfg.a0, n)
     rates, scan = np.empty(1 + plan.neg.size), np.empty(plan.neg.size)
-    # A kept sweep of a jump fit forms the probabilities in scan, free from
-    # backward_sample to the next forward_filter; a no-jump fit adds zeros.
-    probs = scan[:n] if cfg.jumps_enabled else np.zeros(n)
 
     # Each sweep reads one row of each slot array (see the module notes):
     # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
@@ -602,7 +733,6 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
                         -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
 
-    idx = 0
     try:
         for j in range(1, spec.iterations + 1):
             i = (j - 1) % chunk
@@ -655,26 +785,18 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
                 ) from exc
 
             if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
-                if cfg.jumps_enabled:
-                    jump_indicator_posterior(weights, centered, jump_mean, jump_var, jump_prob,
-                                             probs, work)
-                ll = conditional_log_lik(shifted, mu, weights, work[0])
-                if not math.isfinite(ll):
-                    raise NumericalError(
-                        f"chain {chain_id}: non-finite log-likelihood at iteration {j}"
-                    )
-                row = dict(chain=chain_id, iteration=j, mu=mu, jump_prob=jump_prob,
-                           jump_mean=jump_mean, jump_var=jump_var, log_lik=ll)
-                for name, column in draws.items():
-                    column[idx] = row[name]
-                acc.add(precision, mixture, found_jumps if sparse else np.flatnonzero(declared),
-                        observed, probs, work)
-                if kept is not None:
-                    path = dict(precision=precision, mixture=mixture, jump_size=jumps,
-                                jump_ind=declared)
-                    for name, rows in kept.items():
-                        rows[idx] = path[name]
-                idx += 1
+                block.keep(j, mu, jump_prob, jump_mean, jump_var,
+                           np.flatnonzero(declared) if dense else found_jumps, observed,
+                           jumps, declared)
+        block.flush()
+    except Exception:
+        # A retained sweep still in the block may have failed first: report
+        # its error, as a chain that summarized every draw at once would.
+        try:
+            block.flush()
+        except Exception as first:
+            raise first from None
+        raise
     finally:
         ring.close()
 

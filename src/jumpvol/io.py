@@ -475,7 +475,7 @@ def write_report_json(path, payload: dict) -> None:
 def read_report_json(path) -> dict:
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))  # a leading BOM is ignored
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ import pytest
 
 import jumpvol as jv
 from jumpvol.conditionals import (
+    _jump_indicator_posterior,
     _logistic,
     jump_indicator_posterior,
     jump_mean_posterior,
@@ -243,14 +244,17 @@ class TestJumpIndicatorPosterior:
     def test_extreme_scales_stay_finite(self):
         """w over 10 decades, jump_var from 1e-8 to 1e4, c from a tenth of an
         observation's sd to a huge jump: finite probabilities in [0, 1]
-        without a RuntimeWarning, exact at rho = 0 and 1."""
+        without a RuntimeWarning, exact at rho = 0 and 1.  The kernel given
+        the four rho as one (4, n) block, a row each, gives the same bits."""
         gen = np.random.default_rng(11)
         n = 3000
         weights = 10.0 ** gen.uniform(-5.0, 5.0, n)
         centered = gen.normal(0.0, 1.0, n) * 10.0 ** gen.uniform(-1.0, 3.0, n) / np.sqrt(weights)
+        rhos = (0.0, 1e-4, 0.5, 1.0)
         for jump_var in 10.0 ** np.arange(-8.0, 5.0):
             for jump_mean in (-3.0, 0.0, 2.5):
-                for rho in (0.0, 1e-4, 0.5, 1.0):
+                rows = []
+                for rho in rhos:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error", RuntimeWarning)
                         p = jump_indicator_posterior(centered, 0.0, weights, np.ones(n),
@@ -260,6 +264,15 @@ class TestJumpIndicatorPosterior:
                         np.testing.assert_array_equal(p, rho)
                     else:
                         assert 0.0 < p.max() and p.min() < 1.0
+                    rows.append(p)
+                block = np.tile(centered, (len(rhos), 1))
+                column = np.ones((len(rhos), 1))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = _jump_indicator_posterior(
+                        np.tile(weights, (len(rhos), 1)), block, jump_mean * column,
+                        jump_var * column, np.array(rhos)[:, None], block, np.empty_like(block))
+                np.testing.assert_array_equal(got, rows)
 
 
 class TestThreshold:

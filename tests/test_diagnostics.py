@@ -57,13 +57,20 @@ class TestConditionalLogLik:
 
     @pytest.mark.parametrize("n", [2, 252, 6241])
     def test_kernel_matches_summed_densities(self, n):
-        """The six-pass kernel the sweep calls against the summed log densities."""
+        """The six-pass kernel the sweep calls against the summed log densities.
+        Given a block of draws, a row each with its mu in a column, it gives
+        each row's value bit for bit."""
         gen = np.random.default_rng(n)
         y, jumps = gen.standard_t(4.0, n), gen.normal(-2.0, 3.0, n) * (gen.random(n) < 0.05)
         weights = gen.gamma(4.0, 0.25, n) * gen.gamma(15.0, 1.0 / 15.0, n)
         expected = float(np.add.reduce(jv.log_normal_density(y, 0.1 + jumps, 1.0 / weights)))
         got = _conditional_log_lik(y - jumps, 0.1, weights, np.empty(n))
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert type(got) is float and got == pytest.approx(expected, rel=1e-12)
+        mus = np.array([[0.1], [-0.3], [2.0]])
+        block = np.stack([y - jumps, y, y + jumps])
+        scales = np.stack([weights, weights[::-1], 2.0 * weights])
+        rows = [_conditional_log_lik(*args, np.empty(n)) for args in zip(block, mus[:, 0], scales)]
+        np.testing.assert_array_equal(_conditional_log_lik(block, mus, scales, block.copy()), rows)
 
     def test_domain_errors(self):
         with pytest.raises(SizeError):

@@ -540,8 +540,9 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
     """After warm-up the stages of a sweep write into the chain's workspace:
     from the first stage of a sweep to its last, new memory at n = 5,000
     stays below `paths` n-length float64 arrays.  On a sweep that keeps its
-    draw the window closes after the retained step (the jump probabilities
-    and the log-likelihood), on the others after the jump probability draw.
+    draw (a retained block of one draw at this n) the window closes after the
+    retained step (the log-likelihood, then the jump probabilities), on the
+    others after the jump probability draw.
     At omega = 0.9 the scans run in blocks and add their carries from a
     scratch array; at 0.99 one block covers the series.  Either way nothing
     path-sized is allocated (0.04 paths measured)."""
@@ -549,7 +550,9 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
     y = jv.simulate(jv.SimConfig(n=n, seed=3)).returns.returns
     assert n >= engine._SPARSE_MIN_N
     monkeypatch.setattr(engine, "_HELPER_MIN_N", 10**9)  # no helper allocating beside it
-    first, last, retained = engine.sample_mu, engine.sample_jump_prob, engine.conditional_log_lik
+    assert engine._block_rows(n, 15) == 1
+    first, last = engine.sample_mu, engine.sample_jump_prob
+    retained = engine.jump_indicator_posterior
     start, peaks, kept = [], [], []
 
     def spy_first(*args):
@@ -563,14 +566,14 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
         return drawn
 
     def spy_retained(*args):  # the sweep's last stage when it keeps its draw
-        ll = retained(*args)
+        probs = retained(*args)
         peaks[-1] = tracemalloc.get_traced_memory()[1] - start[-1]
         kept.append(len(peaks))
-        return ll
+        return probs
 
     monkeypatch.setattr(engine, "sample_mu", spy_first)
     monkeypatch.setattr(engine, "sample_jump_prob", spy_last)
-    monkeypatch.setattr(engine, "conditional_log_lik", spy_retained)
+    monkeypatch.setattr(engine, "jump_indicator_posterior", spy_retained)
     tracemalloc.start()
     try:
         out = jv.run_chain(y, jv.ModelConfig(omega=omega),
@@ -606,6 +609,69 @@ def test_chain_peak_memory():
         tracemalloc.stop()
     assert out.n_draws == 200 and out.latent.freq_jump.any()
     assert peak <= 1.8e6
+
+
+def test_retained_block_memory_within_budget():
+    """At n = 252 a chain keeps 21 retained draws in its block before it
+    summarizes them.  Its traced peak exceeds that of a chain summarizing each
+    draw at once (a one-row budget) by more than half the block's budget of
+    256 kB and by no more than the budget: six rows of 20 more draws, 242 kB."""
+    n = 252
+    y = jv.simulate(jv.SimConfig(n=n, seed=8)).returns.returns
+    cfg = jv.default_config()
+    spec = jv.RunSpec(iterations=400, burn_in=100, thin_lag=2, seed=1)
+    engine.discount_plan(cfg.omega, cfg.a0, n)  # the shared plan is cached: not the chain's
+
+    def peak(block_values):
+        with pytest.MonkeyPatch.context() as m:
+            _force_helper(m, False)
+            m.setattr(engine, "_BLOCK_VALUES", block_values)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                jv.run_chain(y, cfg, spec)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+    budget = 8 * engine._BLOCK_VALUES
+    assert engine._block_rows(n, spec.n_retained) == 21
+    assert budget / 2 < peak(engine._BLOCK_VALUES) - peak(1) <= budget
+
+
+def test_nonfinite_log_lik_mid_block_is_reported_first(monkeypatch):
+    """A retained sweep whose log-likelihood is not finite is reported by its
+    iteration, as it would be if each draw were summarized at once: the
+    sweeps after it in its retained block run before the block is
+    summarized, and a failure of one of them is not what the chain reports."""
+    n = 252
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    spec = jv.RunSpec(iterations=40, burn_in=4, thin_lag=2, seed=3)
+    assert engine._block_rows(n, spec.n_retained) == spec.n_retained  # one block
+    bad_draw, failing_sweep = 2, 13  # the third draw is sweep 4 + 3 * 2 = 10
+    retained, sample_mu, seen, sweeps = engine.conditional_log_lik, engine.sample_mu, [0], [0]
+
+    def spy_retained(*args):
+        ll = retained(*args)
+        rows = np.atleast_1d(ll).copy()
+        if seen[0] <= bad_draw < seen[0] + rows.size:
+            rows[bad_draw - seen[0]] = np.nan
+        seen[0] += rows.size
+        return rows if np.ndim(ll) else float(rows[0])
+
+    def failing_mu(*args):
+        sweeps[0] += 1
+        if sweeps[0] == failing_sweep:
+            raise FloatingPointError("overflow in a stage")
+        return sample_mu(*args)
+
+    monkeypatch.setattr(engine, "conditional_log_lik", spy_retained)
+    monkeypatch.setattr(engine, "sample_mu", failing_mu)
+    with pytest.raises(NumericalError) as err:
+        jv.run_chain(y, jv.default_config(), spec)
+    assert str(err.value) == "chain 0: non-finite log-likelihood at iteration 10"
+    assert sweeps[0] == failing_sweep
+    assert seen[0] == 4  # sweeps 6, 8, 10 and 12, summarized after sweep 13 failed
 
 
 def _force_helper(monkeypatch, on: bool, chunk_variates=None):
@@ -664,30 +730,35 @@ def test_helper_thread_changes_no_draw(n, omega, jumps_enabled, monkeypatch):
             np.testing.assert_array_equal(got.latent_draws[name], rows, err_msg=name)
 
 
-@pytest.mark.parametrize("n", [252, 1200])
+@pytest.mark.parametrize("n", [2, 7, 252, 999, 1200])
 @pytest.mark.parametrize("jumps_enabled", [True, False])
 @pytest.mark.parametrize("n_chains", [1, 3])
 @pytest.mark.parametrize("helper", [True, False])
 def test_band_batch_and_chunk_size_change_no_draw(n, jumps_enabled, n_chains, helper,
                                                   monkeypatch):
-    """The band buffer's batch and the variate slots' size set only how much
-    scratch a chain holds: with 16-row or 32-row batches and 2^15-variate
-    chunks a fit draws, keeps and summarizes what it does with 64 rows and
-    2^16 variates.  200 kept draws trim the buffer several times each way."""
+    """The band buffer's batch, the variate slots' size and the retained
+    block's budget set only how much scratch a chain holds: with 16-row or
+    32-row batches and 2^15-variate chunks, or with retained blocks of one
+    draw, a fit draws, keeps and summarizes what it does with 64 rows, 2^16
+    variates and the default blocks (21 draws at n = 252, 5 at n = 999, all
+    200 at n <= 27).  200 kept draws trim the buffer several times each way."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(jumps_enabled=jumps_enabled)
     spec = jv.RunSpec(iterations=250, burn_in=50, n_chains=n_chains, seed=8,
                       keep_latent_draws=True)
     _force_helper(monkeypatch, helper)
 
-    def run(band_batch, chunk_variates):
+    def run(band_batch, chunk_variates, block_values=engine._BLOCK_VALUES):
         with monkeypatch.context() as m:
             m.setattr(engine, "_BAND_BATCH", band_batch)
             m.setattr(engine, "_CHUNK_VARIATES", chunk_variates)
+            m.setattr(engine, "_BLOCK_VALUES", block_values)
             return jv.run_multi(y, cfg, spec)
 
+    assert engine._block_rows(n, spec.n_retained) == {2: 200, 7: 200, 252: 21, 999: 5,
+                                                      1200: 4}[n]
     large = run(64, 2**16)
-    for small in (run(16, 2**15), run(32, 2**15)):
+    for small in (run(16, 2**15), run(32, 2**15), run(64, 2**16, block_values=1)):
         for got, want in zip(small, large, strict=True):
             for name, column in want.draws.items():
                 np.testing.assert_array_equal(got.draws[name], column, err_msg=name)
@@ -1058,11 +1129,12 @@ def test_accumulator_bands_equal_numpy_quantiles(m):
         [rank < 0.02, rank < 0.04, rank < 0.96, rank < 0.98],
         [1e-300, gen.choice([1e-45, 1e-42, 1e-40, 1e-39], m), precision[:, 6],
          gen.choice([1e38, 3e38], m)], 1e300)
-    acc = engine._LatentAccumulator(7, m)
-    zeros, work = np.zeros(7), (np.empty(7), np.empty(7))
+    acc = engine._LatentAccumulator(7, m, rows=5)
     with np.errstate(over="ignore"):  # 1e300 becomes +inf in float32
-        for row in precision:
-            acc.add(row, zeros, np.array([], dtype=np.intp), np.array([]), zeros, work)
+        for start in range(0, m, 5):  # blocks of five draws: the buffer fills mid-block
+            block = precision[start:start + 5]
+            acc.precision[1:len(block) + 1] = block
+            acc.add(len(block), np.array([], dtype=np.intp), np.array([]))
         draws = (1.0 / precision).astype(np.float32)
     got = acc.summary()
     want = np.quantile(draws, [0.025, 0.975], axis=0)
@@ -1086,10 +1158,11 @@ def test_accumulator_jump_sums_equal_dense_path_sums(m):
     """
     n = 40
     gen = np.random.default_rng(m)
-    acc = engine._LatentAccumulator(n, m)
+    acc = engine._LatentAccumulator(n, m, rows=3)
+    acc.precision[1:] = acc.mixture[1:] = 1.0
     sum_jump, sum_ind = np.zeros(n), np.zeros(n, dtype=np.int64)
-    ones, work = np.ones(n), (np.empty(n), np.empty(n))
-    for _ in range(m):
+    block = []
+    for i in range(m):
         declared = gen.random(n) < 0.3
         declared[:2] = True, False  # one time always a jump, one never
         sizes = gen.normal(0.0, 3.0, n)
@@ -1097,7 +1170,11 @@ def test_accumulator_jump_sums_equal_dense_path_sums(m):
         sum_jump += jumps
         sum_ind += declared
         at = np.flatnonzero(declared)
-        acc.add(ones, ones, at, sizes[at], np.zeros(n), work)
+        block.append((at, sizes[at]))
+        if len(block) == 3 or i == m - 1:  # the draws' times in turn: t = 0 in every draw
+            at_all, sizes_all = (np.concatenate(part) for part in zip(*block))
+            acc.add(len(block), at_all, sizes_all)
+            block = []
     assert np.any((jumps == 0) & np.signbit(jumps)) and not np.signbit(sum_jump[1])
     got = acc.summary()
     np.testing.assert_array_equal(got.mean_jump, sum_jump / m)
@@ -1190,7 +1267,7 @@ _STAGES = {
         s["weights"], s["centered"], s["sizes"], 0.05, _work())),
     "jump_indicator_posterior": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, 0.05), lambda s, r: (
-        s["weights"], s["centered"], -2.0, 3.0, 0.05, _stale(300), _work())),
+        s["weights"], s["centered"], -2.0, 3.0, 0.05, _stale(300), _stale(300))),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
                              lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
                                            _stale(300, np.int64))),

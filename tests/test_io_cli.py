@@ -671,6 +671,18 @@ class TestCliByteOrderMark:
                          "--output", str(tmp_path / f"{name}.json")]) == 0
         assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
+    def test_summarize_truth_params(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", "60", "--seed", "4", "--output", str(sim)]) == 0
+        fit = tmp_path / "fit"
+        assert main([*self._FIT, "--input", str(sim), "--output-dir", str(fit)]) == 0
+        plain = tmp_path / "sim.params.json"
+        bom = _bom_copy(plain, tmp_path / "bom.params.json")
+        for name, path in (("plain", plain), ("bom", bom)):
+            assert main(["summarize", "--truth", str(sim), "--truth-params", str(path),
+                         "--fit-dir", str(fit), "--output", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
 
 class TestCliSimulate:
     def test_deterministic_output(self, tmp_path):
