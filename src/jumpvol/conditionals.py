@@ -298,32 +298,31 @@ def jump_indicator_posterior(y, mu: float, precision, mixture, jump_mean: float,
             raise ParameterError(f"{name} must be finite, got {value}")
     if not (math.isfinite(jump_var) and jump_var >= 0):
         raise ParameterError(f"jump_var must be finite and >= 0, got {jump_var}")
-    centered = y - mu
-    return _jump_indicator_posterior(mixture * precision, centered, jump_mean, jump_var, jump_prob,
-                                     centered, np.empty(y.size))
+    return _jump_indicator_posterior(mixture * precision, y - mu, jump_mean, jump_var, jump_prob,
+                                     np.empty(y.size), np.empty((2, y.size)))
 
 
-def _jump_indicator_posterior(weights, centered, jump_mean, jump_var, jump_prob, out, log_odds):
-    """Writes the probabilities into out; weights is overwritten, out may be centered.
+def _jump_indicator_posterior(weights, centered, jump_mean, jump_var, jump_prob, out, work):
+    """Writes the probabilities into out, which may be centered; work is two scratches like out.
 
     The arrays are n-length with float parameters, or (K, n) blocks of K draws
-    with the parameters as (K, 1) columns.  log_odds is scratch like out.
-    With a = jump_var w the log-odds are logit(rho) - log1p(a)/2 + (w / r)
-    (a c^2 + m (2c - m)) / 2: the w c^2 / 2 of the two densities cancel in
-    the algebra, not in floating point.  A draw with rho <= 0 or rho >= 1
-    gets exact zeros or ones.
+    with the parameters as (K, 1) columns.  With a = jump_var w the log-odds
+    are logit(rho) - log1p(a)/2 + (w / r) (a c^2 + m (2c - m)) / 2: the
+    w c^2 / 2 of the two densities cancel in the algebra, not in floating
+    point.  A draw with rho <= 0 or rho >= 1 gets exact zeros or ones.
     """
-    np.multiply(jump_var, weights, out=log_odds)
+    spread, log_odds = work
+    np.multiply(jump_var, weights, out=spread)
+    np.multiply(spread, centered, out=log_odds)
     log_odds *= centered
-    log_odds *= centered
-    np.subtract(centered, 0.5 * jump_mean, out=out)
+    np.subtract(centered, 0.5 * jump_mean, out=out)  # centered is not read after this
     out *= 2.0 * jump_mean
     log_odds += out
     log_odds *= weights
-    spread = np.multiply(jump_var, weights, out=weights)  # a again: w is not read after this
     np.add(spread, 1.0, out=out)
     log_odds /= out
-    log_odds -= np.log1p(spread, out=spread)
+    np.log1p(spread, out=spread)
+    log_odds -= spread
     log_odds *= 0.5
     column = isinstance(jump_prob, np.ndarray)
     rhos = jump_prob[:, 0].tolist() if column else [jump_prob]

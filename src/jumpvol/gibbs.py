@@ -32,31 +32,32 @@ would not change it: the sums equal those of the whole paths bit for bit.
 
 On short series each numpy call costs about 1 us whatever its size, so
 retained draws are summarized a block at a time (_RetainedBlock).  A block
-holds K = _BLOCK_VALUES // (6 n) draws, at least 1 and at most the chain's
-draws: 21 at n = 252, 5 at n = 1,000 and 1 from n = 2,731 up.  Its arrays
+holds K = _BLOCK_VALUES // (7 n) draws, at least 1 and at most the chain's
+draws: 18 at n = 252, 4 at n = 1,000 and 1 from n = 2,341 up.  Its arrays
 are the accumulator's five (K + 1, n) arrays, precision, mixture, prob,
-var and sd, and a (K, n) array of shifted paths: six rows a draw, so the
-block adds at most 6 (K - 1) n <= _BLOCK_VALUES values (256 kB) to the
-chain.  Row 0 of each of the five holds a running sum.  The last rows are
-the sweep's workspace: precision, mixture, centered (prob's), the two work
-scratches (var's and sd's) and shifted.  A retained sweep records its
-scalars (iteration, mu, jump_prob, jump_mean, jump_var) and its declared
-times and sizes, and copies its precision, mixture, centered and shifted
-paths into the block's next rows, except into the last one, which they
-already are: a block of one copies nothing.  When the block is full, and
-after the last sweep, flush() runs on all its rows at once:
+var and sd, and the block's (K, n) arrays of weights and shifted paths:
+seven rows a draw, so the block adds at most 7 (K - 1) n < _BLOCK_VALUES
+values (256 kB) to the chain.  Row 0 of each of the five holds a running
+sum.  The last rows are the sweep's workspace: precision, mixture, centered
+(prob's), the two work scratches (var's and sd's), weights and shifted.  A
+retained sweep records its scalars (iteration, mu, jump_prob, jump_mean,
+jump_var) and its declared times and sizes, and copies its precision,
+mixture, centered, weights and shifted paths into the block's next rows,
+except into the last ones, which they already are: a block of one copies
+nothing and runs the passes the sweep ran when it summarized each draw at
+once.  When the block is full, and after the last sweep, flush() runs on
+all its rows at once:
 
-    1. weights = mixture * precision, in var's rows;
-    2. the log-likelihoods (scratch: sd's rows) and their finiteness check;
-    3. P(N_t = 1) from the centered rows into prob's rows, overwriting the
-       weights (log-odds: sd's rows); zeros on a no-jump fit;
-    4. the accumulator: 1 / precision into var's rows and its root into
+    1. the log-likelihoods (scratch: var's rows) and their finiteness check;
+    2. P(N_t = 1) from the centered rows into prob's rows (scratch: var's
+       and sd's rows); zeros on a no-jump fit;
+    3. the accumulator: 1 / precision into var's rows and its root into
        sd's, then one np.add.reduce along the draws axis of the five
        arrays, which adds each array's rows to its row 0 one after another,
        as adding each draw in turn would; np.add.at adds the jump sums over
        the block's times in the order of its draws; the band buffer takes
        the rows by slice and trims wherever it fills;
-    5. the draws table and the kept precision and mixture paths, by slice
+    4. the draws table and the kept precision and mixture paths, by slice
        (the kept jump paths are written at each retained sweep).
 
 The kernels take the block's (r, n) rows with a (r, 1) column per scalar;
@@ -64,6 +65,7 @@ a block of one row runs them on n-length rows with float scalars.  A sweep
 that raises first flushes the pending block, so a retained sweep before it
 whose log-likelihood is not finite is the failure reported, as when each
 draw was summarized at once.
+
 The credibility bands equal numpy's linear 2.5% and 97.5% quantiles of
 every float32 variance-scale draw, bit for bit.  Those quantiles read only
 the k = 2.5% of draws (plus two) that are smallest and largest at each t,
@@ -155,8 +157,8 @@ of the retained block's arrays.
     jumps      jump_size * declared  the indicators        resid, shifted, kept jump paths
     centered*  y - mu                the mu draw           jump sizes, indicators, the block
     resid      centered - jumps      the mu draw           filter, mixture path
-    weights    mixture * precision   the mixture draw      the next mu draw, jump sizes,
-                                                           indicators
+    weights*   mixture * precision   the mixture draw      the next mu draw, jump sizes,
+                                                           indicators, the block
     shifted*   y - jumps             the indicators        the next mu draw, the block
     rates      b, padded for a scan  forward_filter        backward_sample
     scan       padded scratch        forward_filter (its carries), backward_sample
@@ -264,9 +266,9 @@ _CHUNK_VARIATES = 2**15
 # Float64 values of path rows that a chain's retained block adds to its
 # workspace (see the module notes): 256 kB, like an inline variate slot.
 _BLOCK_VALUES = 2**15
-# Paths a retained block keeps per draw: precision, mixture, shifted and
-# centered, and the scratch rows of 1 / precision and of its root.
-_BLOCK_PATHS = 6
+# Paths a retained block keeps per draw: precision, mixture, weights,
+# centered and shifted, and two scratch rows.
+_BLOCK_PATHS = 7
 
 
 @dataclass(frozen=True)
@@ -382,6 +384,23 @@ def _tail_rows(n_draws: int) -> int:
     return int(max(lo + 2, n_draws - hi))
 
 
+def _path_rows(shape: tuple, n: int, draws: int) -> np.ndarray:
+    """Zeros of shape (*shape, n) for a retained block of `draws` draws, each row
+    starting on a 64-byte boundary when the block holds one draw.
+
+    Those rows are the long series' workspace, and the sweep's and the
+    block's kernels ran 8-12% faster on 64-byte aligned rows than on rows 8
+    or 16 bytes past a boundary at n = 5,000-6,241 (timeit).  A larger block
+    keeps its rows contiguous instead, so one numpy call runs over all of
+    them at once: padded rows took twice as long a call at n = 252.
+    """
+    width = -(-n // 8) * 8 if draws == 1 else n
+    count = math.prod(shape)
+    buf = np.zeros(count * width + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + count * width].reshape(*shape, width)[..., :n]
+
+
 def _block_rows(n: int, n_draws: int) -> int:
     """Draws a chain's retained block holds: at least one, and no more than its draws."""
     return max(1, min(n_draws, _BLOCK_VALUES // (_BLOCK_PATHS * n)))
@@ -406,7 +425,7 @@ class _LatentAccumulator:
 
     def __init__(self, n: int, n_draws: int, rows: int = 1) -> None:
         self.count = 0
-        self._blocks = np.zeros((5, rows + 1, n))
+        self._blocks = _path_rows((5, rows + 1), n, rows)
         self.precision, self.mixture, self.prob, self.var, self.sd = self._blocks
         self._sums, self._first = self._blocks[:, 0], self._blocks[:, 1]
         self.sum_jump = np.zeros(n)
@@ -424,7 +443,7 @@ class _LatentAccumulator:
         """
         inv = np.divide(1.0, self.precision[1:r + 1], out=self.var[1:r + 1])
         np.sqrt(inv, out=self.sd[1:r + 1])
-        if r == 1:
+        if r == 1:  # the same sums; a reduce of two rows took 3-4 times as long at n = 5,000
             np.add(self._sums, self._first, out=self._sums)
         else:
             np.add.reduce(self._blocks[:, :r + 1], axis=1, out=self._sums)
@@ -581,18 +600,19 @@ class _RetainedBlock:
     """The retained sweeps of a chain that are not yet summarized, up to acc's rows.
 
     Draw r of a block (1 <= r <= rows) sits in row r of the accumulator's
-    arrays and in row r - 1 of shifted.  The last row of each array is the
-    sweep's workspace (see the module notes), so keep() copies the paths of
-    every draw but the last into its rows; a block of one row copies none.
+    arrays and in row r - 1 of weights and shifted.  The last row of each
+    array is the sweep's workspace (see the module notes), so keep() copies
+    the paths of every draw but the last into its rows; a block of one row
+    copies none.
     flush() forms the block's log-likelihoods and jump probabilities and adds
     the block to the accumulator, the draws table and the kept paths.
     """
 
-    def __init__(self, y, acc: _LatentAccumulator, draws: dict, kept: Optional[dict],
+    def __init__(self, acc: _LatentAccumulator, draws: dict, kept: Optional[dict],
                  chain_id: int, jumps_enabled: bool) -> None:
-        self.rows = len(acc.precision) - 1
-        self.shifted = np.empty((self.rows, y.size))
-        self._y, self._acc, self._draws, self._kept = y, acc, draws, kept
+        self.rows, n = acc.precision.shape[0] - 1, acc.precision.shape[1]
+        self.weights, self.shifted = _path_rows((2, self.rows), n, self.rows)
+        self._acc, self._draws, self._kept = acc, draws, kept
         self._chain_id, self._jumps = chain_id, jumps_enabled
         self._scalars, self._at, self._sizes = [], [], []
         self._idx = 0  # the draws row of the block's first draw
@@ -604,7 +624,8 @@ class _RetainedBlock:
         if r < self.rows:
             for block in (acc.precision, acc.mixture, acc.prob):
                 block[r] = block[-1]
-            self.shifted[r - 1] = self.shifted[-1]
+            for block in (self.weights, self.shifted):
+                block[r - 1] = block[-1]
         self._scalars.append((j, mu, jump_prob, jump_mean, jump_var))
         self._at.append(at)
         self._sizes.append(sizes)
@@ -631,9 +652,8 @@ class _RetainedBlock:
             mu, jump_prob, jump_mean, jump_var = values[1:, :, None]
         at, sizes = np.concatenate(self._at), np.concatenate(self._sizes)
         self._scalars, self._at, self._sizes = [], [], []
-        acc, first = self._acc, self._idx
-        weights = np.multiply(acc.mixture[rows], acc.precision[rows], out=acc.var[rows])
-        ll = conditional_log_lik(self.shifted[paths], mu, weights, acc.sd[rows])
+        acc, first, weights = self._acc, self._idx, self.weights[paths]
+        ll = conditional_log_lik(self.shifted[paths], mu, weights, acc.var[rows])
         finite = np.isfinite(ll)
         if not finite.all():
             raise NumericalError(f"chain {self._chain_id}: non-finite log-likelihood at "
@@ -641,7 +661,7 @@ class _RetainedBlock:
         probs = acc.prob[rows]  # the block's centered paths, y - mu, until here
         if self._jumps:
             jump_indicator_posterior(weights, probs, jump_mean, jump_var, jump_prob, probs,
-                                     acc.sd[rows])
+                                     (acc.var[rows], acc.sd[rows]))
         else:
             probs.fill(0.0)
         if self._kept is not None:
@@ -699,12 +719,12 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     jump_var = params0.jump_var
     priors = cfg.priors
     # The workspace: every n-length array a sweep touches (see the module
-    # notes), six of them the last rows of the retained block's arrays.
-    block = _RetainedBlock(y_arr, acc, draws, kept, chain_id, cfg.jumps_enabled)
+    # notes), seven of them the last rows of the retained block's arrays.
+    block = _RetainedBlock(acc, draws, kept, chain_id, cfg.jumps_enabled)
     sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
     dense = cfg.jumps_enabled and not sparse
     precision, mixture, centered = acc.precision[-1], acc.mixture[-1], acc.prob[-1]
-    work, shifted = (acc.var[-1], acc.sd[-1]), block.shifted[-1]
+    work, weights, shifted = (acc.var[-1], acc.sd[-1]), block.weights[-1], block.shifted[-1]
     precision[:] = path0.precision
     mixture[:] = path0.mixture
     jump_size = np.array(path0.jump_size, dtype=float) if dense else None  # the dense block's xi
@@ -714,7 +734,7 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     found_jumps = np.flatnonzero(declared)
     del path0  # the workspace holds the whole state from here on
     resid = np.empty(n)
-    weights = mixture * precision
+    np.multiply(mixture, precision, out=weights)
     np.subtract(y_arr, jumps, out=shifted)
     logit_c = _logit(cfg.jump_threshold)
     plan = discount_plan(cfg.omega, cfg.a0, n)

@@ -271,7 +271,8 @@ class TestJumpIndicatorPosterior:
                     warnings.simplefilter("error", RuntimeWarning)
                     got = _jump_indicator_posterior(
                         np.tile(weights, (len(rhos), 1)), block, jump_mean * column,
-                        jump_var * column, np.array(rhos)[:, None], block, np.empty_like(block))
+                        jump_var * column, np.array(rhos)[:, None], block,
+                        (np.empty_like(block), np.empty_like(block)))
                 np.testing.assert_array_equal(got, rows)
 
 

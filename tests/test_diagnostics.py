@@ -69,7 +69,8 @@ class TestConditionalLogLik:
         mus = np.array([[0.1], [-0.3], [2.0]])
         block = np.stack([y - jumps, y, y + jumps])
         scales = np.stack([weights, weights[::-1], 2.0 * weights])
-        rows = [_conditional_log_lik(*args, np.empty(n)) for args in zip(block, mus[:, 0], scales)]
+        rows = [_conditional_log_lik(row, mu, w, np.empty(n))
+                for row, mu, w in zip(block, mus[:, 0], scales)]
         np.testing.assert_array_equal(_conditional_log_lik(block, mus, scales, block.copy()), rows)
 
     def test_domain_errors(self):

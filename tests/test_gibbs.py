@@ -612,10 +612,10 @@ def test_chain_peak_memory():
 
 
 def test_retained_block_memory_within_budget():
-    """At n = 252 a chain keeps 21 retained draws in its block before it
+    """At n = 252 a chain keeps 18 retained draws in its block before it
     summarizes them.  Its traced peak exceeds that of a chain summarizing each
     draw at once (a one-row budget) by more than half the block's budget of
-    256 kB and by no more than the budget: six rows of 20 more draws, 242 kB."""
+    256 kB and by no more than the budget: seven rows of 17 more draws, 240 kB."""
     n = 252
     y = jv.simulate(jv.SimConfig(n=n, seed=8)).returns.returns
     cfg = jv.default_config()
@@ -635,7 +635,7 @@ def test_retained_block_memory_within_budget():
                 tracemalloc.stop()
 
     budget = 8 * engine._BLOCK_VALUES
-    assert engine._block_rows(n, spec.n_retained) == 21
+    assert engine._block_rows(n, spec.n_retained) == 18
     assert budget / 2 < peak(engine._BLOCK_VALUES) - peak(1) <= budget
 
 
@@ -740,8 +740,8 @@ def test_band_batch_and_chunk_size_change_no_draw(n, jumps_enabled, n_chains, he
     block's budget set only how much scratch a chain holds: with 16-row or
     32-row batches and 2^15-variate chunks, or with retained blocks of one
     draw, a fit draws, keeps and summarizes what it does with 64 rows, 2^16
-    variates and the default blocks (21 draws at n = 252, 5 at n = 999, all
-    200 at n <= 27).  200 kept draws trim the buffer several times each way."""
+    variates and the default blocks (18 draws at n = 252, 4 at n = 999, all
+    200 at n <= 23).  200 kept draws trim the buffer several times each way."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(jumps_enabled=jumps_enabled)
     spec = jv.RunSpec(iterations=250, burn_in=50, n_chains=n_chains, seed=8,
@@ -755,8 +755,8 @@ def test_band_batch_and_chunk_size_change_no_draw(n, jumps_enabled, n_chains, he
             m.setattr(engine, "_BLOCK_VALUES", block_values)
             return jv.run_multi(y, cfg, spec)
 
-    assert engine._block_rows(n, spec.n_retained) == {2: 200, 7: 200, 252: 21, 999: 5,
-                                                      1200: 4}[n]
+    assert engine._block_rows(n, spec.n_retained) == {2: 200, 7: 200, 252: 18, 999: 4,
+                                                      1200: 3}[n]
     large = run(64, 2**16)
     for small in (run(16, 2**15), run(32, 2**15), run(64, 2**16, block_values=1)):
         for got, want in zip(small, large, strict=True):
@@ -1267,7 +1267,7 @@ _STAGES = {
         s["weights"], s["centered"], s["sizes"], 0.05, _work())),
     "jump_indicator_posterior": (conditionals, lambda s, r: (
         s["y"], 0.1, s["precision"], s["mixture"], -2.0, 3.0, 0.05), lambda s, r: (
-        s["weights"], s["centered"], -2.0, 3.0, 0.05, _stale(300), _stale(300))),
+        s["weights"], s["centered"], -2.0, 3.0, 0.05, _stale(300), _work())),
     "apply_jump_threshold": (conditionals, lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7),
                              lambda s, r: (np.linspace(0.0, 1.0, 300), 0.7,
                                            _stale(300, np.int64))),
