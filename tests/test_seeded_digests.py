@@ -23,8 +23,8 @@ def test_manifest_lists_every_case():
 
 @pytest.mark.parametrize("name", sorted(seeded_digests.CASES))
 def test_seeded_output_matches_manifest(name):
-    """Every array of every chain of the case hashes to its committed digest.
-    The failure names each array that changed."""
+    """Every array of every chain of the case, or every file of a CLI case,
+    hashes to its committed digest.  The failure names each one that changed."""
     if _MANIFEST["numpy"] != np.__version__:
         pytest.skip(f"the manifest was made with numpy {_MANIFEST['numpy']}; numpy "
                     f"{np.__version__} may draw other streams")
