@@ -132,6 +132,20 @@ draws what it would draw with every xi drawn.  Which block runs depends on
 n alone, so a chain thinned by 3 keeps rows 3, 6, ... of the unthinned
 chain.
 
+A sweep whose C is empty skips the rest of the jump block: 79-89% of the
+sweeps on the intraday law (n = 6,241, data seeds 1, 2, 3 and 7, 3 chains
+of 500 sweeps), none on the daily law at n = 5,000.  Every skipped call
+would run on empty arrays or write the values already there: the
+candidates' mask has left declared all False, and no normal is drawn.
+Only the times where jumps is not +0.0, the last sweep's declared jumps,
+get jumps = 0 and shifted = y.  (On the first sweep those times also hold
+an initial path's undeclared negative sizes, -0.0 in jumps: a sweep with
+candidates fills them with +0.0 too.)  A sweep that starts with no
+declared jump on the candidates' block, and every sweep of a no-jump fit,
+filters and draws the mixture path from centered in place of resid =
+centered - jumps: the two differ at most in the sign of a zero, and both
+stages read resid only squared.  The dense block keeps resid.
+
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
 LatentPath constructors check the initial state.  Every state a sweep
@@ -145,7 +159,10 @@ The kernels take the arrays that several stages share and write into
 arrays they are given.  Each chain allocates, once, a workspace of every
 n-length array a sweep touches, and then lets go of its initial LatentPath:
 the workspace holds the whole state.  The arrays marked * are the last rows
-of the retained block's arrays.
+of the retained block's arrays.  Every path the sweep reads, a copy of y
+among them, starts on a 64-byte boundary (volatility.aligned_zeros), as do
+the scan region rates[1:], the plan's scan weights and each array of a
+variate slot, whose rows stay contiguous.
 
     array      holds                 written by            read by
     precision* lambda path           backward_sample       mixture path, weights, the block
@@ -156,7 +173,8 @@ of the retained block's arrays.
     declared   N path (bool)         apply_jump_threshold  jumps, next jump mean/var, jump_prob
     jumps      jump_size * declared  the indicators        resid, shifted, kept jump paths
     centered*  y - mu                the mu draw           jump sizes, indicators, the block
-    resid      centered - jumps      the mu draw           filter, mixture path
+    resid      centered - jumps      the mu draw           filter, mixture path (in place
+                                                           of centered, see above)
     weights*   mixture * precision   the mixture draw      the next mu draw, jump sizes,
                                                            indicators, the block
     shifted*   y - jumps             the indicators        the next mu draw, the block
@@ -223,7 +241,7 @@ from .model import (
 from .rng import RngStream, sample_beta, sample_inverse_gamma, sample_normal
 from .volatility import _backward_sample as backward_sample
 from .volatility import _forward_filter as forward_filter
-from .volatility import DiscountPlan, discount_plan, innovation_variates
+from .volatility import DiscountPlan, aligned_zeros, discount_plan, innovation_variates
 
 __all__ = ["RunSpec", "default_init", "run_chain", "run_multi"]
 
@@ -388,17 +406,12 @@ def _path_rows(shape: tuple, n: int, draws: int) -> np.ndarray:
     """Zeros of shape (*shape, n) for a retained block of `draws` draws, each row
     starting on a 64-byte boundary when the block holds one draw.
 
-    Those rows are the long series' workspace, and the sweep's and the
-    block's kernels ran 8-12% faster on 64-byte aligned rows than on rows 8
-    or 16 bytes past a boundary at n = 5,000-6,241 (timeit).  A larger block
-    keeps its rows contiguous instead, so one numpy call runs over all of
-    them at once: padded rows took twice as long a call at n = 252.
+    Those rows are the long series' workspace (see aligned_zeros).  A larger
+    block keeps its rows contiguous instead, so one numpy call runs over all
+    of them at once: padded rows took twice as long a call at n = 252.
     """
     width = -(-n // 8) * 8 if draws == 1 else n
-    count = math.prod(shape)
-    buf = np.zeros(count * width + 7)
-    start = -buf.ctypes.data % 64 // 8
-    return buf[start:start + count * width].reshape(*shape, width)[..., :n]
+    return aligned_zeros(math.prod(shape) * width).reshape(*shape, width)[..., :n]
 
 
 def _block_rows(n: int, n_draws: int) -> int:
@@ -550,8 +563,11 @@ class _VariateRing:
         self._rng = rng
         self._plan = plan
         self._mixture_shape = mixture_shape
-        self._slots = [(np.empty((chunk, plan.head)), np.empty((chunk, plan.n)),
-                        np.empty((chunk, n_normals))) for _ in range(2 if helper_name else 1)]
+        # Each array starts on a 64-byte boundary and keeps its rows
+        # contiguous, so one call per stream fills it.
+        self._slots = [tuple(aligned_zeros(chunk * width).reshape(chunk, width)
+                             for width in (plan.head, plan.n, n_normals))
+                       for _ in range(2 if helper_name else 1)]
         self._chunks = chunks
         self._taken = 0
         self._thread = None
@@ -727,18 +743,25 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     work, weights, shifted = (acc.var[-1], acc.sd[-1]), block.weights[-1], block.shifted[-1]
     precision[:] = path0.precision
     mixture[:] = path0.mixture
-    jump_size = np.array(path0.jump_size, dtype=float) if dense else None  # the dense block's xi
+    y, resid, jumps = aligned_zeros(n), aligned_zeros(n), aligned_zeros(n)
+    y[:] = y_arr  # the chain's own copy, aligned like its workspace
+    if dense:  # the dense block's xi
+        jump_size = aligned_zeros(n)
+        jump_size[:] = path0.jump_size
     declared = path0.jump_ind == 1
-    jumps = path0.jump_size * declared
+    np.multiply(path0.jump_size, declared, out=jumps)
     observed = path0.jump_size[declared]
-    found_jumps = np.flatnonzero(declared)
+    # Where jumps may not be +0.0: the declared times and, on the candidates'
+    # block, an initial path's undeclared negative sizes (-0.0 in jumps).
+    found_jumps = np.flatnonzero(declared | np.signbit(jumps) if sparse else declared)
+    no_sizes = np.empty(0)
     del path0  # the workspace holds the whole state from here on
-    resid = np.empty(n)
     np.multiply(mixture, precision, out=weights)
-    np.subtract(y_arr, jumps, out=shifted)
+    np.subtract(y, jumps, out=shifted)
     logit_c = _logit(cfg.jump_threshold)
     plan = discount_plan(cfg.omega, cfg.a0, n)
-    rates, scan = np.empty(1 + plan.neg.size), np.empty(plan.neg.size)
+    # The scan runs in rates[1:] and in scan: both start on a 64-byte boundary.
+    rates, scan = aligned_zeros(1 + plan.neg.size, lead=1), aligned_zeros(plan.neg.size)
 
     # Each sweep reads one row of each slot array (see the module notes):
     # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
@@ -761,11 +784,15 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
             normals = chunk_normals[i]
             try:
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
-                np.subtract(y_arr, mu, out=centered)
-                np.subtract(centered, jumps, out=resid)
-                b = forward_filter(resid, mixture, plan, cfg.b0, rates, scan)
+                np.subtract(y, mu, out=centered)
+                if dense or found_jumps.size:
+                    np.subtract(centered, jumps, out=resid)
+                    residuals = resid
+                else:  # jumps is all zeros: resid would equal centered (see the module notes)
+                    residuals = centered
+                b = forward_filter(residuals, mixture, plan, cfg.b0, rates, scan)
                 backward_sample(plan, b, rng, chunk_head[i], normals[:tail], precision, scan)
-                sample_mixture_path(resid, precision, cfg, chunk_mixture[i], mixture)
+                sample_mixture_path(residuals, precision, cfg, chunk_mixture[i], mixture)
                 np.multiply(mixture, precision, out=weights)
                 if cfg.jumps_enabled:
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
@@ -775,20 +802,29 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
                         found = _jump_candidates(weights, centered, jump_prob, logit_c, resid,
                                                  declared)
                         m = found.size
-                        variates = rng.jump_normals.standard_normal(out=jumps[:m])
-                        sub_centered = np.take(centered, found, out=resid[:m], mode="clip")
-                        sub_weights = np.take(weights, found, out=rates[:m], mode="clip")
-                        sub_work = (work[0][:m], work[1][:m])
-                        sizes = sample_jump_sizes(sub_centered, sub_weights, jump_mean, jump_var,
-                                                  variates, shifted[:m], sub_work)
-                        jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob, sub_work)
-                        hits = apply_jump_threshold(sub_work[0], logit_c, declared[:m])
-                        observed = sizes[hits]
-                        found_jumps = found[hits]
-                        declared.fill(False)
-                        declared[found_jumps] = True
-                        jumps.fill(0.0)
-                        jumps[found_jumps] = observed
+                        if m:
+                            variates = rng.jump_normals.standard_normal(out=jumps[:m])
+                            sub_centered = np.take(centered, found, out=resid[:m], mode="clip")
+                            sub_weights = np.take(weights, found, out=rates[:m], mode="clip")
+                            sub_work = (work[0][:m], work[1][:m])
+                            sizes = sample_jump_sizes(sub_centered, sub_weights, jump_mean,
+                                                      jump_var, variates, shifted[:m], sub_work)
+                            jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob,
+                                                 sub_work)
+                            hits = apply_jump_threshold(sub_work[0], logit_c, declared[:m])
+                            observed = sizes[hits]
+                            found_jumps = found[hits]
+                            declared.fill(False)
+                            declared[found_jumps] = True
+                            jumps.fill(0.0)
+                            jumps[found_jumps] = observed
+                            np.subtract(y, jumps, out=shifted)
+                        else:
+                            # No candidate: declared is already all False, and only the
+                            # last jumps need resetting (see the module notes).
+                            jumps[found_jumps] = 0.0
+                            shifted[found_jumps] = y[found_jumps]
+                            observed, found_jumps = no_sizes, found
                     else:
                         sample_jump_sizes(centered, weights, jump_mean, jump_var, normals[tail:],
                                           jump_size, work)
@@ -797,7 +833,7 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
                         np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
                         jumps *= jump_size
                         observed = jump_size[declared]
-                    np.subtract(y_arr, jumps, out=shifted)
+                        np.subtract(y, jumps, out=shifted)
                     jump_prob = sample_jump_prob(observed.size, n, priors, rng)
             except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
                 raise NumericalError(

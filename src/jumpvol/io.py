@@ -20,6 +20,11 @@ points (2-core host, numpy 2.4) a latent summary read in 18-19 ms against
 because it defines what a readable file is: numpy refuses quoted cells and
 1_000, skips blank lines, reads nan and inf, and misreads some non-ASCII
 input, so _load_columns hands every such file back to it (see there).
+
+ingest_csv reads a returns or price file the same two ways: _load_input
+(np.loadtxt with the timestamps as Python strings) where it can vouch for
+the result, else _scan_input, row by row.  A 6,241-point returns file read
+in 2.9 ms against 8.5 ms (same host).
 """
 
 from __future__ import annotations
@@ -171,38 +176,54 @@ def _read_columns(path, header=None, ints=()) -> dict[str, np.ndarray]:
     return _scan_columns(path, header, ints) if columns is None else columns
 
 
+@contextmanager
+def _loadtxt_lines(path: Path, allowed: bytes = _LOADTXT_BYTES):
+    """(header cells, data lines, count of the lines taken) of a file numpy's
+    reader may be given, or None.
+
+    A file qualifies when every byte after an optional leading byte-order mark
+    is one of allowed and the csv module reads its header from one line.  The
+    data lines come from the handle that header was read from, so numpy and
+    the csv module split the lines alike (given a path, numpy would pick its
+    opener by the suffix and decompress a .gz).  Every warning is an error
+    in the block.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        while block := fh.read(1 << 16):
+            if block.translate(None, allowed):
+                yield None
+                return
+    with open(path, encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if not names or reader.line_num != 1:
+            yield None
+            return
+        taken = count()
+        yield names, map(itemgetter(0), zip(fh, taken)), taken
+
+
 def _load_columns(path: Path, header, ints) -> Optional[dict[str, np.ndarray]]:
     """The columns of path as np.loadtxt parses them, or None where the scanner must decide.
 
-    numpy is given only files of _LOADTXT_BYTES after an optional leading
-    byte-order mark, which the header read skips, and reads the data lines
-    from the handle the csv module read the header from, so both split the
-    lines alike (given a path, numpy would pick its opener by the suffix
-    and decompress a .gz).  Each cell it then parses, float() or int()
-    parses to the same value.  None stands for a file numpy refuses (a
-    quote, 1_000, an empty cell, a short or long row, an integer beyond
-    int64) or warns about (no data row; older numpy parses 1.0 in an
-    integer column with a DeprecationWarning), a header other than the one
-    expected or spanning lines, a float that is not finite, and a blank
-    line, which numpy skips where the csv module sees a row of no cells.
+    numpy is given only the data lines of _loadtxt_lines.  Each cell it then
+    parses, float() or int() parses to the same value.  None stands for a
+    file numpy refuses (a quote, 1_000, an empty cell, a short or long row,
+    an integer beyond int64) or warns about (no data row; older numpy parses
+    1.0 in an integer column with a DeprecationWarning), a header other than
+    the one expected or spanning lines, a float that is not finite, and a
+    blank line, which numpy skips where the csv module sees a row of no cells.
     """
     try:
-        with open(path, "rb") as fh:
-            if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-                fh.seek(0)
-            while block := fh.read(1 << 16):
-                if block.translate(None, _LOADTXT_BYTES):
-                    return None
-        with open(path, encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reader = csv.reader(fh)
-            names = next(reader, None)
-            if not names or reader.line_num != 1 or header is not None and names != list(header):
+        with _loadtxt_lines(path) as lines:
+            if lines is None or header is not None and lines[0] != list(header):
                 return None
-            taken = count()  # the data lines numpy has read
+            names, data, taken = lines
             table = np.loadtxt(
-                map(itemgetter(0), zip(fh, taken)),
-                dtype=[("", np.int64 if name in ints else np.float64) for name in names],
+                data, dtype=[("", np.int64 if name in ints else np.float64) for name in names],
                 delimiter=",", comments=None, ndmin=1,
             )
     except (OSError, ValueError, Warning):
@@ -286,34 +307,88 @@ def ingest_csv(path, mode: str) -> ReturnsSeries:
     leading byte-order mark is skipped.  In returns mode the ``t,return``
     columns of a ``simulate`` output file are accepted too.  Parse failures
     report the offending line number.
+
+    numpy's reader parses the file when it can vouch for the result
+    (_load_input); any other file, and every defect, goes to the csv
+    module's scanner (_scan_input), so both give the same series and the
+    same DataFormatError.
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     path = Path(path)
+    loaded = _load_input(path, mode)
+    timestamps, values = _scan_input(path, mode) if loaded is None else loaded
+    if len(values) < 2:
+        raise DataFormatError(f"{path}: need at least 2 data rows, got {len(values)}")
+    if mode == "prices":
+        return prices_to_returns(np.asarray(values, dtype=float), timestamps)
+    return ReturnsSeries(np.asarray(values, dtype=float), timestamps)
+
+
+def _input_columns(path: Path, names: list[str], mode: str) -> tuple[int, int, str]:
+    """The indices of the timestamp and value columns of a header, and the value column's name."""
+    header = [h.strip().lower() for h in names]
+    pairs = _INPUT_COLUMNS[mode]
+    ts_col, value_col = next(
+        (pair for pair in pairs if pair[0] in header and pair[1] in header), pairs[0]
+    )
+    if ts_col not in header:
+        raise DataFormatError(f"{path}: line 1: missing required column '{ts_col}'")
+    if value_col not in header:
+        raise DataFormatError(f"{path}: line 1: missing required column '{value_col}'")
+    return header.index(ts_col), header.index(value_col), value_col
+
+
+def _load_input(path: Path, mode: str) -> Optional[tuple[list[str], np.ndarray]]:
+    """The timestamps and values of an input file as np.loadtxt parses them, or
+    None where the scanner must decide.
+
+    As in _load_columns, with three more refusals: a quote anywhere (numpy
+    keeps the quotes of a timestamp the csv module strips), a header without
+    the mode's columns, and a price that is not positive.  Rows may be longer
+    than the header, as the scanner allows.  The timestamps are read as
+    Python strings (a fixed-width string dtype would cut long ones) and
+    stripped as the scanner strips them.
+    """
+    try:
+        with _loadtxt_lines(path, _LOADTXT_BYTES.replace(b'"', b"")) as lines:
+            if lines is None:
+                return None
+            names, data, taken = lines
+            ts_idx, val_idx, _ = _input_columns(path, names, mode)
+            table = np.loadtxt(data, dtype=[("", object), ("", np.float64)], delimiter=",",
+                               comments=None, usecols=(ts_idx, val_idx), ndmin=1)
+    except (OSError, ValueError, Warning, DataFormatError):
+        return None
+    stamps, values = (table[field] for field in table.dtype.names)
+    if table.size != next(taken) or not np.isfinite(values).all():
+        return None
+    if mode == "prices" and not (values > 0.0).all():
+        return None
+    return [stamp.strip() for stamp in stamps.tolist()], np.ascontiguousarray(values)
+
+
+def _scan_input(path: Path, mode: str) -> tuple[list[str], list[float]]:
+    """ingest_csv's timestamps and values by the csv module and float(), row by row.
+
+    Blank rows and rows of blank cells are skipped; a DataFormatError names
+    the first bad row.
+    """
     timestamps: list[str] = []
     values: list[float] = []
     with _csv_rows(path) as reader:
         names = next(reader, None)
         if names is None:
             raise DataFormatError(f"{path}: file is empty")
-        header = [h.strip().lower() for h in names]
-        pairs = _INPUT_COLUMNS[mode]
-        ts_col, value_col = next(
-            (pair for pair in pairs if pair[0] in header and pair[1] in header), pairs[0]
-        )
-        if ts_col not in header:
-            raise DataFormatError(f"{path}: line 1: missing required column '{ts_col}'")
-        if value_col not in header:
-            raise DataFormatError(f"{path}: line 1: missing required column '{value_col}'")
-        ts_idx = header.index(ts_col)
-        val_idx = header.index(value_col)
+        ts_idx, val_idx, value_col = _input_columns(path, names, mode)
+        width = len(names)
 
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) <= max(ts_idx, val_idx):
                 raise DataFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
+                    f"{path}: line {line_no}: expected {width} columns, got {len(row)}"
                 )
             cell = row[val_idx].strip()
             try:
@@ -330,12 +405,7 @@ def ingest_csv(path, mode: str) -> ReturnsSeries:
                 raise DataFormatError(f"{path}: line {line_no}: price must be > 0, got {cell}")
             timestamps.append(row[ts_idx].strip())
             values.append(value)
-
-    if len(values) < 2:
-        raise DataFormatError(f"{path}: need at least 2 data rows, got {len(values)}")
-    if mode == "prices":
-        return prices_to_returns(np.array(values), timestamps)
-    return ReturnsSeries(np.array(values), timestamps)
+    return timestamps, values
 
 
 def describe(y) -> dict:

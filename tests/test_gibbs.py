@@ -373,7 +373,8 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatc
     the public stage functions draw when called in the documented order, and
     returns no array that shares memory with the workspace.  From
     _SPARSE_MIN_N points every sweep, kept or not, runs the jump stages on
-    the candidates alone, and draws what the dense block draws."""
+    the candidates alone, and draws what the dense block draws; a sweep
+    without a candidate skips them."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(omega=omega, jumps_enabled=jumps_enabled)
     buffers = _spy_stage_arrays(monkeypatch)
@@ -381,14 +382,17 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatc
     monkeypatch.setattr(engine, "sample_jump_sizes",
                         lambda centered, *args: calls.append(centered.size) or
                         sizes(centered, *args))
+    found = _spy_candidates(monkeypatch)
     for thin_lag in (1, 3):
         calls.clear()
+        found.clear()
         spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=thin_lag, seed=8,
                           keep_latent_draws=True)
         out = jv.run_chain(y, cfg, spec)
         _check_equals_reference(out, *_reference_chain(y, cfg, spec), buffers)
         if jumps_enabled and n >= engine._SPARSE_MIN_N:
-            assert len(calls) == spec.iterations and max(calls) < n // 10
+            assert len(found) == spec.iterations
+            assert calls == [size for size in found if size] and max(calls) < n // 10
         else:
             assert calls == [n] * (spec.iterations if jumps_enabled else 0)
         if jumps_enabled and n > 2 and omega > 0.05:
@@ -422,6 +426,72 @@ def test_sparse_jump_block_equals_dense_block(n, thin_lag, monkeypatch):
     short = y[:engine._SPARSE_MIN_N - 1]
     jv.run_chain(short, jv.default_config(), jv.RunSpec(iterations=5, seed=3))
     assert calls == [short.size] * 5
+
+
+_INTRADAY_LAW = dict(mu=0.0, jump_prob=0.0087, jump_mean=-0.02, jump_sd=0.05, theta=0.002,
+                     sigma_v=0.002)
+
+
+@pytest.mark.parametrize("thin_lag", [1, 3])
+def test_quiet_series_sweeps_without_candidates_equal_reference(thin_lag, monkeypatch):
+    """On the intraday law the jump sd is about the returns' own sd, and many
+    sweeps find no candidate.  Such a sweep skips the jump stages and resets
+    only the last sweep's jumps; a sweep that starts with no declared jump
+    filters centered in place of resid.  The chain still draws bit for bit
+    what the public stage functions draw, both where the sweep before an
+    empty C declared jumps and where it declared none."""
+    n = 1200
+    y = jv.simulate(jv.SimConfig(n=n, seed=3, **_INTRADAY_LAW)).returns.returns
+    cfg = jv.default_config()
+    buffers = _spy_stage_arrays(monkeypatch)
+    found = _spy_candidates(monkeypatch)
+    declared, sample_jump_prob = [], engine.sample_jump_prob
+    monkeypatch.setattr(engine, "sample_jump_prob",
+                        lambda count, *args: declared.append(count) or
+                        sample_jump_prob(count, *args))
+    spec = jv.RunSpec(iterations=31, burn_in=4, thin_lag=thin_lag, seed=8,
+                      keep_latent_draws=True)
+    out = jv.run_chain(y, cfg, spec)
+    _check_equals_reference(out, *_reference_chain(y, cfg, spec), buffers)
+    empty_after = [declared[j - 1] > 0 for j in range(1, spec.iterations) if not found[j]]
+    assert True in empty_after and False in empty_after
+    assert out.latent_draws["jump_ind"].any()
+
+
+def test_initial_undeclared_sizes_change_no_draw(monkeypatch):
+    """An initial path's undeclared negative sizes (-0.0 in the jumps) change
+    no draw of a long jump fit, kept jump paths included, where the first
+    sweep finds no candidate and skips the jump stages."""
+    n = 1200
+    y = jv.simulate(jv.SimConfig(n=n, seed=3, **_INTRADAY_LAW)).returns.returns
+    cfg = jv.default_config()
+    params, path = jv.default_init(y, cfg)
+    params = dataclasses.replace(params, jump_prob=1e-3)  # the first sweep finds no candidate
+    signed = dataclasses.replace(path, jump_size=np.full(n, -1.0))
+    spec = jv.RunSpec(iterations=12, seed=8, keep_latent_draws=True)
+    found = _spy_candidates(monkeypatch)
+    outs = [jv.run_chain(y, cfg, dataclasses.replace(spec, init=[(params, start)]))
+            for start in (path, signed)]
+    assert found[0] == found[spec.iterations] == 0
+    for name, column in outs[0].draws.items():
+        np.testing.assert_array_equal(outs[1].draws[name], column, err_msg=name)
+    for name, rows in outs[0].latent_draws.items():
+        assert outs[1].latent_draws[name].tobytes() == rows.tobytes(), name
+    kept = outs[1].latent_draws
+    assert not np.signbit(kept["jump_size"][kept["jump_ind"] == 0]).any()
+
+
+def _spy_candidates(monkeypatch):
+    """Record the size of each sweep's candidate set C."""
+    sizes, candidates = [], engine._jump_candidates
+
+    def spy(*args):
+        found = candidates(*args)
+        sizes.append(found.size)
+        return found
+
+    monkeypatch.setattr(engine, "_jump_candidates", spy)
+    return sizes
 
 
 def _check_equals_reference(out, rows, paths, buffers):

@@ -95,6 +95,80 @@ class TestIngest:
         np.testing.assert_array_equal(series.returns, [0.5, -0.25])
 
 
+def _returns_text(values, header="timestamp,log_return_pct", stamp="t{}"):
+    return header + "\n" + "".join(f"{stamp.format(i)},{v!r}\n" for i, v in enumerate(values))
+
+
+_SIM_RETURNS = jv.simulate(jv.SimConfig(n=250, seed=77)).returns.returns.tolist()
+_LONG_STAMP = "2024-03-01T09:30:00.000000000+00:00 " + "x" * 200
+
+# Every input file of the ingest and CLI tests, and the cases where numpy's
+# reader and the scanner could part: name -> (mode, bytes, whether numpy's
+# reader takes the file).
+_INGEST_FIXTURES = {
+    "returns_passthrough": ("returns", _returns_text([0.1, -0.2]).encode(), True),
+    "prices": ("prices", b"timestamp,price\nd0,100\nd1,101\n", True),
+    "missing_column": ("prices", b"timestamp,close\nd0,100\nd1,101\n", False),
+    "non_numeric_cell": ("returns", b"timestamp,log_return_pct\nd0,0.1\nd1,oops\n", False),
+    "too_few_rows": ("returns", b"timestamp,log_return_pct\nd0,0.1\n", True),
+    "nonpositive_price": ("prices", b"timestamp,price\nd0,100\nd1,-3\nd2,101\n", False),
+    "not_utf8_past_the_first_read": ("returns", (
+        "timestamp,log_return_pct\n" + "".join(f"d{i},0.5\n" for i in range(5000))
+    ).encode() + b"d,\xff\n", False),
+    "extra_columns_and_blank_lines": (
+        "returns", b"note,timestamp,log_return_pct\nx,d0,0.5\n\nx,d1,-0.25\n", False),
+    "returns_file": ("returns", _returns_text(_SIM_RETURNS).encode(), True),
+    "returns_file_bom": ("returns", codecs.BOM_UTF8 + _returns_text(_SIM_RETURNS).encode(), True),
+    "simulation_file": ("returns", ("t,return,true_v\n" + "".join(
+        f"{t + 1},{v!r},0.5\n" for t, v in enumerate(_SIM_RETURNS))).encode(), True),
+    "rounded_intraday": ("returns", _returns_text(np.round(_SIM_RETURNS, 2).tolist()).encode(),
+                         True),
+    "empty": ("returns", b"", False),
+    "header_only": ("returns", b"timestamp,log_return_pct\n", False),
+    "long_timestamps": ("returns", _returns_text([0.5, -1.5, 2.0], stamp=_LONG_STAMP + "{}")
+                        .encode(), True),
+    "padded_timestamps": ("returns", b"timestamp,log_return_pct\n  d 0\t, 0.5 \nd1 ,-1\r\n",
+                          True),
+    "value_column_first": ("returns", b"LOG_RETURN_PCT , Timestamp\n0.5,d0\n-1,d1\n", True),
+    "rows_longer_than_header": ("returns", b"timestamp,log_return_pct\nd0,0.5,x\nd1,-1\n", True),
+    "short_row": ("returns", b"timestamp,log_return_pct\nd0,0.5\nd1\n", False),
+    "crlf": ("returns", b"timestamp,log_return_pct\r\nd0,0.5\r\nd1,-1\r\n", True),
+    "cr_line_ends": ("returns", b"timestamp,log_return_pct\rd0,0.5\rd1,-1\r", True),
+    "quoted_timestamp": ("returns", b'timestamp,log_return_pct\n"d,0",0.5\nd1,-1\n', False),
+    "quoted_value": ("returns", b'timestamp,log_return_pct\nd0,"0.5"\nd1,-1\n', False),
+    "line_of_spaces": ("returns", b"timestamp,log_return_pct\nd0,0.5\n  ,  \nd1,-1\n", False),
+    "nan": ("returns", b"timestamp,log_return_pct\nd0,0.5\nd1,nan\n", False),
+    "underscores": ("returns", b"timestamp,log_return_pct\nd0,1_000\nd1,-1\n", False),
+    "hash_in_timestamp": ("returns", b"timestamp,log_return_pct\nd#0,0.5\nd1,-1\n", True),
+    "zero_price": ("prices", b"timestamp,price\nd0,100\nd1,0\n", False),
+    "non_ascii_timestamp": ("returns", "timestamp,log_return_pct\ndé0,0.5\nd1,-1\n".encode(),
+                            False),
+}
+
+
+def _ingest_outcome(path, mode):
+    """ingest_csv's returns (dtype and bytes) and timestamps, or its DataFormatError text."""
+    try:
+        series = jio.ingest_csv(path, mode)
+    except DataFormatError as exc:
+        return str(exc)
+    return series.returns.dtype, series.returns.tobytes(), list(series.timestamps)
+
+
+@pytest.mark.parametrize("name", sorted(_INGEST_FIXTURES))
+def test_ingest_reads_as_the_scanner_reads(tmp_path, monkeypatch, name):
+    """numpy's reader takes the files it can vouch for and gives the series the
+    csv module's scanner gives; every other file, and every error, is the
+    scanner's."""
+    mode, content, loaded = _INGEST_FIXTURES[name]
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    assert (jio._load_input(path, mode) is not None) == loaded
+    got = _ingest_outcome(path, mode)
+    monkeypatch.setattr(jio, "_load_input", lambda path, mode: None)
+    assert got == _ingest_outcome(path, mode)
+
+
 class TestDescribe:
     def test_against_independent_moment_oracle(self):
         gen = np.random.default_rng(2024)
