@@ -8,8 +8,7 @@ Each iteration updates, in order:
     3. mixture path        independent gamma draws per observation
     4. jump-size mean      given sizes at the previous sweep's jump times
     5. jump-size variance  given sizes at the previous sweep's jump times
-    6. jump sizes          normal draws for the whole path (on long series,
-                           for the candidates only)
+    6. jump sizes          normal draws where a jump can be declared
     7. jump indicators     threshold rule on the posterior log-odds of a jump
     8. jump probability    beta draw given the new indicators
 
@@ -25,10 +24,10 @@ sweep index, the static parameters the model has and the conditional
 log-likelihood.  With RunSpec.keep_latent_draws it also fills the same row
 of one (draws, n) array per latent path.  Per-t latent quantities are
 accumulated into running summaries.  The jump sizes and indicators are
-added only at the declared jumps, about 1% of t: the candidates' block of a
-long fit has their times at hand.  Everywhere else both terms are zero, and
-a sum that starts at +0.0 never holds -0.0, so adding a zero of either sign
-would not change it: the sums equal those of the whole paths bit for bit.
+added only at the declared jumps, about 1% of t: the jump block has their
+times at hand.  Everywhere else both terms are zero, and a sum that starts
+at +0.0 never holds -0.0, so adding a zero of either sign would not change
+it: the sums equal those of the whole paths bit for bit.
 
 On short series each numpy call costs about 1 us whatever its size, so
 retained draws are summarized a block at a time (_RetainedBlock).  A block
@@ -95,8 +94,7 @@ rows, and sweep i of the chunk reads row i of each:
     mixture   n                standard gammas of the         mixture_gammas
                                mixture path
     normals   n - 1 - head     standard normals of the        normals
-              (+ n, see below) innovations past the head,
-                               then of the jump sizes
+                               innovations past the head
 
 The head is drawn first (volatility.innovation_variates), with the
 mixture array's first chunk * head entries as its exponentials' scratch,
@@ -109,11 +107,10 @@ neither the helper nor the chunk size changes the output.  A chain that
 starts a helper keeps it from its first chunk to its last, and joins it
 when run_chain returns or raises.
 
-The jump sizes' n normals are in the normals array only on series under
-_SPARSE_MIN_N points.  On longer series a sweep does not need them.
-With c_t = y_t - mu and w_t = mixture_t * precision_t, the log-odds of a
-jump are logit(rho) + w_t xi_t (c_t - xi_t/2), and for any xi_t the
-bracket is at most w_t c_t^2 / 2.  So only the candidates
+A sweep draws no jump size where no jump can be declared.  With c_t =
+y_t - mu and w_t = mixture_t * precision_t, the log-odds of a jump are
+logit(rho) + w_t xi_t (c_t - xi_t/2), and for any xi_t the bracket is at
+most w_t c_t^2 / 2.  So only the candidates
 
     C = {t : w_t c_t^2 > 2 (logit(threshold) - logit(rho)) (1 - 1e-9)}
 
@@ -123,28 +120,24 @@ logit(threshold) is a float, so rounding the sum cannot lift the log-odds
 over it; the margin covers the few relative roundings of the products and
 of the bound, some 1e-15.  Every sweep draws |C| standard normals, in
 increasing t, from rng.jump_normals, runs the jump sizes, log-odds and
-threshold on C alone, and writes N and the jumps xi N back (N = 0 outside
-C).  No xi outside C is drawn: no stage reads it (the next jump mean and
+threshold on C alone, and writes the jumps xi N back (N = 0 outside C).
+No xi outside C is drawn: no stage reads it (the next jump mean and
 variance read xi at declared jumps only, and the reported probabilities
 integrate xi out).  Each entry at C is computed with the operations of the
-short series' dense block, which declares nothing outside C, so the chain
-draws what it would draw with every xi drawn.  Which block runs depends on
-n alone, so a chain thinned by 3 keeps rows 3, 6, ... of the unthinned
-chain.
+public stage functions, which declare nothing outside C, so the chain
+draws what it would draw with every xi drawn.  Every sweep, kept or not,
+runs the same block, so a chain thinned by 3 keeps rows 3, 6, ... of the
+unthinned chain.
 
 A sweep whose C is empty skips the rest of the jump block: 79-89% of the
 sweeps on the intraday law (n = 6,241, data seeds 1, 2, 3 and 7, 3 chains
 of 500 sweeps), none on the daily law at n = 5,000.  Every skipped call
-would run on empty arrays or write the values already there: the
-candidates' mask has left declared all False, and no normal is drawn.
-Only the times where jumps is not +0.0, the last sweep's declared jumps,
-get jumps = 0 and shifted = y.  (On the first sweep those times also hold
-an initial path's undeclared negative sizes, -0.0 in jumps: a sweep with
-candidates fills them with +0.0 too.)  A sweep that starts with no
-declared jump on the candidates' block, and every sweep of a no-jump fit,
-filters and draws the mixture path from centered in place of resid =
-centered - jumps: the two differ at most in the sign of a zero, and both
-stages read resid only squared.  The dense block keeps resid.
+would run on empty arrays or write the values already there, and no
+normal is drawn: only the last sweep's declared jumps get jumps = 0 and
+shifted = y.  jumps is +0.0 wherever no jump is declared, so a sweep that
+starts with no declared jump, and every sweep of a no-jump fit, filters
+and draws the mixture path from centered in place of resid = centered -
+jumps, which equals it bit for bit.
 
 Inputs are validated once, at the boundary of a fit: run_chain checks the
 series, the configuration and the run spec, and the StaticParams and
@@ -167,11 +160,9 @@ variate slot, whose rows stay contiguous.
     array      holds                 written by            read by
     precision* lambda path           backward_sample       mixture path, weights, the block
     mixture*   gamma path            sample_mixture_path   filter, weights, the block
-    jump_size  xi path (jump fits    sample_jump_sizes     jump mean/variance, indicators
-               under _SPARSE_MIN_N
-               points only)
-    declared   N path (bool)         apply_jump_threshold  jumps, next jump mean/var, jump_prob
-    jumps      jump_size * declared  the indicators        resid, shifted, kept jump paths
+    declared   bool scratch          the candidates' mask  the jump block (see below)
+                                     and the threshold
+    jumps      xi N                  the jump block        resid, shifted, kept jump paths
     centered*  y - mu                the mu draw           jump sizes, indicators, the block
     resid      centered - jumps      the mu draw           filter, mixture path (in place
                                                            of centered, see above)
@@ -183,24 +174,24 @@ variate slot, whose rows stay contiguous.
     work*      two float scratches   mu draw, jump sizes, indicators, then the block's flush;
                work[0] also holds the indicators' log-odds for the threshold
 
-The jump block of a long series keeps the candidates' entries at the
-front of arrays that are free at that point: their scores and then their
-c in resid (free after the mixture path), their mask and then their N in
-declared (free until the threshold writes it), their w in rates (free
-after backward_sample), their normals in jumps and their xi in shifted
-(both written again at the end of the block).  mode="clip" keeps np.take
-from buffering its output; the candidates are valid indices.
+The jump block keeps the candidates' entries at the front of arrays that
+are free at that point: their scores and then their c in resid (free
+after the mixture path), their mask and then their N in declared, their
+w in rates (free after backward_sample), their normals in jumps and their
+xi in shifted (both written again at the end of the block).  mode="clip"
+keeps np.take from buffering its output; the candidates are valid indices.
 
 The threshold declares N_t = 1{z_t > logit(threshold)} on the log-odds
 z_t, the rule p_t > threshold without a logistic (the two disagree only
 where z_t lies within rounding of logit(threshold)).  Every scratch is
 read only by the stage that wrote it.  A retained draw reads precision,
-mixture, centered, shifted, declared and jumps (the kept jump_size rows are
-the jumps xi N): the accumulator's jump counts and the kept jump_ind rows
-stay int64 and take declared as 0 and 1.  Every array is computed with the
-operations, in the order, that the public function of its stage uses, so
-the sweep draws bit for bit what the public functions (which allocate
-these arrays) draw when called in the order above.
+mixture, centered, shifted and jumps, and the declared times and sizes
+(the kept jump_size rows are the jumps xi N): the accumulator's jump
+counts and the kept jump_ind rows stay int64 and count 1 at each declared
+time.  Every array is computed with the operations, in the order, that
+the public function of its stage uses, so the sweep draws bit for bit
+what the public functions (which allocate these arrays) draw when called
+in the order above.
 """
 
 from __future__ import annotations
@@ -262,13 +253,6 @@ _BAND_BATCH = 16
 # short_batch it gained 4% in sweeps per second for 0.7 MB (1.7%) of peak
 # memory, while at n = 1,000 it gained 19-25%.
 _HELPER_MIN_N = 1000
-# Shortest series of a jump fit that draws the jump sizes' normals only where
-# a jump can be declared (see the module notes).  Against drawing all n, a
-# 1,500-sweep fit thinned by 5 on the daily law ran at 0.93-1.00 times the
-# rate at n = 600, 0.99-1.04 at 1,200, 1.07-1.08 at 2,000 and 1.15-1.16 at
-# 5,000 (medians of two sets of 10-12 alternating in-process pairs, helper
-# off, 2-core host): the series where it stops losing.
-_SPARSE_MIN_N = 1000
 # The candidates' bound 2 (logit(threshold) - logit(rho)) is scaled by this,
 # a margin far above the few relative roundings of the log-odds.
 _CANDIDATE_MARGIN = 1.0 - 1e-9
@@ -545,10 +529,10 @@ class _VariateRing:
     A slot is three arrays of chunk rows (see the module notes): head, the
     innovations' standard gammas at plan.shapes[:head]
     (volatility.innovation_variates); mixture, standard gammas at
-    mixture_shape, drawn from rng.mixture_gammas; and normals, n_normals
-    standard normals, drawn from rng.normals.  Row i belongs to the chunk's
-    i-th sweep.  take() returns the next chunk's slot, which the
-    caller reads until its next take().  Without a helper, take() fills the
+    mixture_shape, drawn from rng.mixture_gammas; and normals, the n - 1 -
+    head standard normals past the head, drawn from rng.normals.  Row i
+    belongs to the chunk's i-th sweep.  take() returns the next chunk's
+    slot, which the caller reads until its next take().  Without a helper, take() fills the
     one slot itself.  With one, a helper thread fills two slots in turn, one
     chunk ahead: take() waits for chunk c, then requests chunk c + 1 in the
     slot that held chunk c - 1.  Either way each child stream fills its
@@ -558,15 +542,15 @@ class _VariateRing:
     cost 0.4 MB of peak memory at n = 5,000.)
     """
 
-    def __init__(self, rng: RngStream, plan: DiscountPlan, mixture_shape: float, n_normals: int,
-                 chunk: int, chunks: int, helper_name: Optional[str]) -> None:
+    def __init__(self, rng: RngStream, plan: DiscountPlan, mixture_shape: float, chunk: int,
+                 chunks: int, helper_name: Optional[str]) -> None:
         self._rng = rng
         self._plan = plan
         self._mixture_shape = mixture_shape
         # Each array starts on a 64-byte boundary and keeps its rows
         # contiguous, so one call per stream fills it.
         self._slots = [tuple(aligned_zeros(chunk * width).reshape(chunk, width)
-                             for width in (plan.head, plan.n, n_normals))
+                             for width in (plan.head, plan.n, plan.n - 1 - plan.head))
                        for _ in range(2 if helper_name else 1)]
         self._chunks = chunks
         self._taken = 0
@@ -634,7 +618,7 @@ class _RetainedBlock:
         self._idx = 0  # the draws row of the block's first draw
 
     def keep(self, j: int, mu: float, jump_prob: float, jump_mean: float, jump_var: float,
-             at, sizes, jumps, declared) -> None:
+             at, sizes, jumps) -> None:
         """Keep sweep j, whose jumps are declared at the distinct times at, of sizes."""
         acc, r = self._acc, len(self._scalars) + 1
         if r < self.rows:
@@ -646,10 +630,10 @@ class _RetainedBlock:
         self._at.append(at)
         self._sizes.append(sizes)
         if self._kept is not None:
-            # The short series' jumps hold -0.0 where a negative size is not
-            # declared, so they are kept as they are, not rebuilt from at.
             self._kept["jump_size"][self._idx + r - 1] = jumps
-            self._kept["jump_ind"][self._idx + r - 1] = declared
+            indicators = self._kept["jump_ind"][self._idx + r - 1]
+            indicators.fill(0)
+            indicators[at] = 1
         if r == self.rows:
             self.flush()
 
@@ -737,23 +721,16 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     # The workspace: every n-length array a sweep touches (see the module
     # notes), seven of them the last rows of the retained block's arrays.
     block = _RetainedBlock(acc, draws, kept, chain_id, cfg.jumps_enabled)
-    sparse = cfg.jumps_enabled and n >= _SPARSE_MIN_N
-    dense = cfg.jumps_enabled and not sparse
     precision, mixture, centered = acc.precision[-1], acc.mixture[-1], acc.prob[-1]
     work, weights, shifted = (acc.var[-1], acc.sd[-1]), block.weights[-1], block.shifted[-1]
     precision[:] = path0.precision
     mixture[:] = path0.mixture
     y, resid, jumps = aligned_zeros(n), aligned_zeros(n), aligned_zeros(n)
     y[:] = y_arr  # the chain's own copy, aligned like its workspace
-    if dense:  # the dense block's xi
-        jump_size = aligned_zeros(n)
-        jump_size[:] = path0.jump_size
     declared = path0.jump_ind == 1
-    np.multiply(path0.jump_size, declared, out=jumps)
-    observed = path0.jump_size[declared]
-    # Where jumps may not be +0.0: the declared times and, on the candidates'
-    # block, an initial path's undeclared negative sizes (-0.0 in jumps).
-    found_jumps = np.flatnonzero(declared | np.signbit(jumps) if sparse else declared)
+    found_jumps = np.flatnonzero(declared)
+    observed = path0.jump_size[found_jumps]
+    jumps[found_jumps] = observed  # +0.0 elsewhere, as every sweep leaves it
     no_sizes = np.empty(0)
     del path0  # the workspace holds the whole state from here on
     np.multiply(mixture, precision, out=weights)
@@ -763,17 +740,11 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
     # The scan runs in rates[1:] and in scan: both start on a 64-byte boundary.
     rates, scan = aligned_zeros(1 + plan.neg.size, lead=1), aligned_zeros(plan.neg.size)
 
-    # Each sweep reads one row of each slot array (see the module notes):
-    # the variates of the public stages.  On jump fits of _SPARSE_MIN_N
-    # points or more, the jump sizes' normals come from rng.jump_normals at
-    # the candidates instead.
-    tail = n - 1 - plan.head
-    n_normals = tail + (n if dense else 0)
+    # Each sweep reads one row of each slot array, 2 n - 1 variates (see the
+    # module notes); the jump sizes' normals come from rng.jump_normals.
     helper = _helper_runs(n)
-    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES * (2 if helper else 1)
-                       // (plan.head + n + n_normals)))
-    ring = _VariateRing(rng, plan, _mixture_shape(cfg), n_normals, chunk,
-                        -(-spec.iterations // chunk),
+    chunk = max(1, min(spec.iterations, _CHUNK_VARIATES * (2 if helper else 1) // (2 * n - 1)))
+    ring = _VariateRing(rng, plan, _mixture_shape(cfg), chunk, -(-spec.iterations // chunk),
                         f"jumpvol-variates-{chain_id}" if helper else None)
 
     try:
@@ -781,59 +752,43 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
             i = (j - 1) % chunk
             if i == 0:
                 chunk_head, chunk_mixture, chunk_normals = ring.take()
-            normals = chunk_normals[i]
             try:
                 mu = sample_mu(weights, shifted, priors, work[0], rng)
                 np.subtract(y, mu, out=centered)
-                if dense or found_jumps.size:
+                if found_jumps.size:
                     np.subtract(centered, jumps, out=resid)
                     residuals = resid
-                else:  # jumps is all zeros: resid would equal centered (see the module notes)
+                else:  # jumps is all +0.0: resid would equal centered
                     residuals = centered
                 b = forward_filter(residuals, mixture, plan, cfg.b0, rates, scan)
-                backward_sample(plan, b, rng, chunk_head[i], normals[:tail], precision, scan)
+                backward_sample(plan, b, rng, chunk_head[i], chunk_normals[i], precision, scan)
                 sample_mixture_path(residuals, precision, cfg, chunk_mixture[i], mixture)
                 np.multiply(mixture, precision, out=weights)
                 if cfg.jumps_enabled:
                     jump_mean = sample_jump_mean(observed, jump_var, priors, rng)
                     jump_var = sample_jump_var(observed, jump_mean, priors, rng)
-                    if sparse:
-                        # The stages on the candidates alone: nothing else can be declared.
-                        found = _jump_candidates(weights, centered, jump_prob, logit_c, resid,
-                                                 declared)
-                        m = found.size
-                        if m:
-                            variates = rng.jump_normals.standard_normal(out=jumps[:m])
-                            sub_centered = np.take(centered, found, out=resid[:m], mode="clip")
-                            sub_weights = np.take(weights, found, out=rates[:m], mode="clip")
-                            sub_work = (work[0][:m], work[1][:m])
-                            sizes = sample_jump_sizes(sub_centered, sub_weights, jump_mean,
-                                                      jump_var, variates, shifted[:m], sub_work)
-                            jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob,
-                                                 sub_work)
-                            hits = apply_jump_threshold(sub_work[0], logit_c, declared[:m])
-                            observed = sizes[hits]
-                            found_jumps = found[hits]
-                            declared.fill(False)
-                            declared[found_jumps] = True
-                            jumps.fill(0.0)
-                            jumps[found_jumps] = observed
-                            np.subtract(y, jumps, out=shifted)
-                        else:
-                            # No candidate: declared is already all False, and only the
-                            # last jumps need resetting (see the module notes).
-                            jumps[found_jumps] = 0.0
-                            shifted[found_jumps] = y[found_jumps]
-                            observed, found_jumps = no_sizes, found
-                    else:
-                        sample_jump_sizes(centered, weights, jump_mean, jump_var, normals[tail:],
-                                          jump_size, work)
-                        jump_indicator_probs(weights, centered, jump_size, jump_prob, work)
-                        apply_jump_threshold(work[0], logit_c, declared)
-                        np.copyto(jumps, declared)  # cast first: a mixed multiply buffers a path
-                        jumps *= jump_size
-                        observed = jump_size[declared]
+                    # The stages on the candidates alone: nothing else can be declared.
+                    found = _jump_candidates(weights, centered, jump_prob, logit_c, resid,
+                                             declared)
+                    m = found.size
+                    if m:
+                        variates = rng.jump_normals.standard_normal(out=jumps[:m])
+                        sub_centered = np.take(centered, found, out=resid[:m], mode="clip")
+                        sub_weights = np.take(weights, found, out=rates[:m], mode="clip")
+                        sub_work = (work[0][:m], work[1][:m])
+                        sizes = sample_jump_sizes(sub_centered, sub_weights, jump_mean, jump_var,
+                                                  variates, shifted[:m], sub_work)
+                        jump_indicator_probs(sub_weights, sub_centered, sizes, jump_prob, sub_work)
+                        hits = apply_jump_threshold(sub_work[0], logit_c, declared[:m])
+                        observed = sizes[hits]
+                        found_jumps = found[hits]
+                        jumps.fill(0.0)
+                        jumps[found_jumps] = observed
                         np.subtract(y, jumps, out=shifted)
+                    else:  # only the last jumps need resetting (see the module notes)
+                        jumps[found_jumps] = 0.0
+                        shifted[found_jumps] = y[found_jumps]
+                        observed, found_jumps = no_sizes, found
                     jump_prob = sample_jump_prob(observed.size, n, priors, rng)
             except (ParameterError, FloatingPointError, ZeroDivisionError) as exc:
                 raise NumericalError(
@@ -841,9 +796,7 @@ def _run_sweeps(y_arr, cfg: ModelConfig, spec: RunSpec, chain_id: int, acc: _Lat
                 ) from exc
 
             if j > spec.burn_in and (j - spec.burn_in) % spec.thin_lag == 0:
-                block.keep(j, mu, jump_prob, jump_mean, jump_var,
-                           np.flatnonzero(declared) if dense else found_jumps, observed,
-                           jumps, declared)
+                block.keep(j, mu, jump_prob, jump_mean, jump_var, found_jumps, observed, jumps)
         block.flush()
     except Exception:
         # A retained sweep still in the block may have failed first: report

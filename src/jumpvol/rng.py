@@ -32,14 +32,13 @@ An :class:`RngStream` holds six generators seeded from one SeedSequence:
       gammas          (k, 0)     the backward-sample innovations' head:
                                  gammas at the lifted shapes alpha + 1
       normals         (k, 1)     standard normals of the innovations past
-                                 the head, then (series under
-                                 gibbs._SPARSE_MIN_N points) of the jump sizes
+                                 the head
       exponentials    (k, 2)     the head's standard exponentials, which
                                  turn Gamma(alpha + 1) into Gamma(alpha)
       mixture_gammas  (k, 3)     the mixture path's standard gammas, all
                                  at one shape
-      jump_normals    (k, 4)     on longer series, standard normals of the
-                                 jump sizes where a jump can be declared
+      jump_normals    (k, 4)     standard normals of the jump sizes where
+                                 a jump can be declared
 
   (k is the stream id; see :func:`jumpvol.volatility.innovation_variates`.)
   Each of the first four draws one kind of variate in a fixed order, so

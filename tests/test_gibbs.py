@@ -226,15 +226,18 @@ class TestSweepOrder:
     def test_conditioning_values_follow_update_order(self, small_sim, monkeypatch):
         """Instrumented sweep: the precision block sees the current iteration's
         mu but the previous iteration's mixture and jumps; the jump-size
-        mean/variance blocks see the previous iteration's sizes."""
+        mean/variance blocks see the previous iteration's declared sizes.  The
+        jump sizes and indicators come at the candidates alone, so they are
+        mapped back to t through the candidates' times."""
         import jumpvol.gibbs as engine
 
         log = {"mu_out": [], "filter_resid": [], "filter_mixture": [], "mixture_out": [],
-               "jump_sizes_out": [], "ind_out": [], "jump_mean_sizes_in": []}
+               "candidates": [], "jump_sizes_out": [], "ind_out": [], "jump_mean_sizes_in": []}
 
         real_sample_mu = engine.sample_mu
         real_forward = engine.forward_filter
         real_mixture = engine.sample_mixture_path
+        real_candidates = engine._jump_candidates
         real_sizes = engine.sample_jump_sizes
         real_jump_mean = engine.sample_jump_mean
         real_threshold = engine.apply_jump_threshold
@@ -254,6 +257,11 @@ class TestSweepOrder:
             log["mixture_out"].append(np.array(out, copy=True))
             return out
 
+        def spy_candidates(*args):
+            found = real_candidates(*args)
+            log["candidates"].append(found.copy())
+            return found
+
         def spy_sizes(centered, weights, jump_mean, jump_var, variates, path, work):
             out = real_sizes(centered, weights, jump_mean, jump_var, variates, path, work)
             log["jump_sizes_out"].append(np.array(out, copy=True))
@@ -271,6 +279,7 @@ class TestSweepOrder:
         monkeypatch.setattr(engine, "sample_mu", spy_mu)
         monkeypatch.setattr(engine, "forward_filter", spy_forward)
         monkeypatch.setattr(engine, "sample_mixture_path", spy_mixture)
+        monkeypatch.setattr(engine, "_jump_candidates", spy_candidates)
         monkeypatch.setattr(engine, "sample_jump_sizes", spy_sizes)
         monkeypatch.setattr(engine, "sample_jump_mean", spy_jump_mean)
         monkeypatch.setattr(engine, "apply_jump_threshold", spy_threshold)
@@ -279,21 +288,28 @@ class TestSweepOrder:
         jv.run_chain(small_sim.returns, jv.default_config(), spec)
 
         y = small_sim.returns.returns
+        drawn = iter(zip(log["jump_sizes_out"], log["ind_out"]))
         jumps = np.zeros(len(y))  # the default start declares no jumps
+        declared_sizes = np.empty(0)
         for j in range(4):
             # precision block conditions on this iteration's mu draw and on
             # the previous iteration's jumps
             np.testing.assert_array_equal(log["filter_resid"][j], y - log["mu_out"][j] - jumps)
-            jumps = log["jump_sizes_out"][j] * log["ind_out"][j]
+            # jump-size mean block sees the sizes declared in the previous iteration
+            np.testing.assert_array_equal(log["jump_mean_sizes_in"][j], declared_sizes)
+            jumps, declared_sizes = np.zeros(len(y)), np.empty(0)
+            found = log["candidates"][j]
+            if found.size:
+                sizes, ind = next(drawn)
+                assert sizes.shape == ind.shape == found.shape
+                jumps[found[ind]] = declared_sizes = sizes[ind]
+        assert next(drawn, None) is None
+        assert any(len(sizes) for sizes in log["jump_mean_sizes_in"])
         for j in range(1, 4):
             # ... and on the previous iteration's mixture path
             np.testing.assert_array_equal(log["filter_mixture"][j], log["mixture_out"][j - 1])
         # first iteration conditions on the initial unit mixture
         np.testing.assert_array_equal(log["filter_mixture"][0], np.ones(len(small_sim.returns)))
-        for j in range(1, 4):
-            # jump-size mean block sees sizes drawn in the previous iteration
-            previous = set(log["jump_sizes_out"][j - 1].tolist())
-            assert all(v in previous for v in log["jump_mean_sizes_in"][j].tolist())
 
 
 def _logit(p):
@@ -312,17 +328,15 @@ def _candidates(weights, centered, jump_prob, threshold, margin=1.0 - 1e-9):
 def _reference_chain(y, cfg, spec):
     """run_chain's sweep, written with the public checked stage functions.
 
-    Chain 0 from the default start, every stage in the documented order,
-    drawing from an equal-seeded stream.  On a jump fit of at least
-    _SPARSE_MIN_N points the jump sizes' normals at the candidates come from
-    rng.jump_normals and the others from an unrelated generator, which no
-    output may read.  Returns the draws table and the retained latent paths,
-    whose jump_size rows are the jumps.
+    Chain 0 from spec.init's first start or the default one, every stage in
+    the documented order, drawing from an equal-seeded stream.  On a jump fit the jump sizes'
+    normals at the candidates come from rng.jump_normals and the others from
+    an unrelated generator, which no output may read.  Returns the draws
+    table and the retained latent paths, whose jump_size rows are the jumps.
     """
     rng = jv.RngStream(spec.seed, stream_id=0)
-    sparse = len(y) >= engine._SPARSE_MIN_N
     unrelated = np.random.default_rng(12345)
-    params, path = jv.default_init(y, cfg)
+    params, path = spec.init[0] if spec.init else jv.default_init(y, cfg)
     mu, jump_prob = params.mu, params.jump_prob
     jump_mean, jump_var = params.jump_mean, params.jump_var
     precision, mixture = path.precision, path.mixture
@@ -339,17 +353,12 @@ def _reference_chain(y, cfg, spec):
             observed = jump_size[jump_ind == 1]
             jump_mean = conditionals.sample_jump_mean(observed, jump_var, priors, rng)
             jump_var = conditionals.sample_jump_var(observed, jump_mean, priors, rng)
-            if sparse:
-                means, variances = conditionals.jump_size_posterior(
-                    y, mu, precision, mixture, jump_mean, jump_var)
-                variates = unrelated.standard_normal(len(y))
-                found = _candidates(mixture * precision, y - mu, jump_prob, cfg.jump_threshold)
-                variates[found] = rng.jump_normals.standard_normal(found.size)
-                jump_size = means + np.sqrt(variances) * variates
-            else:
-                jump_size = conditionals.sample_jump_sizes(
-                    y, mu, precision, mixture, jump_mean, jump_var, rng
-                )
+            means, variances = conditionals.jump_size_posterior(
+                y, mu, precision, mixture, jump_mean, jump_var)
+            variates = unrelated.standard_normal(len(y))
+            found = _candidates(mixture * precision, y - mu, jump_prob, cfg.jump_threshold)
+            variates[found] = rng.jump_normals.standard_normal(found.size)
+            jump_size = means + np.sqrt(variances) * variates
             probs = conditionals.jump_indicator_probs(
                 y, mu, precision, mixture, jump_size, jump_prob
             )
@@ -365,15 +374,15 @@ def _reference_chain(y, cfg, spec):
     return rows, paths
 
 
-@pytest.mark.parametrize("n", [2, 252, 1200])
+@pytest.mark.parametrize("n", [2, 252, 999, 1000, 1200])
 @pytest.mark.parametrize("omega", [0.05, 0.9, 1.0])
 @pytest.mark.parametrize("jumps_enabled", [True, False])
 def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatch):
     """The sweep, with its workspace arrays formed once, draws bit for bit what
     the public stage functions draw when called in the documented order, and
-    returns no array that shares memory with the workspace.  From
-    _SPARSE_MIN_N points every sweep, kept or not, runs the jump stages on
-    the candidates alone, and draws what the dense block draws; a sweep
+    returns no array that shares memory with the workspace.  Every sweep of
+    a jump fit, kept or not, runs the jump stages on the candidates alone,
+    and draws what the public stages draw with every size drawn; a sweep
     without a candidate skips them."""
     y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
     cfg = jv.ModelConfig(omega=omega, jumps_enabled=jumps_enabled)
@@ -390,42 +399,14 @@ def test_sweep_equals_public_stage_functions(n, omega, jumps_enabled, monkeypatc
                           keep_latent_draws=True)
         out = jv.run_chain(y, cfg, spec)
         _check_equals_reference(out, *_reference_chain(y, cfg, spec), buffers)
-        if jumps_enabled and n >= engine._SPARSE_MIN_N:
-            assert len(found) == spec.iterations
-            assert calls == [size for size in found if size] and max(calls) < n // 10
-        else:
-            assert calls == [n] * (spec.iterations if jumps_enabled else 0)
+        assert len(found) == (spec.iterations if jumps_enabled else 0)
+        assert calls == [size for size in found if size]
+        assert n < 252 or max(calls, default=0) < n // 10
         if jumps_enabled and n > 2 and omega > 0.05:
             # The jump block ran with declared jumps, not only the empty-set
             # branch.  (At omega = 0.05 the precision follows each observation,
             # and the short run at n = 252 declares none.)
             assert out.latent_draws["jump_ind"].any()
-
-
-@pytest.mark.parametrize("n", [engine._SPARSE_MIN_N, 1200])
-@pytest.mark.parametrize("thin_lag", [1, 3])
-def test_sparse_jump_block_equals_dense_block(n, thin_lag, monkeypatch):
-    """On a jump fit of at least _SPARSE_MIN_N points every sweep, kept or
-    not, runs the jump stages on the candidates alone, and gives the draws,
-    latent summary and kept paths of the dense public stage functions bit
-    for bit.  One point fewer and every sweep runs the dense block."""
-    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
-    spec = jv.RunSpec(iterations=40, burn_in=7, thin_lag=thin_lag, seed=8,
-                      keep_latent_draws=True)
-    calls = []
-    sizes = engine.sample_jump_sizes
-    monkeypatch.setattr(engine, "sample_jump_sizes",
-                        lambda centered, *args: calls.append(centered.size) or
-                        sizes(centered, *args))
-    buffers = _spy_stage_arrays(monkeypatch)
-    sparse = jv.run_chain(y, jv.default_config(), spec)
-    assert len(calls) == spec.iterations and 0 < min(calls) and max(calls) < n // 10
-    assert sparse.latent_draws["jump_ind"].any()
-    _check_equals_reference(sparse, *_reference_chain(y, jv.default_config(), spec), buffers)
-    calls.clear()
-    short = y[:engine._SPARSE_MIN_N - 1]
-    jv.run_chain(short, jv.default_config(), jv.RunSpec(iterations=5, seed=3))
-    assert calls == [short.size] * 5
 
 
 _INTRADAY_LAW = dict(mu=0.0, jump_prob=0.0087, jump_mean=-0.02, jump_sd=0.05, theta=0.002,
@@ -479,6 +460,25 @@ def test_initial_undeclared_sizes_change_no_draw(monkeypatch):
         assert outs[1].latent_draws[name].tobytes() == rows.tobytes(), name
     kept = outs[1].latent_draws
     assert not np.signbit(kept["jump_size"][kept["jump_ind"] == 0]).any()
+
+
+def test_initial_declared_jumps_equal_reference(monkeypatch):
+    """A jump fit from a start that declares jumps, and holds negative sizes
+    where it declares none, draws bit for bit what the public stage functions
+    draw from that start: the first sweep's mu, filter, mixture path and
+    jump mean read the initial jumps."""
+    n = 252
+    y = jv.simulate(jv.SimConfig(n=n, seed=n, jump_prob=0.05)).returns.returns
+    cfg = jv.default_config()
+    params, path = jv.default_init(y, cfg)
+    ind = (np.abs(y - y.mean()) > 2.0 * y.std()).astype(np.int64)
+    start = dataclasses.replace(path, jump_size=np.where(ind == 1, y - y.mean(), -1.0),
+                                jump_ind=ind)
+    assert 0 < ind.sum() < n // 10
+    buffers = _spy_stage_arrays(monkeypatch)
+    spec = jv.RunSpec(iterations=12, seed=8, keep_latent_draws=True, init=[(params, start)])
+    out = jv.run_chain(y, cfg, spec)
+    _check_equals_reference(out, *_reference_chain(y, cfg, spec), buffers)
 
 
 def _spy_candidates(monkeypatch):
@@ -541,7 +541,7 @@ def test_prob_jump_is_the_mean_of_each_kept_rows_posterior(n, thin_lag):
 
 @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.7, 0.95])
 def test_candidates_hold_every_declared_jump(threshold):
-    """Fuzz of the candidate rule: the dense threshold rule declares nothing
+    """Fuzz of the candidate rule: the threshold rule on every t declares nothing
     outside C = {w c^2 > 2 (logit(threshold) - logit(rho)) (1 - 1e-9)}, at
     points placed within 1e-17 to 1e-1 of the bound, with xi within the
     same relative distance of c (where the log-odds peak), w over 10
@@ -618,7 +618,6 @@ def test_sweep_transient_memory(omega, paths, monkeypatch):
     path-sized is allocated (0.04 paths measured)."""
     n = 5000
     y = jv.simulate(jv.SimConfig(n=n, seed=3)).returns.returns
-    assert n >= engine._SPARSE_MIN_N
     monkeypatch.setattr(engine, "_HELPER_MIN_N", 10**9)  # no helper allocating beside it
     assert engine._block_rows(n, 15) == 1
     first, last = engine.sample_mu, engine.sample_jump_prob
@@ -660,8 +659,8 @@ def test_chain_peak_memory():
     """run_chain's traced peak at n = 5,000 (200 kept draws, helper off) stays
     at most 1.8 MB above its start.  The largest scratch is the band buffer
     (28 float32 rows, 0.56 MB) and the variate slot (256 kB); the chain
-    holds no initial path, probabilities, accumulator scratch or (on the
-    candidates' jump block) xi path beside its workspace, and forms the
+    holds no initial path, probabilities, accumulator scratch or xi path
+    beside its workspace, and forms the
     summary after the sweeps' workspace and slot are freed.  Measured 1.62
     MB, against 2.26 MB with 32-row band batches and those four arrays."""
     n = 5000
@@ -1223,8 +1222,8 @@ def test_accumulator_bands_equal_numpy_quantiles(m):
 def test_accumulator_jump_sums_equal_dense_path_sums(m):
     """Jumps added at the declared times alone give the sums of the whole paths, bit for bit.
 
-    The dense jumps path holds -0.0 wherever a negative size is not declared,
-    as the short series' sweep writes it.
+    The whole jumps path, declared * sizes, holds -0.0 wherever a negative
+    size is not declared; the sums at the declared times alone never do.
     """
     n = 40
     gen = np.random.default_rng(m)

@@ -291,7 +291,7 @@ def _head_draws_by_backward_sample(plan, rng, rows, monkeypatch):
 
 def _head_draws_by_ring(plan, rng, rows, monkeypatch):
     """Rows of head gammas from the Gibbs sweep's variate ring, two rows a chunk."""
-    ring = engine._VariateRing(rng, plan, 15.5, 3, 2, -(-rows // 2), None)
+    ring = engine._VariateRing(rng, plan, 15.5, 2, -(-rows // 2), None)
     return np.concatenate([ring.take()[0].copy() for _ in range(-(-rows // 2))])[:rows]
 
 
@@ -328,7 +328,7 @@ def test_zero_innovation_shapes_draw_exact_zeros():
         warnings.simplefilter("error")
         head = volatility.innovation_variates(plan, jv.RngStream(3), np.full(plan.head, np.nan),
                                               np.full(plan.head, np.nan))
-        ring = engine._VariateRing(jv.RngStream(3), plan, 15.5, 0, 4, 3, None)
+        ring = engine._VariateRing(jv.RngStream(3), plan, 15.5, 4, 3, None)
         slots = [ring.take()[0].copy() for _ in range(3)]
         lam = jv.backward_sample(fs, cfg, jv.RngStream(3))
     assert np.all(head == 0.0)
