@@ -630,10 +630,10 @@ class _RetainedBlock:
         self._at.append(at)
         self._sizes.append(sizes)
         if self._kept is not None:
-            self._kept["jump_size"][self._idx + r - 1] = jumps
-            indicators = self._kept["jump_ind"][self._idx + r - 1]
-            indicators.fill(0)
-            indicators[at] = 1
+            row = self._idx + r - 1
+            self._kept["jump_size"][row] = jumps
+            self._kept["jump_ind"][row] = 0
+            self._kept["jump_ind"][row, at] = 1
         if r == self.rows:
             self.flush()
 
