@@ -329,10 +329,11 @@ def _reference_chain(y, cfg, spec):
     """run_chain's sweep, written with the public checked stage functions.
 
     Chain 0 from spec.init's first start or the default one, every stage in
-    the documented order, drawing from an equal-seeded stream.  On a jump fit the jump sizes'
-    normals at the candidates come from rng.jump_normals and the others from
-    an unrelated generator, which no output may read.  Returns the draws
-    table and the retained latent paths, whose jump_size rows are the jumps.
+    the documented order, drawing from an equal-seeded stream.  On a jump
+    fit the jump sizes' normals at the candidates come from rng.jump_normals
+    and the others from an unrelated generator, which no output may read.
+    Returns the draws table and the retained latent paths, whose jump_size
+    rows are the jumps.
     """
     rng = jv.RngStream(spec.seed, stream_id=0)
     unrelated = np.random.default_rng(12345)
@@ -440,9 +441,9 @@ def test_quiet_series_sweeps_without_candidates_equal_reference(thin_lag, monkey
 
 
 def test_initial_undeclared_sizes_change_no_draw(monkeypatch):
-    """An initial path's undeclared negative sizes (-0.0 in the jumps) change
-    no draw of a long jump fit, kept jump paths included, where the first
-    sweep finds no candidate and skips the jump stages."""
+    """An initial path's undeclared negative sizes change no draw of a jump
+    fit, kept jump paths included, where the first sweep finds no candidate
+    and skips the jump stages: no -0.0 reaches the kept jumps."""
     n = 1200
     y = jv.simulate(jv.SimConfig(n=n, seed=3, **_INTRADAY_LAW)).returns.returns
     cfg = jv.default_config()
@@ -460,6 +461,25 @@ def test_initial_undeclared_sizes_change_no_draw(monkeypatch):
         assert outs[1].latent_draws[name].tobytes() == rows.tobytes(), name
     kept = outs[1].latent_draws
     assert not np.signbit(kept["jump_size"][kept["jump_ind"] == 0]).any()
+
+
+def test_no_jump_fit_ignores_undeclared_initial_sizes():
+    """A no-jump fit from a start that holds negative sizes but declares no
+    jump draws and keeps what it does from zero sizes, bit for bit: no
+    undeclared time reaches the jump sums or the kept indicators."""
+    n = 300
+    y = jv.simulate(jv.SimConfig(n=n, seed=1)).returns.returns
+    cfg = jv.ModelConfig(jumps_enabled=False)
+    params, path = jv.default_init(y, cfg)
+    signed = dataclasses.replace(path, jump_size=np.full(n, -1.0))
+    spec = jv.RunSpec(iterations=12, seed=8, keep_latent_draws=True)
+    outs = [jv.run_chain(y, cfg, dataclasses.replace(spec, init=[(params, start)]))
+            for start in (path, signed)]
+    for name, column in outs[0].draws.items():
+        np.testing.assert_array_equal(outs[1].draws[name], column, err_msg=name)
+    for name, rows in outs[0].latent_draws.items():
+        assert outs[1].latent_draws[name].tobytes() == rows.tobytes(), name
+    assert outs[1].latent.mean_jump.tobytes() == np.zeros(n).tobytes()
 
 
 def test_initial_declared_jumps_equal_reference(monkeypatch):
@@ -660,9 +680,9 @@ def test_chain_peak_memory():
     at most 1.8 MB above its start.  The largest scratch is the band buffer
     (28 float32 rows, 0.56 MB) and the variate slot (256 kB); the chain
     holds no initial path, probabilities, accumulator scratch or xi path
-    beside its workspace, and forms the
-    summary after the sweeps' workspace and slot are freed.  Measured 1.62
-    MB, against 2.26 MB with 32-row band batches and those four arrays."""
+    beside its workspace, and forms the summary after the sweeps' workspace
+    and slot are freed.  Measured 1.62 MB, against 2.26 MB with 32-row band
+    batches and those four arrays."""
     n = 5000
     y = jv.simulate(jv.SimConfig(n=n, seed=8)).returns.returns
     cfg = jv.default_config()
